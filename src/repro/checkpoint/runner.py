@@ -1,10 +1,12 @@
 """The durable job runner: checkpointed, resumable enumeration.
 
-Drives :class:`~repro.core.matcher.CuTSMatcher`'s stepwise API with an
-explicit LIFO work stack — the same worker-stack formulation the
-distributed runtime and :func:`~repro.core.stream.iter_matches` use, so
-counts are exactly those of :meth:`CuTSMatcher.match` — and snapshots
-the stack to a :class:`~repro.checkpoint.store.CheckpointStore` every
+A client of :class:`~repro.core.executor.FrontierExecutor` in its
+bounded mode (every popped frontier is cut at the governor's chunk size,
+so a snapshot never waits on more than one chunk's expansion).  The
+runner steps the executor one fused expansion at a time — counts are
+exactly those of :meth:`CuTSMatcher.match` — and between steps
+snapshots the executor's stack to a
+:class:`~repro.checkpoint.store.CheckpointStore` every
 ``checkpoint_every`` expansions.
 
 Each stack item ``(trie, step, frontier)`` is snapshotted as a
@@ -18,25 +20,31 @@ snapshot's meta block; modeled ``time_ms`` accumulates across restarts
 them, so a resumed job's modeled time can differ slightly from an
 uninterrupted run's — counts never do).
 
-The memory governor integrates here at two points: chunk sizes come
-from :meth:`~repro.core.governor.MemoryGovernor.effective_chunk`, and
-past the high-water mark pending stack items are **spilled** to the
-store (shallowest first — the biggest remainders) instead of the run
-aborting.
+The memory governor integrates at two points: chunk sizes come from
+:meth:`~repro.core.governor.MemoryGovernor.effective_chunk` (inside the
+executor), and past the high-water mark pending stack items are
+**spilled** to the store (shallowest first — the biggest remainders)
+instead of the run aborting.  The runner feeds the governor the
+ship-equivalent footprint of the in-memory stack after every step, so
+those two decisions see the stack, not the executor's trie words.
+Spilled items always form the bottom of the stack; they are kept apart
+from the executor's stack and reloaded when it runs dry.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.executor import FrontierExecutor, FrontierItem
 from ..core.matcher import CuTSMatcher
 from ..core.result import MatchResult
 from ..core.stats import SearchStats
 from ..graph.csr import CSRGraph
 from ..storage.serialize import deserialize_trie, serialize_trie
-from ..storage.trie import PathTrie, TrieLevel
+from ..storage.trie import PathTrie
 from .fingerprint import (
     check_fingerprints,
     config_fingerprint,
@@ -48,20 +56,6 @@ __all__ = ["run_durable"]
 
 
 @dataclass
-class _MemItem:
-    """An in-memory work item: expand ``frontier`` through ``step``."""
-
-    trie: PathTrie
-    step: int
-    frontier: np.ndarray
-    words: int
-    packed: np.ndarray | None = None
-    """Cached :func:`_pack` buffer.  Items are immutable once pushed, so
-    a buffer computed for one snapshot is reused verbatim by the next —
-    only items created since the last snapshot pay serialization."""
-
-
-@dataclass
 class _SpillItem:
     """A work item evicted to the checkpoint store."""
 
@@ -70,27 +64,38 @@ class _SpillItem:
     words: int
 
 
-def _item_words(trie: PathTrie, frontier: np.ndarray) -> int:
+def _item_words(item: FrontierItem) -> int:
     """Ship-equivalent footprint of one work item (trie + frontier)."""
-    return trie.total_storage_words + int(frontier.size)
+    return item.words + int(item.frontier.size)
 
 
-def _pack(item: _MemItem) -> np.ndarray:
-    """Serialize an item as a self-contained sub-trie buffer (cached)."""
-    if item.packed is None:
-        sub = item.trie.extract_subtrie(item.trie.depth - 1, item.frontier)
-        item.packed = serialize_trie(sub)
-    return item.packed
+class _Packer:
+    """Serializes items as self-contained sub-trie buffers, caching each
+    item's buffer for as long as the item lives: items are immutable
+    once pushed, so a buffer computed for one snapshot is reused
+    verbatim by the next — only items created since the last snapshot
+    pay serialization."""
 
+    def __init__(self) -> None:
+        self._cache: weakref.WeakKeyDictionary[FrontierItem, np.ndarray] = (
+            weakref.WeakKeyDictionary()
+        )
 
-def _unpack(buffer: np.ndarray, step: int) -> _MemItem:
-    """Rebuild a work item from a buffer ``_pack`` produced."""
-    trie = deserialize_trie(buffer)
-    frontier = np.arange(trie.num_paths(), dtype=np.int64)
-    return _MemItem(
-        trie=trie, step=step, frontier=frontier,
-        words=_item_words(trie, frontier), packed=buffer,
-    )
+    def pack(self, item: FrontierItem) -> np.ndarray:
+        buf = self._cache.get(item)
+        if buf is None:
+            sub = item.trie.extract_subtrie(item.trie.depth - 1, item.frontier)
+            buf = self._cache[item] = serialize_trie(sub)
+        return buf
+
+    def unpack(self, buffer: np.ndarray, step: int) -> FrontierItem:
+        """Rebuild a work item from a buffer :meth:`pack` produced."""
+        trie = deserialize_trie(buffer)
+        item = FrontierItem(
+            trie, step, np.arange(trie.num_paths(), dtype=np.int64)
+        )
+        self._cache[item] = buffer
+        return item
 
 
 def _fingerprints(
@@ -173,14 +178,24 @@ def run_durable(
         )
 
     state = matcher.make_run_state(query)
-    n_steps = state.order.num_steps
     order = tuple(state.order.sequence)
     shards = (part,) if num_parts > 1 else ()
 
     base_count = 0
     base_time_ms = 0.0
     base_stats = SearchStats()
-    stack: list[_MemItem | _SpillItem] = []
+    count = 0
+
+    def sink(_item: FrontierItem, found: int, _leaf: PathTrie | None) -> None:
+        nonlocal count
+        count += found
+
+    executor = FrontierExecutor(
+        matcher, state, sink, peel_chunk=matcher.config.chunk_size
+    )
+    stack = executor.stack
+    spilled: list[_SpillItem] = []
+    packer = _Packer()
     next_seq = 0
     spill_seq = 0
     live_spills: set[str] = set()
@@ -207,11 +222,11 @@ def run_durable(
         for entry in meta["layout"]:
             step = int(entry["step"])
             if entry["kind"] == "mem":
-                stack.append(_unpack(buffers[int(entry["i"])], step))
+                stack.append(packer.unpack(buffers[int(entry["i"])], step))
             else:
                 name = str(entry["name"])
                 live_spills.add(name)
-                stack.append(
+                spilled.append(
                     _SpillItem(
                         name=name, step=step, words=int(entry["words"])
                     )
@@ -226,43 +241,28 @@ def run_durable(
             )
         trie = matcher.initial_frontier(state, part=part, num_parts=num_parts)
         roots = trie.num_paths(0)
-        if n_steps == 1:
-            return _finish(
-                store, prints, part, num_parts, order, shards,
-                count=roots, time_ms=state.cost.time_ms, stats=state.stats,
-                state=state, live_spills=live_spills,
-            )
         if roots:
-            frontier = np.arange(roots, dtype=np.int64)
             stack.append(
-                _MemItem(
-                    trie=trie, step=1, frontier=frontier,
-                    words=_item_words(trie, frontier),
-                )
+                FrontierItem(trie, 1, np.arange(roots, dtype=np.int64))
             )
 
-    mem_words = sum(it.words for it in stack if isinstance(it, _MemItem))
+    mem_words = sum(_item_words(it) for it in stack)
     state.governor.observe_words(mem_words)
-    count = 0
     expansions = 0
 
     def take_snapshot() -> None:
         nonlocal next_seq
         buffers: list[np.ndarray] = []
-        layout: list[dict[str, object]] = []
+        layout: list[dict[str, object]] = [
+            {
+                "kind": "spill", "name": it.name,
+                "step": it.step, "words": it.words,
+            }
+            for it in spilled
+        ]
         for it in stack:
-            if isinstance(it, _MemItem):
-                layout.append(
-                    {"kind": "mem", "i": len(buffers), "step": it.step}
-                )
-                buffers.append(_pack(it))
-            else:
-                layout.append(
-                    {
-                        "kind": "spill", "name": it.name,
-                        "step": it.step, "words": it.words,
-                    }
-                )
+            layout.append({"kind": "mem", "i": len(buffers), "step": it.step})
+            buffers.append(packer.pack(it))
         merged = SearchStats.from_json(base_stats.to_json())
         merged.merge(state.stats)
         merged.record_governor(state.governor)
@@ -284,63 +284,34 @@ def run_durable(
         """Evict pending items (shallowest first) past the high-water
         mark, keeping at least the top-of-stack item in memory."""
         nonlocal mem_words, spill_seq
-        if not state.governor.should_spill():
-            return
-        for i, it in enumerate(stack[:-1]):
-            if not isinstance(it, _MemItem):
-                continue
-            name = store.save_spill(spill_seq, _pack(it))
+        while len(stack) > 1 and state.governor.should_spill():
+            it = stack.pop(0)
+            name = store.save_spill(spill_seq, packer.pack(it))
             spill_seq += 1
             live_spills.add(name)
-            stack[i] = _SpillItem(name=name, step=it.step, words=it.words)
-            mem_words -= it.words
+            spilled.append(
+                _SpillItem(name=name, step=it.step, words=_item_words(it))
+            )
+            mem_words -= _item_words(it)
             state.governor.note_spill()
             state.governor.observe_words(mem_words)
-            if not state.governor.should_spill():
-                break
 
-    while stack:
-        popped = stack.pop()
-        if isinstance(popped, _SpillItem):
-            item = _unpack(store.load_spill(popped.name), popped.step)
-            mem_words += item.words
-        else:
-            item = popped
-            mem_words -= item.words
-        chunk = state.governor.effective_chunk(matcher.config.chunk_size)
-        frontier = item.frontier
-        if frontier.size > chunk:
-            rest = frontier[chunk:]
-            rest_item = _MemItem(
-                trie=item.trie, step=item.step, frontier=rest,
-                words=_item_words(item.trie, rest),
-            )
-            stack.append(rest_item)
-            mem_words += rest_item.words
-            frontier = frontier[:chunk]
-        if isinstance(popped, _SpillItem):
-            mem_words -= item.words
-        state.governor.observe_words(mem_words)
-
-        pa, ca = matcher.expand_frontier(item.trie, item.step, frontier, state)
+    while stack or spilled:
+        if not stack:
+            sp = spilled.pop()
+            stack.append(packer.unpack(store.load_spill(sp.name), sp.step))
+            mem_words += _item_words(stack[-1])
+        top = stack[-1]
+        mem_words -= _item_words(top)
+        base = len(stack) - 1
+        executor.step()
         expansions += 1
-        if len(ca):
-            if item.step + 1 == n_steps:
-                count += len(ca)
-            else:
-                child = PathTrie(
-                    levels=[*item.trie.levels, TrieLevel(pa=pa, ca=ca)]
-                )
-                child_frontier = np.arange(len(ca), dtype=np.int64)
-                child_item = _MemItem(
-                    trie=child, step=item.step + 1, frontier=child_frontier,
-                    words=_item_words(child, child_frontier),
-                )
-                stack.append(child_item)
-                mem_words += child_item.words
-                state.governor.observe_words(mem_words)
-                spill_pressure()
-        if expansions % every == 0 and stack:
+        pushed = stack[base:]
+        mem_words += sum(_item_words(it) for it in pushed)
+        state.governor.observe_words(mem_words)
+        if pushed and pushed[-1].step > top.step:
+            spill_pressure()
+        if expansions % every == 0 and (stack or spilled):
             take_snapshot()
 
     final_stats = SearchStats.from_json(base_stats.to_json())

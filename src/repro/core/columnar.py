@@ -68,7 +68,7 @@ from __future__ import annotations
 import time as _time
 from math import ceil as _ceil
 from operator import itemgetter as _itemgetter
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -118,9 +118,8 @@ def slice_fanouts(
 
     Chunk peels re-use the parent's gathered starts/counts (only the
     per-chunk totals are re-reduced) instead of re-gathering the CSR
-    pointer table per chunk.  Safe because fanout buffers are keyed by
-    step: the peeled chunk's *deeper* recursion writes other steps'
-    buffers, and the chunk's own expansion consumes these views first.
+    pointer table per chunk.  Safe while the step-keyed buffers are not
+    re-taken — see :attr:`ColumnarEngine.fan_epochs`.
     """
     return tuple(
         (kind, j, starts[start:stop], counts[start:stop],
@@ -299,6 +298,9 @@ class ColumnarEngine:
         self._bits_built = False
         self._self_loop_free: bool | None = None
         self._symmetric: bool | None = None
+        # fan_epochs[step]: fanout tables built at ``step`` so far; a
+        # held fanout view is current only while this is unchanged.
+        self.fan_epochs: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Cached per-graph tables
@@ -437,7 +439,9 @@ class ColumnarEngine:
         On a symmetric graph a backward constraint shares its forward
         twin's arrays (same pointer table, same column).  Buffers are
         keyed by step so chunk peels can hold :func:`slice_fanouts`
-        views across the peeled chunks' (strictly deeper) recursion."""
+        views across the peeled chunks' (strictly deeper) recursion;
+        each call advances the step's :attr:`fan_epochs` entry."""
+        self.fan_epochs[step] = self.fan_epochs.get(step, 0) + 1
         data = self.data
         arena = self.arena
         sym = self.symmetric
@@ -937,9 +941,3 @@ class ColumnarEngine:
             np.bitwise_and(key, 1, out=key)
             np.not_equal(key, 0, out=ok)
             np.logical_and(mask, ok, out=mask)
-
-
-EngineAncestors = Union[AncColumns, np.ndarray, None]
-"""Ancestor carry threaded through ``_search``: columnar tuple for the
-columnar engine, the 2-D matrix for the reference path, or ``None`` to
-rebuild from the trie."""

@@ -13,8 +13,8 @@ single-atomic write-location claim of §4.1.1.
 There is no two-pass count-then-write anywhere: exactly the property the
 trie buys.  When the projected frontier would overflow the trie buffer
 (half of free device memory, per the paper), the frontier is split into
-chunks (default 512 paths) processed depth-first to completion — the
-hybrid scanning strategy.
+chunks processed depth-first to completion — the hybrid scanning
+strategy, driven by :class:`~repro.core.executor.FrontierExecutor`.
 
 All data movement, shared traffic, atomics and instructions are charged
 to a :class:`~repro.gpusim.cost.CostModel`; per-level kernel launches are
@@ -40,24 +40,15 @@ from ..gpusim.warp import (
 from ..graph.csr import CSRGraph
 from ..storage.trie import PathTrie
 from .candidates import root_candidates
-from .columnar import (
-    AncColumns,
-    ColumnarEngine,
-    Fanout,
-    QueryPlan,
-    slice_fanouts,
-)
+from .columnar import ColumnarEngine, Fanout, QueryPlan
 from .config import CuTSConfig
+from .executor import FrontierExecutor, FrontierItem, SearchTimeout
 from .governor import MemoryGovernor
 from .ordering import MatchOrder, build_order
 from .result import MatchResult
 from .stats import SearchStats
 
 __all__ = ["CuTSMatcher", "SearchTimeout", "graph_device_words"]
-
-
-class SearchTimeout(RuntimeError):
-    """Raised when the modeled kernel time exceeds the configured limit."""
 
 
 def graph_device_words(graph: CSRGraph) -> int:
@@ -234,20 +225,10 @@ class CuTSMatcher:
             raise ValueError("resume=True requires checkpoint_dir")
         if query.num_vertices == 0:
             raise ValueError("query graph must have at least one vertex")
-        if not 0 <= part < num_parts:
-            raise ValueError("need 0 <= part < num_parts")
-        cost = CostModel(self.config.device)
-        if self.config.trace_kernels:
-            cost.enable_trace()
-        stats = SearchStats()
-        rng = (
-            np.random.default_rng(self.config.seed)
-            if self.config.randomize_placement
-            else None
+        state = self.make_run_state(
+            query, materialize=materialize, time_limit_ms=time_limit_ms
         )
-        order = build_order(query, self.config.ordering)
-        n_steps = order.num_steps
-
+        order = state.order
         if query.num_vertices > self.data.num_vertices:
             empty = (
                 np.zeros((0, order.num_steps), dtype=np.int64)
@@ -255,65 +236,42 @@ class CuTSMatcher:
                 else None
             )
             return MatchResult(
-                count=0, matches=empty, time_ms=cost.time_ms, cost=cost,
-                stats=stats, order=order.sequence,
+                count=0, matches=empty, time_ms=state.cost.time_ms,
+                cost=state.cost, stats=state.stats, order=order.sequence,
             )
-
-        roots = root_candidates(
-            self.data, query, order.sequence[0], cost,
-            neighborhood_filter=self.config.neighborhood_filter,
+        trie = self.initial_frontier(
+            state, part=part, num_parts=num_parts, root_filter=root_filter
         )
-        if root_filter is not None:
-            roots = np.intersect1d(
-                roots, np.asarray(root_filter, dtype=np.int64)
-            )
-        if num_parts > 1:
-            roots = roots[part::num_parts]
-        launch_kernel(
-            cost,
-            "init_match",
-            np.ones(max(1, self.data.num_vertices), dtype=np.float64),
-            device_worker_count(self.config.device, self.config.device.warp_size),
-            2 * self.data.num_vertices + len(roots),
-            rng=None,
-        )
-        stats.record_depth(0, len(roots))
-
-        trie = PathTrie.from_roots(roots)
-        state = _RunState(
-            query=query,
-            order=order,
-            cost=cost,
-            stats=stats,
-            rng=rng,
-            materialize=materialize,
-            time_limit_ms=time_limit_ms,
-            trie_words=2 * len(roots),
-        )
-        state.max_materialized = self.config.max_materialized
-        state.governor = MemoryGovernor.from_config(self.config)
-        state.governor.observe_words(state.trie_words)
-        state.on_tick = self.on_tick
-        self._arm_engine(state, query, order)
         if wall_limit_s is not None:
             state.wall_deadline = _time.monotonic() + wall_limit_s
-        stats.record_trie_words(state.trie_words)
-        if state.trie_words > self.trie_budget_words:
-            raise DeviceOOMError(
-                state.trie_words, self.trie_budget_words, "trie_buffer"
+        words = trie.total_storage_words
+        state.governor.observe_words(words)
+        state.stats.record_trie_words(words)
+        if words > self.trie_budget_words:
+            raise DeviceOOMError(words, self.trie_budget_words, "trie_buffer")
+
+        count = 0
+
+        def sink(_item: FrontierItem, found: int, leaf: PathTrie | None) -> None:
+            nonlocal count
+            count += found
+            if leaf is not None:
+                state.collect(leaf, np.arange(found, dtype=np.int64))
+
+        executor = FrontierExecutor(self, state, sink)
+        roots = trie.num_paths(0)
+        if roots:
+            executor.stack.append(
+                FrontierItem(trie, 1, np.arange(roots, dtype=np.int64))
             )
+        while executor.stack:
+            executor.step()
+        state.stats.record_governor(state.governor)
 
-        if n_steps == 1:
-            matches = roots.reshape(-1, 1).copy() if materialize else None
-            count = len(roots)
-        else:
-            frontier = np.arange(len(roots), dtype=np.int64)
-            count = self._search(trie, 1, frontier, state)
-            matches = state.collected_matrix()
-        stats.record_governor(state.governor)
-
+        matches = state.collected_matrix()
         if matches is not None:
             # Columns are in matching order; permute to query-vertex order.
+            n_steps = order.num_steps
             inv = np.empty(n_steps, dtype=np.int64)
             inv[np.asarray(order.sequence, dtype=np.int64)] = np.arange(
                 n_steps, dtype=np.int64
@@ -323,9 +281,9 @@ class CuTSMatcher:
         return MatchResult(
             count=count,
             matches=matches,
-            time_ms=cost.time_ms,
-            cost=cost,
-            stats=stats,
+            time_ms=state.cost.time_ms,
+            cost=state.cost,
+            stats=state.stats,
             order=order.sequence,
         )
 
@@ -334,7 +292,7 @@ class CuTSMatcher:
         return self.match(query, **kwargs).count
 
     # ------------------------------------------------------------------
-    # Stepwise driving API (used by the distributed runtime)
+    # Run set-up and the level-synchronous primitive
     # ------------------------------------------------------------------
     def make_run_state(
         self,
@@ -343,11 +301,12 @@ class CuTSMatcher:
         materialize: bool = False,
         time_limit_ms: float | None = None,
     ) -> "_RunState":
-        """Create the per-run context for externally-driven expansion.
+        """Create the per-run context: order, cost model, statistics,
+        RNG, governor and the configured expansion engine.
 
-        The distributed runtime owns its own work stack and calls
-        :meth:`expand_frontier` chunk by chunk; this builds the state
-        (order, cost model, stats, rng) those calls thread through.
+        Every driver builds its run here — :meth:`match` and the other
+        :class:`~repro.core.executor.FrontierExecutor` clients, and the
+        level-synchronous runtime that calls :meth:`expand_frontier`.
         """
         rng = (
             np.random.default_rng(self.config.seed)
@@ -366,7 +325,6 @@ class CuTSMatcher:
             rng=rng,
             materialize=materialize,
             time_limit_ms=time_limit_ms,
-            trie_words=0,
         )
         state.max_materialized = self.config.max_materialized
         state.governor = MemoryGovernor.from_config(self.config)
@@ -387,12 +345,20 @@ class CuTSMatcher:
         state.profile = self.config.profile_expansion
 
     def initial_frontier(
-        self, state: "_RunState", *, part: int = 0, num_parts: int = 1
+        self,
+        state: "_RunState",
+        *,
+        part: int = 0,
+        num_parts: int = 1,
+        root_filter: np.ndarray | None = None,
     ) -> PathTrie:
-        """Level-0 trie from the root candidates (optionally strided).
+        """Level-0 trie from the root candidates: the ``init_match``
+        launch.
 
-        ``part``/``num_parts`` implement the distributed ``init_match``:
-        rank ``r`` of ``P`` keeps candidates ``r::P``.
+        ``root_filter`` intersects the candidates with a vertex set
+        first (see :meth:`match`); ``part``/``num_parts`` then implement
+        the distributed striding: rank ``r`` of ``P`` keeps candidates
+        ``r::P``.
         """
         if not 0 <= part < num_parts:
             raise ValueError("need 0 <= part < num_parts")
@@ -400,6 +366,10 @@ class CuTSMatcher:
             self.data, state.query, state.order.sequence[0], state.cost,
             neighborhood_filter=self.config.neighborhood_filter,
         )
+        if root_filter is not None:
+            roots = np.intersect1d(
+                roots, np.asarray(root_filter, dtype=np.int64)
+            )
         if num_parts > 1:
             roots = roots[part::num_parts]
         launch_kernel(
@@ -419,19 +389,16 @@ class CuTSMatcher:
         step: int,
         frontier: np.ndarray,
         state: "_RunState",
-        *,
-        columns: AncColumns | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
         """Expand ``frontier`` (paths at the trie's deepest level) through
         query step ``step``; returns ``(global parent indices, candidates)``
         without mutating the trie.  All costs are charged to ``state``.
 
-        ``columns`` optionally supplies the frontier's materialised
-        ancestor columns (one array per trie level, as produced by
-        :meth:`~repro.storage.trie.PathTrie.columns_at`), letting a
-        stack-driving caller carry them forward incrementally; when
-        omitted they are rebuilt from the trie — which is also how a
-        resumed checkpoint re-derives the expansion workspace."""
+        This is the level-synchronous primitive
+        (:mod:`repro.distributed.bulksync`): it rebuilds the ancestor
+        columns from the trie on every call.  The stack-driven paths go
+        through :class:`~repro.core.executor.FrontierExecutor`, which
+        carries them between levels instead."""
         frontier = np.asarray(frontier, dtype=np.int64)
         if frontier.size == 0:
             return (
@@ -439,11 +406,7 @@ class CuTSMatcher:
                 np.zeros(0, dtype=np.int64),
             )
         if state.plan is not None:
-            anc = (
-                columns
-                if columns is not None
-                else trie.columns_at(trie.depth - 1, frontier)
-            )
+            anc = trie.columns_at(trie.depth - 1, frontier)
             out = self.engine.extend(
                 state.plan, anc, step, state,
                 bloom=self.engine.bloom_of(anc),
@@ -456,263 +419,6 @@ class CuTSMatcher:
             pa_local, ca = self._extend(ancestors, step, fwd, bwd, state)
         state.stats.record_depth(step, len(ca))
         return frontier[pa_local], ca
-
-    # ------------------------------------------------------------------
-    # Hybrid BFS-DFS search
-    # ------------------------------------------------------------------
-    def _search(
-        self,
-        trie: PathTrie,
-        step: int,
-        frontier: np.ndarray,
-        state: "_RunState",
-        anc: AncColumns | None = None,
-        bloom: np.ndarray | None = None,
-        fanouts: tuple[Fanout, ...] | None = None,
-    ) -> int:
-        """Expand ``frontier`` (paths at trie's deepest level) through
-        query step ``step`` and recurse to completion.  Returns the number
-        of full embeddings found below this frontier.
-
-        ``anc`` carries the frontier's materialised ancestor columns for
-        the columnar engine (maintained level-to-level by gather and
-        sliced in lockstep with chunk peels, so the trie is never walked
-        upward past the first call); ``bloom`` rides along with it (the
-        per-path 64-bit ancestor signature the injectivity prefilter
-        reads), and ``fanouts`` carries this frontier's constraint
-        fanout table (chunk peels pass slices of the parent's instead of
-        re-gathering the pointer tables).  ``None`` rebuilds any of the
-        three — or, on the reference engine, falls back to the row-major
-        ``paths_at`` walk."""
-        if frontier.size == 0:
-            return 0
-        if (
-            state.time_limit_ms is not None
-            and state.cost.time_ms > state.time_limit_ms
-        ):
-            raise SearchTimeout(
-                f"modeled time {state.cost.time_ms:.1f} ms exceeded limit "
-                f"{state.time_limit_ms:.1f} ms"
-            )
-        if state.wall_deadline is not None:
-            # Sanctioned wall-clock read: the user-facing safety limit must
-            # track host time by definition, and tripping it raises rather
-            # than changing any count. # repro: ignore[RP002]
-            if _time.monotonic() > state.wall_deadline:
-                raise SearchTimeout("wall-clock limit exceeded")
-
-        plan = state.plan
-        col_fanouts: tuple[Fanout, ...] | None = None
-        ref_fanouts: tuple[tuple[str, int, int], ...] | None = None
-        ancestors: np.ndarray | None = None
-        fwd: tuple[int, ...] = ()
-        bwd: tuple[int, ...] = ()
-        if plan is not None:
-            if anc is None:
-                anc = trie.columns_at(trie.depth - 1, frontier)
-                bloom = self.engine.bloom_of(anc)
-            elif bloom is None:
-                bloom = self.engine.bloom_of(anc)
-            col_fanouts = (
-                fanouts
-                if fanouts is not None
-                else self.engine.constraint_fanouts(plan, anc, step)
-            )
-            pool_estimate = self._estimate_pool(frontier.size, col_fanouts)
-        else:
-            ancestors = trie.paths_at(trie.depth - 1, frontier)
-            fwd, bwd = state.order.constraints_at(step)
-            ref_fanouts = self._constraint_fanouts(ancestors, fwd, bwd)
-            pool_estimate = self._estimate_pool(frontier.size, ref_fanouts)
-
-        # --- memory-pressure chunking (hybrid BFS-DFS, §4.1.2) ---------
-        # The candidate pool streams through shared memory per virtual
-        # warp; only *survivors* land in the trie buffer.  Each level may
-        # claim an equal share of the *remaining* headroom (so deeper
-        # levels of the active DFS branch always keep room), projected
-        # via the survival ratio measured at this step so far
-        # (conservatively 1.0 before the first probe chunk).
-        remaining_levels = max(1, state.order.num_steps - step)
-        # The governor's host budget tightens the effective trie budget
-        # (the device budget is the hard bound; the host budget is soft).
-        gov_words = state.governor.budget_words
-        soft_budget_words = (
-            self.trie_budget_words
-            if gov_words is None
-            else min(self.trie_budget_words, gov_words)
-        )
-
-        def fits(pool_fraction: float) -> bool:
-            sigma = state.sigma_by_step.get(step, 1.0)
-            headroom = soft_budget_words - state.trie_words
-            allowance = headroom / remaining_levels
-            level_words = 2 * pool_estimate * pool_fraction * sigma
-            return (
-                level_words <= allowance
-                and pool_estimate * pool_fraction <= self._POOL_WORKSPACE_LIMIT
-            )
-
-        if not fits(1.0) and frontier.size > 1:
-            # Peel chunks iteratively.  Each processed chunk refines the
-            # measured survival ratio (sigma_by_step), so the remainder
-            # is re-projected with real data every iteration — a run that
-            # merely *looked* oversized proceeds after one probe chunk,
-            # while a genuinely memory-bound run keeps chunking (bounded
-            # recursion: sub-chunks only ever halve).  Ancestor columns
-            # are sliced in lockstep with the frontier peel.
-            total = 0
-            start = 0
-            n = frontier.size
-            while start < n:
-                rem = n - start
-                if rem == 1 or fits(rem / n):
-                    split = rem
-                else:
-                    base_chunk = state.governor.effective_chunk(
-                        self.config.chunk_size
-                    )
-                    split = min(base_chunk, max(1, rem // 2))
-                stop = start + split
-                chunk_anc = None
-                chunk_bloom = None
-                chunk_fans = None
-                if plan is not None and anc is not None:
-                    chunk_anc = tuple(c[start:stop] for c in anc)
-                    if bloom is not None:
-                        chunk_bloom = bloom[start:stop]
-                    if col_fanouts is not None:
-                        chunk_fans = slice_fanouts(col_fanouts, start, stop)
-                state.stats.record_chunk(step)
-                total += self._search(
-                    trie, step, frontier[start:stop], state,
-                    chunk_anc, chunk_bloom, chunk_fans,
-                )
-                start = stop
-            return total
-
-        pa_local: np.ndarray | None = None
-        ca: np.ndarray | None = None
-        if plan is not None:
-            assert anc is not None
-            # Leaf steps of a count-only run need just the survivor
-            # count: the level would be appended, counted, and dropped
-            # — skip materialising the survivor arrays entirely.
-            leaf_count_only = (
-                not state.materialize
-                and step + 1 == state.order.num_steps
-            )
-            out = self.engine.extend(
-                plan, anc, step, state, col_fanouts, bloom,
-                count_only=leaf_count_only,
-            )
-            if isinstance(out, int):
-                results = out
-            else:
-                pa_local, ca = out
-                results = len(ca)
-        else:
-            assert ancestors is not None
-            pa_local, ca = self._extend(
-                ancestors, step, fwd, bwd, state, ref_fanouts
-            )
-            results = len(ca)
-        state.stats.record_depth(step, results)
-        if pool_estimate > 0:
-            # Exponential-moving survival ratio for the chunk projector.
-            observed = results / pool_estimate
-            prior = state.sigma_by_step.get(step)
-            state.sigma_by_step[step] = (
-                observed if prior is None else 0.5 * prior + 0.5 * observed
-            )
-        if results == 0:
-            return 0
-
-        new_words = 2 * results
-        if state.trie_words + new_words > soft_budget_words:
-            if frontier.size > 1:
-                # Estimate was too optimistic; fall back to chunking
-                # (halves at the same boundary ``np.array_split`` used).
-                total = 0
-                half = (frontier.size + 1) // 2
-                for lo, hi in ((0, half), (half, frontier.size)):
-                    if hi <= lo:
-                        continue
-                    chunk_anc = None
-                    chunk_bloom = None
-                    chunk_fans = None
-                    if plan is not None and anc is not None:
-                        chunk_anc = tuple(c[lo:hi] for c in anc)
-                        if bloom is not None:
-                            chunk_bloom = bloom[lo:hi]
-                        if col_fanouts is not None:
-                            chunk_fans = slice_fanouts(col_fanouts, lo, hi)
-                    state.stats.record_chunk(step)
-                    total += self._search(
-                        trie, step, frontier[lo:hi], state,
-                        chunk_anc, chunk_bloom, chunk_fans,
-                    )
-                return total
-            if state.trie_words + new_words > self.trie_budget_words:
-                # The *device* budget is a hard bound: a single path's
-                # expansion that overflows it cannot be subdivided.
-                raise DeviceOOMError(
-                    new_words,
-                    self.trie_budget_words - state.trie_words,
-                    "trie_buffer",
-                )
-            # Over the soft host budget only, with an unsplittable
-            # frontier: proceed (graceful degradation, never abort).
-
-        if pa_local is None or ca is None:
-            # Count-only leaf: the reference flow appends the level,
-            # counts it, and immediately drops it — observe and record
-            # the words it would have occupied, without trie mutation.
-            words = state.trie_words + new_words
-            state.governor.observe_words(words)
-            state.stats.record_trie_words(words)
-            return results
-
-        # Parent indices are survivor compactions of this frontier —
-        # in range by construction, so the PA validation scan is skipped.
-        trie.append_level(frontier[pa_local], ca, validate=False)
-        state.trie_words += new_words
-        state.governor.observe_words(state.trie_words)
-        state.stats.record_trie_words(state.trie_words)
-        try:
-            if step + 1 == state.order.num_steps:
-                count = results
-                state.collect(trie, np.arange(results, dtype=np.int64))
-            else:
-                # Incremental ancestor carry: the child frontier's columns
-                # and Bloom signatures are the surviving parents' gathered
-                # by pa_local plus the new candidate column — no upward
-                # trie walk.
-                child_anc: AncColumns | None = None
-                child_bloom: np.ndarray | None = None
-                if plan is not None and anc is not None and bloom is not None:
-                    child_anc, child_bloom = self.engine.child_carry(
-                        anc, bloom, pa_local, ca
-                    )
-                # Child frontier ids are always 0..results-1: reuse the
-                # engine's shared read-only iota instead of allocating
-                # (every consumer slices or gathers, never writes).
-                child_frontier = (
-                    self.engine.iota(results)
-                    if plan is not None
-                    else np.arange(results, dtype=np.int64)
-                )
-                count = self._search(
-                    trie,
-                    step + 1,
-                    child_frontier,
-                    state,
-                    child_anc,
-                    child_bloom,
-                )
-        finally:
-            trie.drop_last_level()
-            state.trie_words -= new_words
-        return count
 
     # ------------------------------------------------------------------
     # Fused expansion kernel
@@ -974,7 +680,7 @@ class CuTSMatcher:
 
 
 class _RunState:
-    """Mutable per-run context threaded through the recursion."""
+    """Mutable per-run context threaded through every expansion."""
 
     def __init__(
         self,
@@ -986,7 +692,6 @@ class _RunState:
         rng: np.random.Generator | None,
         materialize: bool,
         time_limit_ms: float | None,
-        trie_words: int,
     ) -> None:
         self.query = query
         self.order = order
@@ -996,7 +701,6 @@ class _RunState:
         self.materialize = materialize
         self.time_limit_ms = time_limit_ms
         self.wall_deadline: float | None = None
-        self.trie_words = trie_words
         self.sigma_by_step: dict[int, float] = {}
         # Columnar-engine routing: a non-None plan sends every expansion
         # through CuTSMatcher.engine; profile enables per-stage timers.

@@ -6,10 +6,14 @@ matches out before loading the next chunk — which means results can be
 bounded by the chunk size, never holding the full (possibly huge) result
 set.  :func:`iter_matches` exposes that as a generator.
 
-The traversal is the same worker-stack formulation the distributed
-runtime uses (structural trie sharing, LIFO = depth-first), driven by the
-matcher's stepwise API, so counts and costs agree with
-:meth:`~repro.core.matcher.CuTSMatcher.match`.
+It is a client of :class:`~repro.core.executor.FrontierExecutor` in its
+bounded mode: every popped frontier is cut at the governor's chunk size,
+so each expansion's leaf rows are at most one chunk's worth.  The
+generator runs the executor one expansion at a time and yields between
+steps.  Counts and rows (as a set) agree with
+:meth:`~repro.core.matcher.CuTSMatcher.match`; the expansion sequence
+is that of the durable and distributed paths, which peel at the same
+bound.
 """
 
 from __future__ import annotations
@@ -19,13 +23,11 @@ from typing import Iterator
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..storage.trie import PathTrie, TrieLevel
+from ..storage.trie import PathTrie
+from .executor import FrontierExecutor, FrontierItem
 from .matcher import CuTSMatcher
 
 __all__ = ["iter_matches"]
-
-_Columns = tuple[np.ndarray, ...] | None
-"""Ancestor columns carried on the work stack (None = rebuild)."""
 
 
 def iter_matches(
@@ -55,7 +57,7 @@ def iter_matches(
         raise ValueError("batch_size must be positive")
     if query.num_vertices == 0:
         raise ValueError("query graph must have at least one vertex")
-    state = matcher.make_run_state(query)
+    state = matcher.make_run_state(query, materialize=True)
     n_steps = state.order.num_steps
     inv = np.empty(n_steps, dtype=np.int64)
     inv[np.asarray(state.order.sequence, dtype=np.int64)] = np.arange(
@@ -65,10 +67,14 @@ def iter_matches(
     if query.num_vertices > matcher.data.num_vertices:
         return
 
-    trie = matcher.initial_frontier(state)
-    roots = trie.num_paths(0)
     pending: list[np.ndarray] = []
     pending_rows = 0
+
+    def sink(_item: FrontierItem, found: int, leaf: PathTrie | None) -> None:
+        nonlocal pending_rows
+        if leaf is not None:
+            pending.append(leaf.paths_at(leaf.depth - 1)[:, inv])
+            pending_rows += found
 
     def flush(force: bool = False) -> Iterator[np.ndarray]:
         nonlocal pending, pending_rows
@@ -79,61 +85,16 @@ def iter_matches(
             pending_rows = len(rest)
             yield np.ascontiguousarray(out)
 
-    if n_steps == 1:
-        if roots:
-            pending.append(trie.levels[0].ca.reshape(-1, 1))
-            pending_rows = roots
-        yield from flush(force=True)
-        return
-
-    # Stack entries carry the frontier's materialised ancestor columns
-    # for the columnar engine (None = rebuild from the trie, and always
-    # None on the reference engine); columns are sliced in lockstep with
-    # governor chunking and gathered forward level-to-level, mirroring
-    # the recursive engine's incremental ancestor carry.
-    stack: list[tuple[PathTrie, int, np.ndarray, _Columns]] = []
+    executor = FrontierExecutor(
+        matcher, state, sink, peel_chunk=matcher.config.chunk_size
+    )
+    trie = matcher.initial_frontier(state)
+    roots = trie.num_paths(0)
     if roots:
-        stack.append((trie, 1, np.arange(roots, dtype=np.int64), None))
-    while stack:
-        item_trie, step, frontier, cols = stack.pop()
-        # Governor-aware chunk sizing: under memory pressure the BFS
-        # chunk shrinks (toward pure DFS), bounding the live footprint.
-        chunk = state.governor.effective_chunk(matcher.config.chunk_size)
-        if frontier.size > chunk:
-            rest_cols = (
-                tuple(c[chunk:] for c in cols) if cols is not None else None
-            )
-            stack.append((item_trie, step, frontier[chunk:], rest_cols))
-            frontier = frontier[:chunk]
-            if cols is not None:
-                cols = tuple(c[:chunk] for c in cols)
-        if cols is None and state.plan is not None:
-            cols = item_trie.columns_at(item_trie.depth - 1, frontier)
-        pa, ca = matcher.expand_frontier(
-            item_trie, step, frontier, state, columns=cols
+        executor.stack.append(
+            FrontierItem(trie, 1, np.arange(roots, dtype=np.int64))
         )
-        if len(ca) == 0:
-            continue
-        child = PathTrie(levels=[*item_trie.levels, TrieLevel(pa=pa, ca=ca)])
-        state.governor.observe_words(
-            child.total_storage_words + int(len(ca))
-        )
-        if step + 1 == n_steps:
-            paths = child.paths_at(child.depth - 1)
-            pending.append(paths[:, inv])
-            pending_rows += len(paths)
-            yield from flush()
-        else:
-            child_cols: _Columns = None
-            if cols is not None:
-                # Recover chunk-local parent positions from the global
-                # indices (stream frontiers are strictly increasing).
-                pa_local = np.searchsorted(frontier, pa)
-                child_cols = tuple(
-                    np.take(c, pa_local) for c in cols
-                ) + (ca,)
-            stack.append(
-                (child, step + 1, np.arange(len(ca), dtype=np.int64),
-                 child_cols)
-            )
+    while executor.stack:
+        executor.step()
+        yield from flush()
     yield from flush(force=True)

@@ -69,7 +69,8 @@ class DistributedResult:
 
     ``faults_injected``/``retransmissions``/``ranks_failed``/
     ``recovered_chunks`` report the fault-tolerance machinery's work;
-    they are all zero on a clean run.
+    they are all zero on a clean run.  ``chunk_halvings`` sums the
+    ranks' memory-governor halvings (zero without a memory budget).
     """
 
     count: int
@@ -83,6 +84,7 @@ class DistributedResult:
     retransmissions: int = 0
     ranks_failed: int = 0
     recovered_chunks: int = 0
+    chunk_halvings: int = 0
 
     @property
     def num_ranks(self) -> int:
@@ -348,6 +350,9 @@ class DistributedCuTS:
             retransmissions=tracker.retransmissions,
             ranks_failed=len(self._dead),
             recovered_chunks=recovered,
+            chunk_halvings=sum(
+                wk.state.governor.chunk_halvings for wk in workers
+            ),
         )
         if store is not None:
             store.write_manifest(
@@ -367,6 +372,7 @@ class DistributedCuTS:
                         "retransmissions": result.retransmissions,
                         "ranks_failed": result.ranks_failed,
                         "recovered_chunks": result.recovered_chunks,
+                        "chunk_halvings": result.chunk_halvings,
                     },
                 }
             )

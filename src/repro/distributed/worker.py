@@ -1,9 +1,11 @@
 """Per-rank worker: a chunked, stealable cuTS search.
 
 Each rank owns a full copy of the data graph (paper §4.2 — only partial
-paths move between nodes), a simulated device, and a LIFO stack of
-:class:`WorkItem` chunks.  Popping from the deep end gives the DFS side
-of the hybrid scan (bounded memory); every processed chunk is a natural
+paths move between nodes), a simulated device, and a
+:class:`~repro.core.executor.FrontierExecutor` in its bounded mode: a
+LIFO stack of :class:`WorkItem` chunks, each popped frontier cut at the
+governor's chunk size.  Popping from the deep end gives the DFS side of
+the hybrid scan (bounded memory); every processed chunk is a natural
 point to check for free ranks, exactly Algorithm 3's chunk loop.
 
 Work shipping uses structural sharing: a :class:`~repro.storage.trie
@@ -11,13 +13,16 @@ Work shipping uses structural sharing: a :class:`~repro.storage.trie
 parent's trie by one level without copying, and
 :meth:`~repro.storage.trie.PathTrie.extract_subtrie` +
 :func:`~repro.storage.serialize.serialize_trie` produce the flat buffer
-that "sends the trie along with the work".
+that "sends the trie along with the work".  Shipped items arrive
+without carried state and rebuild it once from their trie.
 
-Fault tolerance: every work item carries *provenance* — the contiguous
-interval ``[lo, hi)`` of its origin rank's root-candidate rows it
-descends from, plus a re-execution generation.  Root frontiers are only
-ever sliced contiguously (chunking and surplus splits take prefixes), so
-the mapping stays exact and the runtime's
+Fault tolerance: every work item's tag is its provenance — the
+contiguous interval ``[lo, hi)`` of its origin rank's root-candidate
+rows it descends from, plus a re-execution generation (the
+:class:`~repro.distributed.protocol.BufferMeta` it ships with).  Root frontiers
+are only ever sliced contiguously (chunk peels, halvings and surplus
+splits all go through :meth:`RankWorker._split_item` and take
+prefixes), so the mapping stays exact and the runtime's
 :class:`~repro.distributed.protocol.StrideLedger` can account for every
 embedding per interval.  When a rank dies, its intervals are purged
 everywhere (:meth:`purge_intervals`) and re-executed from the root on a
@@ -26,18 +31,23 @@ survivor (:meth:`adopt_root_intervals`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from ..core.config import CuTSConfig
+from ..core.executor import FrontierExecutor, FrontierItem
 from ..core.matcher import CuTSMatcher
 from ..graph.csr import CSRGraph
 from ..storage.serialize import deserialize_trie, serialize_trie
-from ..storage.trie import PathTrie, TrieLevel
+from ..storage.trie import PathTrie
 from .protocol import BufferMeta, StrideKey, StrideLedger, WorkEnvelope
 
 __all__ = ["WorkItem", "RankWorker"]
+
+WorkItem = FrontierItem
+"""A frontier chunk awaiting expansion; its ``tag`` is its
+:class:`~repro.distributed.protocol.BufferMeta` provenance."""
 
 
 def _interval_gaps(
@@ -58,41 +68,13 @@ def _interval_gaps(
     return gaps
 
 
-@dataclass(frozen=True)
-class WorkItem:
-    """A frontier chunk awaiting expansion.
+_UNTRACKED = BufferMeta(origin=-1, lo=0, hi=0, gen=0)
+"""The tag of an item outside any ledger (standalone worker use)."""
 
-    Invariant: ``trie.depth == step`` — the deepest trie level holds the
-    paths of query step ``step - 1`` and ``frontier`` indexes into it.
 
-    ``origin``/``lo``/``hi``/``gen`` are the fault-tolerance provenance:
-    the item's paths all descend from rows ``[lo, hi)`` of rank
-    ``origin``'s root partition, at re-execution generation ``gen``.
-    ``origin == -1`` marks an untracked item (standalone worker use).
-    """
-
-    trie: PathTrie
-    step: int
-    frontier: np.ndarray
-    origin: int = -1
-    lo: int = 0
-    hi: int = 0
-    gen: int = 0
-
-    def __post_init__(self) -> None:
-        if self.trie.depth != self.step:
-            raise ValueError(
-                f"work item invariant violated: trie depth {self.trie.depth}"
-                f" != step {self.step}"
-            )
-
-    @property
-    def key(self) -> StrideKey:
-        return (self.origin, self.lo, self.hi)
-
-    @property
-    def tracked(self) -> bool:
-        return self.origin >= 0
+def _provenance(item: WorkItem) -> BufferMeta:
+    tag = item.tag
+    return tag if isinstance(tag, BufferMeta) else _UNTRACKED
 
 
 @dataclass
@@ -121,9 +103,9 @@ class RankWorker:
     chunks_processed: int = 0
     chunks_received: int = 0
     chunks_sent: int = 0
-    stack: list[WorkItem] = field(default_factory=list)
     slowdown: float = 1.0
     ledger: StrideLedger | None = None
+    executor: FrontierExecutor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.steal_fraction < 1.0:
@@ -134,8 +116,17 @@ class RankWorker:
             raise ValueError("slowdown must be >= 1")
         self.matcher = CuTSMatcher(self.data, self.config)
         self.state = self.matcher.make_run_state(self.query)
+        self.executor = FrontierExecutor(
+            self.matcher, self.state, self._sink,
+            split=self._split_item, peel_chunk=self.config.chunk_size,
+        )
         self._num_steps = self.state.order.num_steps
         self._num_parts = 1
+
+    @property
+    def stack(self) -> list[WorkItem]:
+        """The executor's LIFO work stack (top = deep end)."""
+        return self.executor.stack
 
     # ------------------------------------------------------------------
     def init_partition(
@@ -160,26 +151,26 @@ class RankWorker:
         roots = trie.num_paths(0)
         if roots == 0:
             return
-        gaps = _interval_gaps(roots, committed)
-        for lo, hi in gaps:
-            key = (self.rank, lo, hi)
+        for lo, hi in _interval_gaps(roots, committed):
+            prov = BufferMeta(origin=self.rank, lo=lo, hi=hi, gen=0)
             if self.ledger is not None:
-                self.ledger.open(key, self.rank)
-            if self._num_steps == 1:
-                self.count += hi - lo
-                if self.ledger is not None:
-                    self.ledger.finish_item(key, 0, self.rank, hi - lo)
-                continue
-            self.stack.append(
-                WorkItem(
-                    trie=trie,
-                    step=1,
-                    frontier=np.arange(lo, hi, dtype=np.int64),
-                    origin=self.rank,
-                    lo=lo,
-                    hi=hi,
+                self.ledger.open(prov.key, self.rank)
+            self._push_root(trie, prov)
+
+    def _push_root(self, trie: PathTrie, prov: BufferMeta) -> None:
+        """Queue root rows ``[lo, hi)`` (or count them outright for a
+        single-vertex query)."""
+        if self._num_steps == 1:
+            self.count += prov.hi - prov.lo
+            if self.ledger is not None:
+                self.ledger.finish_item(
+                    prov.key, prov.gen, self.rank, prov.hi - prov.lo
                 )
-            )
+            return
+        self.stack.append(
+            WorkItem(trie, 1, np.arange(prov.lo, prov.hi, dtype=np.int64),
+                     tag=prov)
+        )
 
     def has_work(self) -> bool:
         return bool(self.stack)
@@ -187,77 +178,41 @@ class RankWorker:
     # ------------------------------------------------------------------
     def _split_item(self, item: WorkItem, at: int) -> tuple[WorkItem, WorkItem]:
         """Split ``item``'s frontier at position ``at`` into (head, tail),
-        keeping the per-interval ledger accounting exact."""
-        if item.step == 1 and item.tracked:
+        keeping the per-interval ledger accounting exact.  The executor
+        calls this for every chunk peel and halving; steals call it too."""
+        head, tail = item.split(at)
+        prov = _provenance(item)
+        if item.step == 1 and prov.origin >= 0:
             # Root-level split: positions map 1:1 onto root rows, so the
             # interval subdivides at lo + at.
-            mid = item.lo + at
+            mid = prov.lo + at
             if self.ledger is not None:
-                self.ledger.split_root(item.key, mid, item.gen, self.rank)
-            head = WorkItem(
-                trie=item.trie, step=item.step, frontier=item.frontier[:at],
-                origin=item.origin, lo=item.lo, hi=mid, gen=item.gen,
-            )
-            tail = WorkItem(
-                trie=item.trie, step=item.step, frontier=item.frontier[at:],
-                origin=item.origin, lo=mid, hi=item.hi, gen=item.gen,
-            )
-        else:
+                self.ledger.split_root(prov.key, mid, prov.gen, self.rank)
+            head.tag = replace(prov, hi=mid)
+            tail.tag = replace(prov, lo=mid)
+        elif self.ledger is not None and prov.origin >= 0:
             # Deeper split: both halves stay in the same interval; one
             # logical item became two.
-            if self.ledger is not None and item.tracked:
-                self.ledger.add_pending(item.key, item.gen, 1)
-            head = WorkItem(
-                trie=item.trie, step=item.step, frontier=item.frontier[:at],
-                origin=item.origin, lo=item.lo, hi=item.hi, gen=item.gen,
-            )
-            tail = WorkItem(
-                trie=item.trie, step=item.step, frontier=item.frontier[at:],
-                origin=item.origin, lo=item.lo, hi=item.hi, gen=item.gen,
-            )
+            self.ledger.add_pending(prov.key, prov.gen, 1)
         return head, tail
 
-    def _finish(self, item: WorkItem, count: int) -> None:
-        if self.ledger is not None and item.tracked:
-            self.ledger.finish_item(item.key, item.gen, self.rank, count)
+    def _sink(self, item: WorkItem, found: int, _leaf: PathTrie | None) -> None:
+        """An item ended with ``found`` embeddings (0 = dead end)."""
+        self.count += found
+        prov = _provenance(item)
+        if self.ledger is not None and prov.origin >= 0:
+            self.ledger.finish_item(prov.key, prov.gen, self.rank, found)
 
     def process_one_chunk(self) -> None:
-        """Pop one chunk (≤ chunk_size paths), expand it one level."""
+        """Run one expansion: pop the top item (peeling a chunk of at
+        most ``effective_chunk(chunk_size)`` paths) and expand it one
+        level."""
         if not self.stack:
             raise RuntimeError(f"rank {self.rank} has no work")
-        item = self.stack.pop()
-        chunk_size = self.config.chunk_size
-        if item.frontier.size > chunk_size:
-            # Take the first chunk, push the remainder back (deep end).
-            item, rest = self._split_item(item, chunk_size)
-            self.stack.append(rest)
         t0 = self.state.cost.time_ms
-        pa, ca = self.matcher.expand_frontier(
-            item.trie, item.step, item.frontier, self.state
-        )
+        self.executor.step()
         self._advance(t0)
         self.chunks_processed += 1
-        if len(ca) == 0:
-            self._finish(item, 0)
-            return
-        if item.step + 1 == self._num_steps:
-            self.count += len(ca)
-            self._finish(item, len(ca))
-            return
-        child = PathTrie(
-            levels=[*item.trie.levels, TrieLevel(pa=pa, ca=ca)]
-        )
-        self.stack.append(
-            WorkItem(
-                trie=child,
-                step=item.step + 1,
-                frontier=np.arange(len(ca), dtype=np.int64),
-                origin=item.origin,
-                lo=item.lo,
-                hi=item.hi,
-                gen=item.gen,
-            )
-        )
 
     def _advance(self, t0: float) -> None:
         dt = (self.state.cost.time_ms - t0) * self.slowdown
@@ -276,24 +231,25 @@ class RankWorker:
 
     def _pop_surplus_items(self) -> list[WorkItem]:
         """Extract ~``steal_fraction`` of pending work as work items."""
-        if not self.stack:
+        stack = self.stack
+        if not stack:
             return []
-        if len(self.stack) == 1:
+        if len(stack) == 1:
             # Split the lone item's frontier.
-            item = self.stack.pop()
+            item = stack.pop()
             give_n = max(1, int(item.frontier.size * self.steal_fraction))
             give_n = min(give_n, item.frontier.size - 1)
             give, keep = self._split_item(item, give_n)
-            self.stack.append(keep)
+            stack.append(keep)
             return [give]
-        num_give = max(1, int(len(self.stack) * self.steal_fraction))
-        num_give = min(num_give, len(self.stack) - 1)
+        num_give = max(1, int(len(stack) * self.steal_fraction))
+        num_give = min(num_give, len(stack) - 1)
         if self.steal_order == "shallow":
-            outgoing = self.stack[:num_give]  # big subtrees
-            self.stack = self.stack[num_give:]
+            outgoing = stack[:num_give]  # big subtrees
+            del stack[:num_give]
         else:
-            outgoing = self.stack[-num_give:]  # nearly-done chunks
-            self.stack = self.stack[:-num_give]
+            outgoing = stack[-num_give:]  # nearly-done chunks
+            del stack[-num_give:]
         return outgoing
 
     def pop_surplus_with_meta(
@@ -301,17 +257,14 @@ class RankWorker:
     ) -> tuple[list[np.ndarray], list[BufferMeta]]:
         """Serialise surplus work, returning buffers plus provenance."""
         outgoing = self._pop_surplus_items()
-        buffers: list[np.ndarray] = []
-        metas: list[BufferMeta] = []
-        for item in outgoing:
-            sub = item.trie.extract_subtrie(item.trie.depth - 1, item.frontier)
-            buffers.append(serialize_trie(sub))
-            metas.append(
-                BufferMeta(origin=item.origin, lo=item.lo, hi=item.hi,
-                           gen=item.gen)
+        buffers = [
+            serialize_trie(
+                item.trie.extract_subtrie(item.trie.depth - 1, item.frontier)
             )
+            for item in outgoing
+        ]
         self.chunks_sent += len(buffers)
-        return buffers, metas
+        return buffers, [_provenance(item) for item in outgoing]
 
     def pop_surplus(self) -> list[np.ndarray]:
         """Extract ~``steal_fraction`` of pending work as serialised trie
@@ -358,29 +311,17 @@ class RankWorker:
                 self.ledger.stale_discards += 1
                 return 0
         trie = deserialize_trie(buf)
-        step = trie.depth
-        frontier = np.arange(trie.num_paths(trie.depth - 1), dtype=np.int64)
-        origin, lo, hi, gen = (-1, 0, 0, 0)
-        if meta is not None:
-            origin, lo, hi, gen = meta.origin, meta.lo, meta.hi, meta.gen
-        key = (origin, lo, hi)
-        tracked = origin >= 0 and self.ledger is not None
+        frontier = np.arange(trie.num_paths(), dtype=np.int64)
+        prov = _UNTRACKED if meta is None else meta
+        tracked = prov.origin >= 0 and self.ledger is not None
         if frontier.size == 0:
             if tracked:
-                self.ledger.finish_item(key, gen, self.rank, 0)
+                self.ledger.finish_item(prov.key, prov.gen, self.rank, 0)
             return 0
-        if step >= self._num_steps:
-            # Shipped completed embeddings (shouldn't happen; guard).
-            self.count += frontier.size
-            if tracked:
-                self.ledger.finish_item(key, gen, self.rank, frontier.size)
-            return 0
-        self.stack.append(
-            WorkItem(trie=trie, step=step, frontier=frontier,
-                     origin=origin, lo=lo, hi=hi, gen=gen)
-        )
+        # An item already at the last step is counted by the executor.
+        self.stack.append(WorkItem(trie, trie.depth, frontier, tag=prov))
         if tracked:
-            self.ledger.add_holder(key, gen, self.rank)
+            self.ledger.add_holder(prov.key, prov.gen, self.rank)
         if count_received:
             self.chunks_received += 1
         return 1
@@ -390,9 +331,10 @@ class RankWorker:
     # ------------------------------------------------------------------
     def purge_intervals(self, dirty: set[StrideKey]) -> int:
         """Drop stack items descending from invalidated intervals."""
-        before = len(self.stack)
-        self.stack = [it for it in self.stack if it.key not in dirty]
-        return before - len(self.stack)
+        stack = self.stack
+        before = len(stack)
+        stack[:] = [it for it in stack if _provenance(it).key not in dirty]
+        return before - len(stack)
 
     def adopt_root_intervals(self, keys: list[StrideKey]) -> None:
         """Re-execute invalidated root intervals on this (surviving) rank.
@@ -415,18 +357,6 @@ class RankWorker:
             for key in sorted(group):
                 _, lo, hi = key
                 gen = self.ledger.adopt(key, self.rank)
-                if self._num_steps == 1:
-                    self.count += hi - lo
-                    self.ledger.finish_item(key, gen, self.rank, hi - lo)
-                    continue
-                self.stack.append(
-                    WorkItem(
-                        trie=trie,
-                        step=1,
-                        frontier=np.arange(lo, hi, dtype=np.int64),
-                        origin=origin,
-                        lo=lo,
-                        hi=hi,
-                        gen=gen,
-                    )
+                self._push_root(
+                    trie, BufferMeta(origin=origin, lo=lo, hi=hi, gen=gen)
                 )

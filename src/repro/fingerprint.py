@@ -63,8 +63,10 @@ COUNT_IRRELEVANT_FIELDS = frozenset(
         "checkpoint_every",
         "lease_timeout_s",
         "lease_retries",
-        # Execution-engine shape: sharding is exact by construction.
+        # Execution-engine shape: sharding is exact by construction;
+        # kernel traces and stage timers are diagnostics only.
         "trace_kernels",
+        "profile_expansion",
         "workers",
         "oversplit",
         # Distributed reliability timing.

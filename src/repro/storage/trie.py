@@ -67,36 +67,28 @@ class PathTrie:
         pa = np.full(len(roots), -1, dtype=np.int64)
         return cls(levels=[TrieLevel(pa=pa, ca=roots)])
 
-    def append_level(
-        self, pa: np.ndarray, ca: np.ndarray, *, validate: bool = True
-    ) -> TrieLevel:
+    def append_level(self, pa: np.ndarray, ca: np.ndarray) -> TrieLevel:
         """Append a new deepest level; PA must index the current deepest.
-
-        ``validate=False`` skips the PA range scan — for internal callers
-        whose parent indices are correct by construction (the expansion
-        engine's survivor compaction), where the two extra reductions per
-        appended level are measurable.  External writers must validate.
 
         Returns the created :class:`TrieLevel`.
         """
         pa = np.ascontiguousarray(pa, dtype=np.int64)
         ca = np.ascontiguousarray(ca, dtype=np.int64)
-        if validate:
-            if not self.levels:
-                if pa.size and pa.max() >= 0:
-                    raise ValueError("first level must have pa == -1")
-            else:
-                parent_count = self.levels[-1].num_paths
-                if pa.size and (pa.min() < 0 or pa.max() >= parent_count):
-                    raise ValueError(
-                        f"pa out of range: parent level has {parent_count} paths"
-                    )
+        if not self.levels:
+            if pa.size and pa.max() >= 0:
+                raise ValueError("first level must have pa == -1")
+        else:
+            parent_count = self.levels[-1].num_paths
+            if pa.size and (pa.min() < 0 or pa.max() >= parent_count):
+                raise ValueError(
+                    f"pa out of range: parent level has {parent_count} paths"
+                )
         level = TrieLevel(pa=pa, ca=ca)
         self.levels.append(level)
         return level
 
     def drop_last_level(self) -> None:
-        """Pop the deepest level (used when unwinding DFS chunks)."""
+        """Pop the deepest level."""
         if not self.levels:
             raise IndexError("trie has no levels")
         self.levels.pop()

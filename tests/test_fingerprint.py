@@ -80,7 +80,8 @@ def test_graph_fingerprint_ignores_name_but_not_labels():
 def test_config_fingerprint_ignores_count_irrelevant_fields():
     base = config_fingerprint(CuTSConfig())
     assert config_fingerprint(
-        CuTSConfig(workers=4, memory_budget_mb=64, service_queue_depth=7)
+        CuTSConfig(workers=4, memory_budget_mb=64, service_queue_depth=7,
+                   profile_expansion=True)
     ) == base
 
 
