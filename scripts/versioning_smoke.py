@@ -22,13 +22,19 @@ drives the full mutation surface through
   one — never anything else — serve exact counts for it, count the
   torn record, and accept new commits.
 
+``--ranks N --replication R`` (N > 1) serves the same interleaved load
+from a replicated cluster router, whose commits fan out to every
+replica of the shard; the kill -9 phase needs a router that recovers
+its catalog across restarts, so it runs on a single rank only.
+
 Usage::
 
-    PYTHONPATH=src python scripts/versioning_smoke.py
+    PYTHONPATH=src python scripts/versioning_smoke.py [--ranks N --replication R]
 """
 
 from __future__ import annotations
 
+import argparse
 import os
 import signal
 import subprocess
@@ -117,10 +123,10 @@ def shutdown(proc) -> None:
         proc.kill()
 
 
-def run_interleaved_load(failures: list[str]) -> None:
+def run_interleaved_load(failures: list[str], topology: list[str]) -> None:
     """Phase 1: commits interleaved with matches, everything oracled."""
     lineage = LocalLineage(mesh_graph(6, 6), seed=11)
-    proc, base_url = boot_server("--max-versions", "4")
+    proc, base_url = boot_server("--max-versions", "4", *topology)
     try:
         client = ServiceClient(base_url, timeout=60.0)
         client.register_graph(lineage.head, name="data")
@@ -264,9 +270,16 @@ def run_crash_mid_commit(failures: list[str]) -> None:
 
 
 def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--ranks", type=int, default=1)
+    parser.add_argument("--replication", type=int, default=2)
+    args = parser.parse_args()
+    topology = [
+        "--ranks", str(args.ranks), "--replication", str(args.replication)
+    ]
     failures: list[str] = []
-    run_interleaved_load(failures)
-    if not failures:
+    run_interleaved_load(failures, topology)
+    if not failures and args.ranks == 1:
         run_crash_mid_commit(failures)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)

@@ -139,15 +139,6 @@ class CuTSConfig:
         other work is rejected with ``503``); the same count of healthy
         ticks exits it.  Hysteresis keeps one transient spike from
         flapping the mode.
-    service_ranks:
-        Replicated serving (:mod:`repro.service.cluster`): number of
-        ranks in the cluster.  ``1`` (default) serves from a single
-        :class:`~repro.service.MatchingService` with no router.
-    service_replication:
-        Replicas per shard on the cluster's consistent-hash ring
-        (clamped to the rank count).  A shard with fewer than a
-        majority of its replicas reachable is **below quorum** and
-        sheds load with ``503`` + ``Retry-After``.
     service_route_timeout_s:
         Router-side wall clock per routed attempt: a replica that has
         not answered within this window is treated as failed and the
@@ -164,13 +155,6 @@ class CuTSConfig:
         engine closes, its cache entries drop, and ``as_of`` requests
         against it are refused as pruned.  Must be >= 1 (``1`` keeps
         only the head — time travel effectively off).
-    versioning_incremental:
-        Serve a result-cache miss on a freshly committed version by
-        incremental re-matching from the parent's cached result
-        (dirty-ball re-execution + arithmetic merge) when the request
-        shape allows it.  Off, every miss is a full re-match.  Count-
-        invariant: the incremental path is gated by an equivalence
-        oracle and produces the same counts by construction.
     """
 
     device: DeviceSpec = field(default=V100)
@@ -204,12 +188,9 @@ class CuTSConfig:
     service_request_timeout_s: float = 30.0
     service_max_body_bytes: int = 8 * 1024 * 1024
     service_degraded_after: int = 3
-    service_ranks: int = 1
-    service_replication: int = 2
     service_route_timeout_s: float = 10.0
     service_heal_after_ticks: int = 2
     versioning_max_versions: int = 4
-    versioning_incremental: bool = True
 
     def __post_init__(self) -> None:
         if self.chunk_size <= 0:
@@ -273,10 +254,6 @@ class CuTSConfig:
             raise ValueError("service_max_body_bytes must be >= 1024")
         if self.service_degraded_after < 1:
             raise ValueError("service_degraded_after must be >= 1")
-        if self.service_ranks < 1:
-            raise ValueError("service_ranks must be >= 1")
-        if self.service_replication < 1:
-            raise ValueError("service_replication must be >= 1")
         if self.service_route_timeout_s <= 0:
             raise ValueError("service_route_timeout_s must be positive")
         if self.service_heal_after_ticks < 1:

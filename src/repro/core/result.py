@@ -2,14 +2,24 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
 from dataclasses import dataclass, field
+from typing import Any
 
 import numpy as np
 
 from ..gpusim.cost import CostModel
+from .config import CuTSConfig
 from .stats import SearchStats
 
-__all__ = ["MatchResult"]
+__all__ = [
+    "MatchResult",
+    "payload_checksum",
+    "payload_from_result",
+    "result_from_payload",
+    "verify_payload",
+]
 
 
 @dataclass
@@ -126,3 +136,54 @@ class MatchResult:
             f"MatchResult(count={self.count}, time_ms={self.time_ms:.3f}, "
             f"materialized={0 if self.matches is None else len(self.matches)})"
         )
+
+
+# Count-mode result payloads: the one codec behind shard part files,
+# service cache entries and job-journal records.
+
+
+def payload_checksum(payload: dict[str, Any]) -> str:
+    """Content checksum over a result payload (checksum field excluded)."""
+    body = {k: v for k, v in payload.items() if k != "checksum"}
+    canonical = json.dumps(body, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(canonical).hexdigest()[:16]
+
+
+def payload_from_result(result: MatchResult) -> dict[str, Any]:
+    """JSON-safe form of a count-mode result, sealed with a content
+    checksum (rows are never part of it)."""
+    payload: dict[str, Any] = {
+        "count": int(result.count),
+        "time_ms": float(result.time_ms),
+        "stats": result.stats.to_json(),
+        "order": [int(q) for q in result.order],
+    }
+    payload["checksum"] = payload_checksum(payload)
+    return payload
+
+
+def verify_payload(payload: dict[str, Any]) -> bool:
+    """Whether a payload's checksum matches its content.  Payloads
+    without a checksum fail closed (treated as corrupt)."""
+    stored = payload.get("checksum")
+    return isinstance(stored, str) and stored == payload_checksum(payload)
+
+
+def result_from_payload(
+    payload: dict[str, Any],
+    config: CuTSConfig,
+    *,
+    shards: tuple[int, ...] = (),
+) -> MatchResult:
+    """Rebuild a result from its payload.  Hardware counters are not
+    stored, so the result carries an empty cost model, like a resumed
+    shard."""
+    return MatchResult(
+        count=int(payload["count"]),
+        matches=None,
+        time_ms=float(payload["time_ms"]),
+        cost=CostModel(config.device),
+        stats=SearchStats.from_json(payload["stats"]),
+        order=tuple(int(q) for q in payload["order"]),
+        shards=shards,
+    )

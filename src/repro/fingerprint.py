@@ -85,18 +85,14 @@ COUNT_IRRELEVANT_FIELDS = frozenset(
         "service_request_timeout_s",
         "service_max_body_bytes",
         "service_degraded_after",
-        # Cluster topology: routing and replication decide *where* a
-        # query runs, never what it enumerates (replicas execute the
-        # same engine under the same count-relevant config).
-        "service_ranks",
-        "service_replication",
+        # Cluster timing: routing decides *where* a query runs, never
+        # what it enumerates (replicas execute the same engine under
+        # the same count-relevant config).
         "service_route_timeout_s",
         "service_heal_after_ticks",
         # Versioning: retention depth decides which *versions* remain
-        # addressable, never what any one version enumerates; the
-        # incremental path is equivalence-gated against the full match.
+        # addressable, never what any one version enumerates.
         "versioning_max_versions",
-        "versioning_incremental",
     }
 )
 """Config fields excluded from :func:`config_fingerprint`.

@@ -31,7 +31,7 @@ import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from typing import Any, Sequence
+from typing import Sequence
 
 from ..checkpoint.store import FORMAT_VERSION, CheckpointStore
 from ..fingerprint import check_fingerprints, config_fingerprint
@@ -40,9 +40,12 @@ from ..core.candidates import root_candidates
 from ..core.config import CuTSConfig
 from ..core.matcher import CuTSMatcher
 from ..core.ordering import build_order
-from ..core.result import MatchResult
-from ..core.stats import SearchStats
-from ..gpusim.cost import CostModel
+from ..core.result import (
+    MatchResult,
+    payload_from_result,
+    result_from_payload,
+    verify_payload,
+)
 from ..graph.csr import CSRGraph
 from .sharedmem import SharedCSR, SharedCSRMeta
 
@@ -357,9 +360,9 @@ class ParallelMatcher:
                 if manifest.get("complete"):
                     num_parts = int(manifest["num_parts"])
                 for part, payload in store.load_parts().items():
-                    if 0 <= part < num_parts:
-                        completed[part] = _result_from_payload(
-                            payload, self.config, part
+                    if 0 <= part < num_parts and verify_payload(payload):
+                        completed[part] = result_from_payload(
+                            payload, self.config, shards=(part,)
                         )
             else:
                 if resume:
@@ -551,7 +554,7 @@ class ParallelMatcher:
                 return  # duplicate delivery (slow original after re-lease)
             completed[key] = result
             if store is not None and key[0] == 0:
-                store.save_part(key[1], _payload_from_result(result))
+                store.save_part(key[1], payload_from_result(result))
 
         for key in all_keys:
             if key not in completed:
@@ -603,32 +606,6 @@ class ParallelMatcher:
     def count(self, query: CSRGraph, **kwargs: object) -> int:
         """Convenience: number of embeddings only."""
         return self.match(query, **kwargs).count
-
-
-def _payload_from_result(result: MatchResult) -> dict[str, Any]:
-    """JSON form of one completed shard (count-only durable mode)."""
-    return {
-        "count": int(result.count),
-        "time_ms": float(result.time_ms),
-        "stats": result.stats.to_json(),
-        "order": [int(q) for q in result.order],
-    }
-
-
-def _result_from_payload(
-    payload: dict[str, Any], config: CuTSConfig, part: int
-) -> MatchResult:
-    """Rebuild a persisted shard result (hardware counters are not
-    persisted; a resumed shard contributes an empty cost model)."""
-    return MatchResult(
-        count=int(payload["count"]),
-        matches=None,
-        time_ms=float(payload["time_ms"]),
-        cost=CostModel(config.device),
-        stats=SearchStats.from_json(payload["stats"]),
-        order=tuple(int(q) for q in payload.get("order", ())),
-        shards=(part,),
-    )
 
 
 def parallel_match(

@@ -43,17 +43,18 @@ Scale-out (DESIGN.md §15): :class:`ClusterService` replicates the
 service across N ranks behind a consistent-hash router
 (:class:`HashRing`) with R-way replication per graph shard — requests
 fail over across replicas with exactly-once integration, oversized
-split queries resume on survivors, and below-quorum shards shed load
-with machine-readable 503s until a replacement replica catches up.
+split queries resume on survivors, commits fan out to the shard, and
+below-quorum shards shed load with machine-readable 503s until a
+replacement replica catches up.
 
-Faces: :class:`MatchingService` (embedded Python API),
-``python -m repro.serve`` (stdlib HTTP, :mod:`repro.service.http`;
-``--ranks N`` serves a :class:`ClusterService`), and
+Faces: :class:`FrontDoor`, the one surface :class:`MatchingService` and
+:class:`ClusterService` share; ``python -m repro.serve`` (stdlib HTTP,
+:mod:`repro.service.http`; ``--ranks N`` serves a router), and
 :class:`ServiceClient` (:mod:`repro.service.client`).
 """
 
 from .cache import LRUBytesCache
-from .cluster import ClusterJob, ClusterRank, ClusterService, HashRing
+from .cluster import ClusterRank, ClusterService, HashRing
 from .client import (
     CircuitBreaker,
     RetryPolicy,
@@ -73,17 +74,23 @@ from .registry import (
     VersionConflictError,
 )
 from .scheduler import AdmissionError, Request, Scheduler
-from .service import DeadlineExpired, Job, JobFailed, MatchingService
+from .service import (
+    DeadlineExpired,
+    FrontDoor,
+    Job,
+    JobFailed,
+    MatchingService,
+)
 from .state import ServiceState
 
 __all__ = [
     "AdmissionError",
     "CircuitBreaker",
-    "ClusterJob",
     "ClusterRank",
     "ClusterService",
     "DeadlineExpired",
     "Dispatcher",
+    "FrontDoor",
     "HashRing",
     "GraphHandle",
     "GraphRegistry",

@@ -18,26 +18,35 @@ runtime (DESIGN.md §15):
   (:meth:`MatchingService.kill` — pool workers SIGKILLed, nothing
   settles, nothing flushes); a restart builds a fresh incarnation over
   the same state dir, replaying the durable job journal.
-* :class:`ClusterService` — the router.  ``/match`` goes to the
-  primary replica by graph affinity and **fails over** to a secondary
-  on rank crash, partition, or route timeout.  Every attempt carries a
-  sequence number in a :class:`~repro.distributed.protocol.
-  ShipmentTracker` (PR 1's envelope bookkeeping): a timed-out or
+* :class:`ClusterService` — the router, behind the same
+  :class:`~repro.service.service.FrontDoor` surface and job model as
+  one rank.  A match goes to the primary replica by graph affinity and
+  **fails over** to a secondary on rank crash, partition, or route
+  timeout.  Every attempt carries a sequence number in a
+  :class:`~repro.distributed.protocol.ShipmentTracker`: a timed-out or
   crashed attempt is *revoked* before the failover is dispatched, so a
   late answer from the old replica is never integrated, and the same
   idempotency key rides every attempt, so a replica that did execute
   before dying answers the retry from its journal instead of running
   again — together, exactly-once integration.
 
-**Split queries** reuse the engine's ``part=/num_parts=`` striding:
-``num_parts > 1`` fans one query out as strided part-requests across
-the shard's replicas, tracked in a
-:class:`~repro.distributed.protocol.StrideLedger` keyed
-``(0, part, part + 1)``.  A replica crash mid-split invalidates only
-that rank's uncommitted parts (``begin_recovery`` → ``adopt``);
-committed parts keep their counts, so the query *resumes* on the
-survivors instead of restarting.  Part counts sum exactly because the
-root stride sets partition.
+**Split queries** reuse the engine's root striding: ``num_parts > 1``
+fans one query out as strided part-requests across the shard's
+replicas, tracked in a :class:`~repro.distributed.protocol.StrideLedger`
+keyed ``(0, part, part + 1)``; an unsplit query is the one-part case of
+the same loop.  A replica crash mid-split invalidates only that rank's
+uncommitted parts (``begin_recovery`` → ``adopt``); committed parts
+keep their counts, so the query *resumes* on the survivors instead of
+restarting.  Part counts sum exactly because the root stride sets
+partition.
+
+**Versioning** fans out through the ranks' own journals: a commit runs
+on every reachable replica of the shard (each first brought to the
+router's head by replaying the commits it missed) and must land on one
+child fingerprint everywhere.  The child keeps its parent's ring key,
+so all versions of a graph share one replica set; ``versions``,
+``compare`` and ``as_of`` route like reads, and a replica that lacks a
+retained version counts as a failover.
 
 **Degradation and healing**: a shard with fewer than a majority of its
 replicas reachable is below quorum; the router sheds those requests
@@ -45,9 +54,9 @@ through the scheduler's rejection machinery (reason
 ``shard-unavailable``, HTTP 503 + ``Retry-After``) instead of queueing
 doomed work.  A supervisor thread restarts a crashed rank after
 ``service_heal_after_ticks`` ticks and re-admits it to the ring **only
-after** it has caught up — re-registered every shard it will serve —
-from the router's content-addressed graph store; the ring rebuild then
-returns the shard to full R-way replication.
+after** it has caught up — brought every shard it will serve to its
+head version from the router's content-addressed catalog; the ring
+rebuild then returns the shard to full R-way replication.
 
 Fault injection is end-to-end: the same ``--faults`` spec that drives
 the single service adds ``rank_crash_prob`` / ``partition_prob`` /
@@ -62,7 +71,7 @@ import bisect
 import hashlib
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable
 
 from ..analysis.sanitizer import make_lock
@@ -73,22 +82,23 @@ from ..distributed.protocol import ShipmentTracker, StrideLedger
 from ..fingerprint import graph_fingerprint
 from ..gpusim.cost import CostModel
 from ..graph.csr import CSRGraph
-from .dispatcher import payload_from_result
+from ..versioning.delta import EdgeDelta
 from .faults import ServiceFaultInjector, ServiceFaultPlan
+from .registry import VersionConflictError
 from .scheduler import AdmissionError, Scheduler
 from .service import (
     CANCELLED,
     DONE,
     EXPIRED,
     FAILED,
-    PENDING,
     RUNNING,
+    FrontDoor,
+    Job,
     JobFailed,
     MatchingService,
 )
 
 __all__ = [
-    "ClusterJob",
     "ClusterRank",
     "ClusterService",
     "HashRing",
@@ -211,14 +221,13 @@ class ClusterRank:
         """Boot a fresh incarnation over the durable state dir.  The
         rank stays out of the ring (``recovering``) until the router
         has finished catch-up and calls :meth:`admit`."""
-        old = self.service
         self.state = RECOVERING
+        self.service.close()  # the dead incarnation's last writes land first
         self.service = MatchingService(
             self.config, workers=self.workers,
             state_dir=self.state_dir, faults=self.faults,
         )
         self.generation += 1
-        old.close()
 
     def admit(self) -> None:
         self.state = LIVE
@@ -234,57 +243,18 @@ class ClusterRank:
 
 
 @dataclass
-class ClusterJob:
-    """One routed request's lifecycle, visible to clients."""
+class _Placed:
+    """One routable graph version.  ``ring_key`` places its shard: a
+    registered graph's own fingerprint, or the parent's key for a
+    committed version; ``parent``/``delta``/``depth`` record the commit
+    (the catch-up replay reads them)."""
 
-    id: str
-    graph_fp: str
-    query: CSRGraph
-    query_fp: str
-    materialize: bool = False
-    time_limit_ms: float | None = None
-    deadline_ms: float | None = None
-    priority: int = 0
-    num_parts: int = 1
-    idempotency_key: str | None = None
-    state: str = PENDING
-    result: MatchResult | None = None
-    error: str | None = None
-    reason: str | None = None
-    retry_after: float | None = None
-    replica: int | None = None
-    failovers: int = 0
-    parts_recovered: int = 0
-    submitted_at: float = field(default_factory=time.time)
-    finished_at: float | None = None
-    done: threading.Event = field(default_factory=threading.Event)
-
-    def to_json(self) -> dict[str, object]:
-        out: dict[str, object] = {
-            "id": self.id,
-            "state": self.state,
-            "graph": self.graph_fp,
-            "query": self.query_fp,
-            "priority": self.priority,
-            "replica": self.replica,
-            "failovers": self.failovers,
-            "submitted_at": self.submitted_at,
-            "finished_at": self.finished_at,
-        }
-        if self.num_parts > 1:
-            out["num_parts"] = self.num_parts
-            out["parts_recovered"] = self.parts_recovered
-        if self.idempotency_key is not None:
-            out["idempotency_key"] = self.idempotency_key
-        if self.reason is not None:
-            out["reason"] = self.reason
-        if self.error is not None:
-            out["error"] = self.error
-        if self.result is not None:
-            out["result"] = payload_from_result(self.result)
-            if self.result.matches is not None:
-                out["matches"] = self.result.matches.tolist()
-        return out
+    graph: CSRGraph
+    name: str
+    ring_key: str
+    parent: str | None = None
+    delta: EdgeDelta | None = None
+    depth: int = 0
 
 
 @dataclass
@@ -297,22 +267,18 @@ class _Attempt:
     rank_job_id: str
 
 
-class ClusterService:
+class ClusterService(FrontDoor):
     """Router over N replicated :class:`MatchingService` ranks.
 
-    Duck-types the single-process service's surface (``submit`` /
-    ``wait`` / ``result`` / ``match`` / ``register_graph`` /
-    ``healthz`` / ``metrics`` / ``graphs`` / ``resolve_key`` /
-    ``graph_info``), so the HTTP face serves either interchangeably.
-
-    Parameters mirror :class:`MatchingService`; ``ranks`` and
-    ``replication`` default from ``config.service_ranks`` /
-    ``config.service_replication`` (replication clamped to the rank
-    count).  ``state_dir`` gives each rank its own durable subdir
-    (``rank-<i>``).  ``auto_heal=False`` disables the supervisor so
-    tests can drive crash/restart phases by hand.
+    It serves the same :class:`~repro.service.service.FrontDoor`
+    surface as a single rank, so the HTTP face serves either one.
+    ``replication`` is clamped to ``ranks``.  ``state_dir`` gives each
+    rank its own durable subdir (``rank-<i>``).  ``auto_heal=False``
+    disables the supervisor so tests can drive crash/restart phases by
+    hand.
     """
 
+    _JOB_PREFIX = "cjob"
     _SUPERVISE_POLL_S = 0.05
     _WAIT_POLL_S = 0.005
 
@@ -320,24 +286,19 @@ class ClusterService:
         self,
         config: CuTSConfig | None = None,
         *,
-        ranks: int | None = None,
-        replication: int | None = None,
+        ranks: int = 1,
+        replication: int = 2,
         workers: int | str | None = None,
         state_dir: str | None = None,
         faults: ServiceFaultPlan | ServiceFaultInjector | None = None,
         start: bool = True,
         auto_heal: bool = True,
     ) -> None:
+        super().__init__()
         self.config = config or CuTSConfig()
-        n = ranks if ranks is not None else self.config.service_ranks
-        if n < 1:
+        if ranks < 1:
             raise ValueError("a cluster needs at least one rank")
-        r = (
-            replication
-            if replication is not None
-            else self.config.service_replication
-        )
-        self.replication = max(1, min(r, n))
+        self.replication = max(1, min(replication, ranks))
         self.quorum = self.replication // 2 + 1
         # The router keeps its own injector for topology fates (crash /
         # partition / slow); each rank's service gets the *plan*, so
@@ -351,7 +312,7 @@ class ClusterService:
         self.faults = faults
         self.auto_heal = auto_heal
         self.ranks: dict[int, ClusterRank] = {}
-        for rank_id in range(n):
+        for rank_id in range(ranks):
             sub = None
             if state_dir is not None:
                 sub = f"{state_dir}/rank-{rank_id}"
@@ -362,24 +323,22 @@ class ClusterService:
                 faults=rank_plan,
             )
         # _lock guards membership-derived state (ring, catalog, names,
-        # partitions); _jobs_lock guards the job table; _tracker_lock
-        # guards envelope bookkeeping.  They are never nested, and no
-        # rank call or wait happens under any of them (RP010).
+        # in-flight commits, partitions); _jobs_lock guards the job
+        # table; _tracker_lock guards envelope bookkeeping.  They are
+        # never nested, and no rank call or wait happens under any of
+        # them (RP010).
         self._lock = make_lock("ClusterService._lock")
-        self._jobs_lock = make_lock("ClusterService._jobs_lock")
         self._tracker_lock = make_lock("ClusterService._tracker_lock")
-        self._ring = HashRing(range(n))
-        self._catalog: dict[str, tuple[CSRGraph, str]] = {}
+        self._ring = HashRing(range(ranks))
+        self._catalog: dict[str, _Placed] = {}
         self._names: dict[str, str] = {}
+        self._committing: set[str] = set()
         self._partitioned: dict[int, int] = {}
         self._tracker = ShipmentTracker()
         # The front door reuses the scheduler's rejection machinery so
         # shard-unavailable sheds are minted and counted the same way
         # degraded-mode rejections are.
         self._front = Scheduler(max_depth=self.config.service_queue_depth)
-        self._jobs: dict[str, ClusterJob] = {}
-        self._job_seq = 0
-        self._idempotency: dict[str, str] = {}
         self.phase_hook: Callable[[str, int, str], None] | None = None
         self.routes = 0
         self.failovers = 0
@@ -390,6 +349,7 @@ class ClusterService:
         self.heals = 0
         self.heal_failures = 0
         self.catchup_graphs = 0
+        self.version_commits = 0
         self.last_heal_error: str | None = None
         self._heal_strikes: dict[int, int] = {}
         self._stop = threading.Event()
@@ -417,12 +377,6 @@ class ClusterService:
             self._supervisor = None
         for rank in self.ranks.values():
             rank.service.close()
-
-    def __enter__(self) -> "ClusterService":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Membership / fault control
@@ -457,11 +411,11 @@ class ClusterService:
         """Restart a crashed replica and re-admit it to the ring.
 
         Ordering is the whole point: the fresh incarnation first
-        replays its own journal, then **catches up** — registers every
-        graph whose prospective replica set includes it — from the
-        router's content-addressed store, and only then rejoins the
-        ring.  Traffic never reaches a replica that is still missing
-        its shards.
+        replays its own journal, then **catches up** — brings every
+        graph whose prospective replica set includes it to the head
+        version (:meth:`_catch_up`) — and only then rejoins the ring.
+        Traffic never reaches a replica that is still missing its
+        shards.
         """
         rank = self.ranks[rank_id]
         if rank.state == LIVE:
@@ -474,15 +428,16 @@ class ClusterService:
             prospective = HashRing(
                 live + [rank_id], vnodes=self._ring.vnodes
             )
-            needed = [
-                (fp, graph, name)
-                for fp, (graph, name) in self._catalog.items()
-                if rank_id in prospective.replicas_for(fp, self.replication)
+            heads = [
+                (name, fp)
+                for name, fp in self._names.items()
+                if fp in self._catalog
+                and rank_id in prospective.replicas_for(
+                    self._catalog[fp].ring_key, self.replication
+                )
             ]
-        for fp, graph, name in needed:
-            if rank.service.registry.by_fingerprint(fp) is None:
-                rank.service.register_graph(graph, name)
-                self.catchup_graphs += 1
+        for name, head in heads:
+            self._catch_up(rank, name, head)
         with self._lock:
             rank.admit()
             self._partitioned.pop(rank_id, None)
@@ -521,13 +476,19 @@ class ClusterService:
     ) -> str:
         """Register ``graph`` cluster-wide: store it content-addressed
         in the router catalog and on each of its shard's live replicas
-        (each replica persists it durably when it has a state dir)."""
+        (each replica persists it durably when it has a state dir).
+        Known content is aliased as :meth:`GraphRegistry.register`
+        does: its entry keeps the first name, the one commits move."""
         fp = graph_fingerprint(graph)
         resolved = name or graph.name or fp[:12]
         with self._lock:
-            self._catalog[fp] = (graph, resolved)
+            placed = self._catalog.setdefault(
+                fp, _Placed(graph, resolved, fp)
+            )
             self._names[resolved] = fp
-            replicas = self._ring.replicas_for(fp, self.replication)
+            replicas = self._ring.replicas_for(
+                placed.ring_key, self.replication
+            )
         for rank_id in replicas:
             rank = self.ranks[rank_id]
             if rank.state == LIVE:
@@ -544,11 +505,19 @@ class ClusterService:
             raise KeyError(f"no registered graph named {key!r}")
         return fp
 
+    def _graph_key(self, graph: CSRGraph | str) -> str:
+        if isinstance(graph, CSRGraph):
+            return self.register_graph(graph)
+        return self.resolve_key(graph)
+
     def graph_info(self, key: str) -> dict[str, object]:
         fp = self.resolve_key(key)
         with self._lock:
-            graph, name = self._catalog[fp]
-            replicas = self._ring.replicas_for(fp, self.replication)
+            placed = self._catalog[fp]
+            head = self._names.get(placed.name)
+            replicas = self._ring.replicas_for(
+                placed.ring_key, self.replication
+            )
         live = [
             rank_id
             for rank_id in replicas
@@ -557,13 +526,16 @@ class ClusterService:
             is not None
         ]
         return {
-            "name": name,
+            "name": placed.name,
             "fingerprint": fp,
-            "num_vertices": graph.num_vertices,
-            "num_edges": graph.num_edges,
+            "num_vertices": placed.graph.num_vertices,
+            "num_edges": placed.graph.num_edges,
+            "parent_fingerprint": placed.parent,
+            "lineage_depth": placed.depth,
+            "retired": head != fp,
             "replicas": replicas,
             "live_replicas": live,
-            "below_quorum": len(self._reachable_replicas(fp)) < self.quorum,
+            "below_quorum": len(self._reachable(fp)) < self.quorum,
         }
 
     def graphs(self) -> list[dict[str, object]]:
@@ -578,126 +550,162 @@ class ClusterService:
         return len(info["live_replicas"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # Submission / results
+    # Versioning: commits fan out, reads of versions route like matches
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        graph: CSRGraph | str,
-        query: CSRGraph,
-        *,
-        priority: int = 0,
-        deadline_ms: float | None = None,
-        materialize: bool = False,
-        time_limit_ms: float | None = None,
-        idempotency_key: str | None = None,
-        num_parts: int = 1,
-    ) -> str:
-        """Route one match request; returns a cluster job id.
+    def versions(self, key: str) -> list[dict[str, object]]:
+        """The retained version chain of ``key``'s graph, oldest first,
+        as the first replica of its shard holding that version reports
+        it (one that lacks it counts as a failover)."""
+        fp = self.resolve_key(key)
+        error = KeyError(f"no reachable replica holds version {fp[:12]}")
+        for rank_id in self._targets(fp):
+            try:
+                return self.ranks[rank_id].service.versions(fp)
+            except KeyError as exc:
+                error = exc
+                self.failovers += 1
+        raise error
 
-        Raises :class:`AdmissionError` with reason
-        ``shard-unavailable`` (and a ``retry_after``) synchronously
-        when the target shard is below quorum — shedding at the front
-        door through the same rejection machinery the scheduler uses,
-        instead of queueing work that cannot be served.
+    def mutate_graph(
+        self,
+        key: str,
+        *,
+        inserts: object = (),
+        deletes: object = (),
+        directed: bool = True,
+    ) -> dict[str, object]:
+        """Commit an edge delta on every reachable replica of the
+        graph's shard; returns the first replica's commit summary.
+
+        Each replica is first brought to the router's head
+        (:meth:`_catch_up`), then commits; the first commit is recorded
+        (:meth:`_record_commit`) and every later replica must agree on
+        its name and child fingerprint.  Until then a failing replica
+        fails the request (unless it died); after, one that dies or
+        refuses is skipped and caught up later, so no client sees an
+        error for a commit that moved the head.  No lock is held across
+        rank calls: a concurrent commit to the same graph gets
+        :class:`VersionConflictError` (409), as on a single rank.
         """
-        if query.num_vertices == 0:
-            raise ValueError("query graph must have at least one vertex")
-        if num_parts < 1:
-            raise ValueError("num_parts must be >= 1")
-        if num_parts > 1 and materialize:
-            raise ValueError("split queries are count-only")
-        if isinstance(graph, CSRGraph):
-            fp = self.register_graph(graph)
+        head = self.resolve_key(key)
+        with self._lock:
+            name = self._catalog[head].name
+            if self._names.get(name) != head or name in self._committing:
+                raise VersionConflictError(
+                    f"graph {name!r} was committed concurrently; "
+                    f"re-read the head and retry"
+                )
+            self._committing.add(name)
+        try:
+            summary: dict[str, object] | None = None
+            for rank_id in self._targets(head):
+                rank = self.ranks[rank_id]
+                generation = rank.generation
+                try:
+                    self._catch_up(rank, name, head)
+                    got = rank.service.mutate_graph(
+                        name, inserts=inserts, deletes=deletes,
+                        directed=directed,
+                    )
+                    if summary is None:
+                        self._record_commit(rank, got)
+                except Exception:
+                    if summary is None and (
+                        rank.state == LIVE and rank.generation == generation
+                    ):
+                        raise
+                    continue  # died, or lags behind the recorded head
+                if summary is None:
+                    summary = got
+                elif (got["graph"], got["fingerprint"]) != (
+                    summary["graph"], summary["fingerprint"]
+                ):
+                    raise RuntimeError(
+                        f"rank {rank_id} committed {got['graph']!r} at "
+                        f"{got['fingerprint']} but the shard's first "
+                        f"replica committed {summary['graph']!r} at "
+                        f"{summary['fingerprint']}"
+                    )
+        finally:
+            with self._lock:
+                self._committing.discard(name)
+        if summary is None:
+            raise JobFailed(
+                f"every replica of graph {name!r} died during the commit"
+            )
+        return summary
+
+    def _record_commit(
+        self, rank: ClusterRank, summary: dict[str, object]
+    ) -> None:
+        """Catalog the child version a replica just committed, under the
+        name it moved: its content and delta, its parent's ring key,
+        and the versions retention pruned."""
+        if not summary["changed"]:
+            return
+        name = str(summary["graph"])
+        child = str(summary["fingerprint"])
+        handle = rank.service.registry.by_fingerprint(child)
+        if handle is None:
+            raise KeyError(f"rank {rank.rank_id} lost version {child}")
+        parent, delta = handle.incremental_basis()
+        with self._lock:
+            self._catalog[child] = _Placed(
+                handle.graph,
+                name,
+                self._catalog[str(parent)].ring_key,
+                parent=parent,
+                delta=delta,
+                depth=int(summary["lineage_depth"]),  # type: ignore[call-overload]
+            )
+            self._names[name] = child
+            for pruned in summary["pruned"]:  # type: ignore[attr-defined]
+                self._catalog.pop(pruned, None)
+        self.version_commits += 1
+
+    def _catch_up(
+        self, rank: ClusterRank, name: str, head: str, *, replay: bool = True
+    ) -> None:
+        """Bring ``rank``'s copy of ``name`` to version ``head``.
+
+        A rank whose head is a retained ancestor replays the commits it
+        missed (content addressing lands them on the same
+        fingerprints).  A rank that never saw the name, or whose head
+        is off the retained chain, gets the head's content registered
+        under the name.  With ``replay=False`` (the read path) a rank
+        that holds the name at another version is left alone and the
+        ``KeyError`` sends the read to the next replica.
+        """
+        try:
+            at: str | None = rank.service.resolve_key(name)
+        except KeyError:
+            at = None
+        if at == head:
+            return
+        if at is not None and not replay:
+            raise KeyError(
+                f"rank {rank.rank_id} holds {name!r} at another version "
+                f"than {head[:12]}"
+            )
+        deltas: list[EdgeDelta | None] = []
+        with self._lock:
+            graph = self._catalog[head].graph
+            cursor: str | None = head
+            while cursor is not None and cursor != at:
+                placed = self._catalog.get(cursor)
+                if placed is None:
+                    break
+                deltas.append(placed.delta)
+                cursor = placed.parent
+        path = [delta for delta in deltas if delta is not None]
+        if at is not None and cursor == at and len(path) == len(deltas):
+            for delta in reversed(path):
+                rank.service.mutate_graph(
+                    name, inserts=delta.inserts, deletes=delta.deletes
+                )
         else:
-            fp = self.resolve_key(graph)
-        if idempotency_key is not None:
-            with self._jobs_lock:
-                known = self._idempotency.get(idempotency_key)
-                if known is not None and known in self._jobs:
-                    return known
-        self._check_quorum(fp)
-        with self._jobs_lock:
-            self._job_seq += 1
-            job_id = f"cjob-{self._job_seq:08d}"
-            job = ClusterJob(
-                id=job_id,
-                graph_fp=fp,
-                query=query,
-                query_fp=graph_fingerprint(query),
-                materialize=materialize,
-                time_limit_ms=time_limit_ms,
-                deadline_ms=deadline_ms,
-                priority=priority,
-                num_parts=num_parts,
-                idempotency_key=idempotency_key,
-            )
-            self._jobs[job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = job_id
-        runner = threading.Thread(
-            target=self._run_job, args=(job,),
-            name=f"cluster-route-{job_id}", daemon=True,
-        )
-        runner.start()
-        return job_id
-
-    def job(self, job_id: str) -> ClusterJob:
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"no job {job_id!r}")
-        return job
-
-    def wait(self, job_id: str, timeout: float | None = None) -> ClusterJob:
-        job = self.job(job_id)
-        job.done.wait(timeout=timeout)
-        return job
-
-    def result(
-        self, job_id: str, timeout: float | None = None
-    ) -> MatchResult:
-        job = self.wait(job_id, timeout=timeout)
-        if not job.done.is_set():
-            raise TimeoutError(f"job {job_id} still {job.state}")
-        if job.state == DONE and job.result is not None:
-            return job.result
-        if job.reason is not None:
-            # A mid-request shed (e.g. the shard fell below quorum
-            # while routing) surfaces with the same typed reason a
-            # submit-time rejection carries.
-            raise AdmissionError(
-                job.reason,
-                job.error or f"job {job_id} was rejected",
-                retry_after=job.retry_after,
-            )
-        raise JobFailed(f"job {job_id} failed: {job.error}")
-
-    def match(
-        self,
-        graph: CSRGraph | str,
-        query: CSRGraph,
-        *,
-        priority: int = 0,
-        deadline_ms: float | None = None,
-        materialize: bool = False,
-        time_limit_ms: float | None = None,
-        idempotency_key: str | None = None,
-        num_parts: int = 1,
-        timeout: float | None = None,
-    ) -> MatchResult:
-        """Submit and wait — the cluster equivalent of
-        :meth:`MatchingService.match`."""
-        job_id = self.submit(
-            graph,
-            query,
-            priority=priority,
-            deadline_ms=deadline_ms,
-            materialize=materialize,
-            time_limit_ms=time_limit_ms,
-            idempotency_key=idempotency_key,
-            num_parts=num_parts,
-        )
-        return self.result(job_id, timeout=timeout)
+            rank.service.register_graph(graph, name)
+        self.catchup_graphs += 1
 
     # ------------------------------------------------------------------
     # Introspection
@@ -707,11 +715,12 @@ class ClusterService:
             rank_id: rank.state for rank_id, rank in self.ranks.items()
         }
         with self._lock:
-            fps = list(self._catalog)
+            shards = {placed.ring_key for placed in self._catalog.values()}
+            graphs = len(self._catalog)
         below = sum(
             1
-            for fp in fps
-            if len(self._reachable_replicas(fp)) < self.quorum
+            for ring_key in shards
+            if len(self._reachable(ring_key)) < self.quorum
         )
         live = sum(1 for s in rank_states.values() if s == LIVE)
         return {
@@ -723,7 +732,7 @@ class ClusterService:
             "replication": self.replication,
             "quorum": self.quorum,
             "shards_below_quorum": below,
-            "graphs": len(fps),
+            "graphs": graphs,
         }
 
     def metrics(self) -> dict[str, object]:
@@ -752,6 +761,7 @@ class ClusterService:
                 "catchup_graphs": self.catchup_graphs,
                 "rejected": self._front.snapshot()["rejected"],
             },
+            "versioning": {"commits": self.version_commits},
             "ring": {"members": ring_members, "partitioned": partitioned},
             "tracker": tracker,
             "ranks": {
@@ -771,15 +781,40 @@ class ClusterService:
         if hook is not None:
             hook(phase, rank_id, job_id)
 
-    def _reachable_replicas(self, fp: str) -> list[int]:
+    def _reachable(self, fp: str) -> list[int]:
+        """Live, unpartitioned replicas of ``fp``'s shard, primary
+        first."""
         with self._lock:
-            replicas = self._ring.replicas_for(fp, self.replication)
+            placed = self._catalog.get(fp)
+            replicas = self._ring.replicas_for(
+                placed.ring_key if placed is not None else fp,
+                self.replication,
+            )
             return [
                 rank_id
                 for rank_id in replicas
                 if self.ranks[rank_id].state == LIVE
                 and rank_id not in self._partitioned
             ]
+
+    def _targets(self, fp: str) -> list[int]:
+        """:meth:`_reachable`, or a ``shard-unavailable`` shed when the
+        shard is below quorum — the router's one quorum check, for
+        submits, routed attempts and version calls alike."""
+        reachable = self._reachable(fp)
+        if len(reachable) >= self.quorum:
+            return reachable
+        self.shed += 1
+        raise self._front.reject(
+            "shard-unavailable",
+            f"shard for graph {fp[:12]} has {len(reachable)} of "
+            f"{self.replication} replicas reachable (quorum "
+            f"{self.quorum}); retry after recovery",
+            retry_after=max(
+                1.0,
+                self.config.service_heal_after_ticks * self._SUPERVISE_POLL_S,
+            ),
+        )
 
     def _tick_partitions(self) -> None:
         """One router tick: every active partition window shrinks by
@@ -794,23 +829,6 @@ class ClusterService:
                 del self._partitioned[rank_id]
             for rank_id in list(self._partitioned):
                 self._partitioned[rank_id] -= 1
-
-    def _check_quorum(self, fp: str) -> None:
-        reachable = self._reachable_replicas(fp)
-        if len(reachable) >= self.quorum:
-            return
-        self.shed += 1
-        retry_after = max(
-            1.0,
-            self.config.service_heal_after_ticks * self._SUPERVISE_POLL_S,
-        )
-        raise self._front.reject(
-            "shard-unavailable",
-            f"shard for graph {fp[:12]} has {len(reachable)} of "
-            f"{self.replication} replicas reachable (quorum "
-            f"{self.quorum}); retry after recovery",
-            retry_after=retry_after,
-        )
 
     def _apply_route_fate(self, rank_id: int) -> float:
         """Consult the fault injector for this routed attempt; returns
@@ -834,9 +852,155 @@ class ClusterService:
         with self._tracker_lock:
             return self._tracker.next_seq()
 
+    def _note_failover(self, job: Job) -> None:
+        self.failovers += 1
+        job.failovers += 1
+        with self._tracker_lock:
+            self._tracker.retransmissions += 1
+
+    # ------------------------------------------------------------------
+    # Routing: one loop for whole and split queries
+    # ------------------------------------------------------------------
+    def _start(self, job: Job) -> None:
+        self._targets(job.request.graph_fp)  # shed at the front door
+        threading.Thread(
+            target=self._run_job, args=(job,),
+            name=f"cluster-route-{job.id}", daemon=True,
+        ).start()
+
+    def _run_job(self, job: Job) -> None:
+        job.state = RUNNING
+        try:
+            self._route(job)
+            job.state = DONE
+        except AdmissionError as exc:
+            job.state = FAILED
+            job.reason = exc.reason
+            job.retry_after = exc.retry_after
+            job.error = str(exc)
+        except Exception as exc:
+            job.state = FAILED
+            job.error = str(exc)
+        job.finished_at = time.time()
+        job.done.set()
+
+    def _route(self, job: Job) -> None:
+        """Run ``job`` on its shard's replicas and settle its result.
+
+        The query goes out as ``num_parts`` strided part-requests (one
+        for an unsplit query), accounted in a :class:`StrideLedger`
+        keyed ``(0, part, part + 1)``.  Parts are collected in order; a
+        failed attempt is revoked, and its replica's uncommitted parts
+        are re-dispatched to the next replica (``begin_recovery`` →
+        ``adopt``) while committed part counts survive, so a split
+        query resumes instead of restarting.  Every retry of a part
+        carries that part's idempotency key, so at most one result per
+        part is ever integrated.
+        """
+        n = job.request.num_parts
+        if n > 1:
+            self.split_queries += 1
+        ledger = StrideLedger()
+        tried: list[set[int]] = [set() for _ in range(n)]
+        pending: dict[int, _Attempt] = {}
+        for part in range(n):
+            pending[part] = self._dispatch(job, part, tried[part])
+            ledger.open((0, part, part + 1), pending[part].rank_id)
+        results: dict[int, MatchResult] = {}
+        failures = 0
+        while len(results) < n:
+            part = min(p for p in range(n) if p not in results)
+            attempt = pending[part]
+            stride = (0, part, part + 1)
+            try:
+                rank_job = self._collect_attempt(job, attempt)
+            except (RankUnavailable, JobFailed) as exc:
+                # The replica may have failed locally (crash, injected
+                # engine fault): give the others a turn before giving up.
+                failures += 1
+                self._note_failover(job)
+                if failures > 2 * len(self.ranks) * n:
+                    raise JobFailed(
+                        f"job {job.id}: every routed attempt failed: {exc}"
+                    ) from exc
+                dirty = ledger.begin_recovery(attempt.rank_id)
+                if stride not in dirty:
+                    dirty.append(stride)
+                if n > 1:
+                    self.recovered_parts += len(dirty)
+                    job.parts_recovered += len(dirty)
+                for key in dirty:
+                    redo = self._dispatch(job, key[1], tried[key[1]])
+                    ledger.adopt(key, redo.rank_id)
+                    pending[key[1]] = redo
+                continue
+            result = rank_job.result
+            assert result is not None  # a collected attempt has a result
+            ledger.finish_item(
+                stride, ledger.gen_of(stride), attempt.rank_id,
+                int(result.count),
+            )
+            results[part] = result
+        job.replica = attempt.rank_id
+        if n == 1:
+            job.result = result
+            job.cached, job.coalesced = rank_job.cached, rank_job.coalesced
+            job.incremental = rank_job.incremental
+            job.fallback = rank_job.fallback
+            return
+        stats = SearchStats()
+        for part_result in results.values():
+            stats.merge(part_result.stats)
+        job.result = MatchResult(
+            count=ledger.committed_total,
+            matches=None,
+            time_ms=sum(r.time_ms for r in results.values()),
+            cost=CostModel(self.config.device),
+            stats=stats,
+            order=results[0].order,
+        )
+
+    def _dispatch(self, job: Job, part: int, tried: set[int]) -> _Attempt:
+        """Send ``part`` of ``job`` to the next replica: the reachable
+        replicas not yet tried for this part (primary first; all of
+        them again once each has been tried), strided by ``part`` so a
+        split query spreads across the shard.  A replica that cannot
+        take the attempt is skipped; when every one refused, an
+        admission reason among the refusals surfaces machine-readably
+        (429/503 on the HTTP face)."""
+        n = job.request.num_parts
+        key = job.idempotency_key or job.id
+        if n > 1:
+            key = f"{key}#p{part}.{n}"
+        errors: list[str] = []
+        admission: AdmissionError | None = None
+        for _ in range(len(self.ranks) + 1):
+            replicas = self._targets(job.request.graph_fp)
+            pool = [r for r in replicas if r not in tried]
+            if not pool:
+                tried.clear()
+                pool = replicas
+            target = pool[part % len(pool)]
+            tried.add(target)
+            try:
+                return self._dispatch_attempt(
+                    job, target, key=key, part=part, num_parts=n
+                )
+            except RankUnavailable as exc:
+                errors.append(str(exc))
+                if isinstance(exc.__cause__, AdmissionError):
+                    admission = exc.__cause__
+                self._note_failover(job)
+        if admission is not None:
+            raise admission
+        raise JobFailed(
+            f"job {job.id}: no replica accepted part {part}/{n}: "
+            + "; ".join(errors)
+        )
+
     def _dispatch_attempt(
         self,
-        job: ClusterJob,
+        job: Job,
         rank_id: int,
         *,
         key: str,
@@ -869,25 +1033,36 @@ class ClusterService:
             )
         if delay > 0.0:
             time.sleep(delay)
+        request = job.request
         try:
-            if rank.service.registry.by_fingerprint(job.graph_fp) is None:
+            if rank.service.registry.by_fingerprint(request.graph_fp) is None:
                 # Lazy catch-up: this replica was remapped onto the
                 # shard after a membership change and has not seen the
-                # graph yet; feed it from the content-addressed store.
+                # graph's head yet; install it from the catalog.  A
+                # retired version it lacks is a failover.
                 with self._lock:
-                    graph, name = self._catalog[job.graph_fp]
-                rank.service.register_graph(graph, name)
-                self.catchup_graphs += 1
+                    placed = self._catalog.get(request.graph_fp)
+                    is_head = placed is not None and (
+                        self._names.get(placed.name) == request.graph_fp
+                    )
+                if placed is None or not is_head:
+                    raise KeyError(
+                        f"rank {rank_id} does not hold version "
+                        f"{request.graph_fp[:12]}"
+                    )
+                self._catch_up(
+                    rank, placed.name, request.graph_fp, replay=False
+                )
             attempt.rank_job_id = rank.service.submit(
-                job.graph_fp,
-                job.query,
-                priority=job.priority,
+                request.graph_fp,
+                request.query,
+                priority=request.priority,
                 deadline_ms=job.deadline_ms,
-                materialize=job.materialize,
-                time_limit_ms=job.time_limit_ms,
+                materialize=request.materialize,
+                time_limit_ms=request.time_limit_ms,
                 idempotency_key=key,
-                part=part,
                 num_parts=num_parts,
+                _part=part if num_parts > 1 else None,
             )
         except AdmissionError as exc:
             # A replica-local rejection (queue-full, degraded, a killed
@@ -901,7 +1076,8 @@ class ClusterService:
                 f"rank {rank_id} rejected admission ({exc.reason}): {exc}",
             ) from exc
         except Exception as exc:
-            # The replica died (or was killed) under the submit.
+            # The replica died (or was killed) under the submit, or
+            # lacks the version.
             self._revoke(attempt)
             raise RankUnavailable(
                 rank_id, f"rank {rank_id} refused dispatch: {exc}"
@@ -909,13 +1085,12 @@ class ClusterService:
         self._phase("mid-shard", rank_id, job.id)
         return attempt
 
-    def _collect_attempt(
-        self, job: ClusterJob, attempt: _Attempt
-    ) -> MatchResult:
+    def _collect_attempt(self, job: Job, attempt: _Attempt) -> Job:
         """Wait for one routed attempt, enforcing the route timeout and
-        exactly-once integration.  Raises :class:`RankUnavailable` when
-        the attempt was revoked (crash/partition/timeout) and
-        :class:`JobFailed` when the replica answered with a failure."""
+        exactly-once integration; returns the rank's settled job.
+        Raises :class:`RankUnavailable` when the attempt was revoked
+        (crash/partition/timeout) and :class:`JobFailed` when the
+        replica answered with a failure."""
         rank = self.ranks[attempt.rank_id]
         deadline = time.monotonic() + self.config.service_route_timeout_s
         try:
@@ -978,7 +1153,7 @@ class ClusterService:
                 )
             self._tracker.mark_seen(attempt.rank_id, attempt.seq)
         if rank_job.state == DONE and rank_job.result is not None:
-            return rank_job.result
+            return rank_job
         if rank_job.state in (FAILED, EXPIRED, CANCELLED):
             raise JobFailed(
                 f"rank {attempt.rank_id} job {attempt.rank_job_id} "
@@ -989,197 +1164,3 @@ class ClusterService:
             f"rank {attempt.rank_id} job {attempt.rank_job_id} settled "
             f"{rank_job.state} without a result",
         )
-
-    def _route_with_failover(
-        self, job: ClusterJob, *, key: str, part: int, num_parts: int
-    ) -> tuple[MatchResult, int]:
-        """Try the shard's replicas in affinity order until one
-        answers; each failed attempt is revoked before the next is
-        dispatched, and the idempotency key is identical across
-        attempts, so at most one result is ever integrated."""
-        errors: list[str] = []
-        tried: set[int] = set()
-        last_failure: JobFailed | None = None
-        last_admission: AdmissionError | None = None
-        for round_no in range(2 * len(self.ranks) + 1):
-            replicas = self._reachable_replicas(job.graph_fp)
-            if len(replicas) < self.quorum:
-                self.shed += 1
-                raise self._front.reject(
-                    "shard-unavailable",
-                    f"shard for graph {job.graph_fp[:12]} fell below "
-                    f"quorum mid-request "
-                    f"({len(replicas)}/{self.replication} reachable): "
-                    + ("; ".join(errors) or "no attempts"),
-                    retry_after=1.0,
-                )
-            fresh = [r for r in replicas if r not in tried]
-            target = (fresh or replicas)[0]
-            if not fresh:
-                tried.clear()
-            tried.add(target)
-            if round_no > 0:
-                self.failovers += 1
-                job.failovers += 1
-                with self._tracker_lock:
-                    self._tracker.retransmissions += 1
-            try:
-                attempt = self._dispatch_attempt(
-                    job, target, key=key, part=part, num_parts=num_parts
-                )
-                return self._collect_attempt(job, attempt), target
-            except RankUnavailable as exc:
-                errors.append(str(exc))
-                if isinstance(exc.__cause__, AdmissionError):
-                    last_admission = exc.__cause__
-                continue
-            except JobFailed as exc:
-                # The replica *answered* with a failure.  It may be
-                # replica-local (an injected engine fault); give the
-                # other replicas one shot before surfacing it.
-                errors.append(str(exc))
-                last_failure = exc
-                continue
-        if last_failure is not None:
-            raise last_failure
-        if last_admission is not None:
-            # Every replica rejected for an admission reason — surface
-            # it machine-readably (429/503 on the HTTP face) instead of
-            # a generic routing failure.
-            raise last_admission
-        raise JobFailed(
-            f"job {job.id}: every routed attempt failed: "
-            + "; ".join(errors)
-        )
-
-    # ------------------------------------------------------------------
-    # Split queries
-    # ------------------------------------------------------------------
-    def _run_split(self, job: ClusterJob) -> tuple[MatchResult, int]:
-        """Fan one query out as ``num_parts`` strided part-requests
-        across the shard's replicas, accounted in a
-        :class:`StrideLedger`.  A replica failure invalidates only its
-        uncommitted parts (``begin_recovery``/``adopt``); committed
-        part counts survive, so the query resumes instead of
-        restarting."""
-        n = job.num_parts
-        base_key = job.idempotency_key or job.id
-        self.split_queries += 1
-        ledger = StrideLedger()
-        pending: dict[int, _Attempt] = {}
-
-        def part_key(part: int) -> str:
-            return f"{base_key}#p{part}.{n}"
-
-        def dispatch_part(part: int, exclude: set[int]) -> _Attempt:
-            last: RankUnavailable | None = None
-            for _ in range(len(self.ranks) + 1):
-                replicas = self._reachable_replicas(job.graph_fp)
-                if len(replicas) < self.quorum:
-                    self.shed += 1
-                    raise self._front.reject(
-                        "shard-unavailable",
-                        f"shard for graph {job.graph_fp[:12]} fell "
-                        f"below quorum during a split query",
-                        retry_after=1.0,
-                    )
-                pool = [r for r in replicas if r not in exclude] or replicas
-                target = pool[part % len(pool)]
-                try:
-                    return self._dispatch_attempt(
-                        job, target, key=part_key(part),
-                        part=part, num_parts=n,
-                    )
-                except RankUnavailable as exc:
-                    last = exc
-                    exclude.add(target)
-                    continue
-            raise last if last is not None else JobFailed(
-                f"job {job.id}: no replica accepted part {part}/{n}"
-            )
-
-        for part in range(n):
-            attempt = dispatch_part(part, set())
-            ledger.open((0, part, part + 1), attempt.rank_id)
-            pending[part] = attempt
-
-        parts_done: dict[int, MatchResult] = {}
-        remaining = set(range(n))
-        recoveries = 0
-        served_by = -1
-        while remaining:
-            part = min(remaining)
-            attempt = pending[part]
-            stride_key = (0, part, part + 1)
-            try:
-                result = self._collect_attempt(job, attempt)
-            except (RankUnavailable, JobFailed) as exc:
-                recoveries += 1
-                if recoveries > 3 * (n + len(self.ranks)):
-                    raise JobFailed(
-                        f"job {job.id}: split recovery did not "
-                        f"converge: {exc}"
-                    ) from exc
-                failed_rank = attempt.rank_id
-                dirty = ledger.begin_recovery(failed_rank)
-                if stride_key not in dirty:
-                    dirty.append(stride_key)
-                self.recovered_parts += len(dirty)
-                job.parts_recovered += len(dirty)
-                self.failovers += 1
-                job.failovers += 1
-                with self._tracker_lock:
-                    self._tracker.retransmissions += 1
-                for key in dirty:
-                    dirty_part = key[1]
-                    redo = dispatch_part(dirty_part, {failed_rank})
-                    ledger.adopt(key, redo.rank_id)
-                    pending[dirty_part] = redo
-                    remaining.add(dirty_part)
-                continue
-            gen = ledger.gen_of(stride_key)
-            ledger.finish_item(
-                stride_key, gen, attempt.rank_id, int(result.count)
-            )
-            parts_done[part] = result
-            served_by = attempt.rank_id
-            remaining.discard(part)
-
-        stats = SearchStats()
-        for result in parts_done.values():
-            stats = stats.merge(result.stats)
-        first = parts_done[min(parts_done)]
-        merged = MatchResult(
-            count=ledger.committed_total,
-            matches=None,
-            time_ms=sum(r.time_ms for r in parts_done.values()),
-            cost=CostModel(self.config.device),
-            stats=stats,
-            order=first.order,
-        )
-        return merged, served_by
-
-    # ------------------------------------------------------------------
-    def _run_job(self, job: ClusterJob) -> None:
-        job.state = RUNNING
-        try:
-            if job.num_parts > 1:
-                result, replica = self._run_split(job)
-            else:
-                key = job.idempotency_key or job.id
-                result, replica = self._route_with_failover(
-                    job, key=key, part=0, num_parts=1
-                )
-            job.result = result
-            job.replica = replica
-            job.state = DONE
-        except AdmissionError as exc:
-            job.state = FAILED
-            job.reason = exc.reason
-            job.retry_after = exc.retry_after
-            job.error = str(exc)
-        except Exception as exc:
-            job.state = FAILED
-            job.error = str(exc)
-        job.finished_at = time.time()
-        job.done.set()

@@ -52,19 +52,23 @@ shard.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from ..analysis.sanitizer import make_lock
 from ..core.config import CuTSConfig
 from ..core.matcher import CuTSMatcher, SearchTimeout
-from ..core.result import MatchResult
+from ..core.result import (
+    MatchResult,
+    payload_checksum,
+    payload_from_result,
+    result_from_payload,
+    verify_payload,
+)
 from ..core.stats import SearchStats
-from ..gpusim.cost import CostModel
 from ..parallel.matcher import ParallelMatcher
 from .cache import LRUBytesCache
 from .faults import InjectedEngineFault, ServiceFaultInjector
@@ -78,49 +82,6 @@ __all__ = ["DispatchOutcome", "Dispatcher", "payload_checksum",
 # (query_fp, materialize, time_limit_ms, part, num_parts) — two
 # requests are the same computation only when their striding matches.
 _Group = tuple[tuple[str, bool, float | None, int, int], list[Request]]
-
-
-def payload_checksum(payload: dict[str, object]) -> str:
-    """Content checksum over a result payload (checksum field excluded)."""
-    body = {k: v for k, v in payload.items() if k != "checksum"}
-    canonical = json.dumps(body, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(canonical).hexdigest()[:16]
-
-
-def payload_from_result(result: MatchResult) -> dict[str, object]:
-    """JSON-safe form of a count-mode result (what the cache stores and
-    the job journal persists), sealed with a content checksum."""
-    payload: dict[str, object] = {
-        "count": int(result.count),
-        "time_ms": float(result.time_ms),
-        "stats": result.stats.to_json(),
-        "order": [int(q) for q in result.order],
-    }
-    payload["checksum"] = payload_checksum(payload)
-    return payload
-
-
-def verify_payload(payload: dict[str, object]) -> bool:
-    """Whether a payload's checksum matches its content.  Legacy
-    payloads without a checksum fail closed (treated as corrupt): the
-    only writers are this module and the journal, both of which seal."""
-    stored = payload.get("checksum")
-    return isinstance(stored, str) and stored == payload_checksum(payload)
-
-
-def result_from_payload(
-    payload: dict[str, object], config: CuTSConfig
-) -> MatchResult:
-    """Rebuild a cached result (hardware counters are not cached; a
-    cache hit contributes an empty cost model, like a resumed shard)."""
-    return MatchResult(
-        count=int(payload["count"]),  # type: ignore[arg-type]
-        matches=None,
-        time_ms=float(payload["time_ms"]),  # type: ignore[arg-type]
-        cost=CostModel(config.device),
-        stats=SearchStats.from_json(payload["stats"]),  # type: ignore[arg-type]
-        order=tuple(int(q) for q in payload["order"]),  # type: ignore[union-attr]
-    )
 
 
 def _payload_bytes(payload: dict[str, object]) -> int:
@@ -210,7 +171,7 @@ class Dispatcher:
         for req in live:
             key = (
                 req.query_fp, req.materialize, req.time_limit_ms,
-                req.part, req.num_parts,
+                *req.stride,
             )
             groups.setdefault(key, []).append(req)
 
@@ -316,16 +277,14 @@ class Dispatcher:
 
         Returns ``None`` — and the miss falls through to an ordinary
         full match — whenever the probe cannot run or cannot be trusted:
-        the ``versioning_incremental`` knob is off, the handle has no
-        delta lineage (root or whole-graph replacement), the parent's
-        entry is gone or fails checksum verification, the query shape
-        is unsupported (edgeless), or the incremental arithmetic
-        detects a mismatched base.  The probe runs on the handle's
-        serial engine: the dirty ball is small by construction, and the
-        serial matcher is the one that implements ``delta=``.
+        the handle has no delta lineage (root or whole-graph
+        replacement), the parent's entry is gone or fails checksum
+        verification, the query shape is unsupported (edgeless), or the
+        incremental arithmetic detects a mismatched base.  The probe
+        runs on the handle's serial engine: the dirty ball is small by
+        construction, and the serial matcher is the one that implements
+        ``delta=``.
         """
-        if not self.config.versioning_incremental:
-            return None
         parent_fp, delta = handle.incremental_basis()
         if parent_fp is None or delta is None:
             return None

@@ -42,10 +42,8 @@ Endpoints
 ``GET  /jobs/<id>``     job state / result (cluster jobs also carry
                         the serving ``replica`` and failover count)
 
-The versioning endpoints (``/edges``, ``/versions``, ``/compare``,
-``as_of``) are a single-rank service surface; against a cluster router
-they answer 400 rather than mutating one replica's copy out from under
-the ring.
+Malformed input is a 400 (an unknown ``/match`` field, a non-number,
+an argument the service refuses), an unknown graph or version a 404.
 
 Resilience guardrails (config-driven): each connection carries a socket
 timeout of ``service_request_timeout_s`` so a stalled peer cannot pin a
@@ -61,19 +59,18 @@ Graph specs are JSON: a pattern shorthand string (``"K5"``, ``"C6"``,
 ``{"edges": [[u, v], ...], "num_vertices"?, "name"?}``, or a whitelisted
 generator ``{"generator": "mesh", "args": [8, 8]}``.
 
-The handler duck-types its backend: ``--ranks N`` (with ``N > 1``)
-serves a replicated :class:`~repro.service.cluster.ClusterService`
-instead of a single :class:`~repro.service.MatchingService`, behind the
-exact same endpoints — routing, failover, and quorum shedding are
-invisible to clients except for the ``replica`` field on jobs and the
-``shard-unavailable`` 503 reason.
+The handler serves a :class:`~repro.service.service.FrontDoor`:
+``--ranks N`` (``N > 1``) puts a replicated
+:class:`~repro.service.cluster.ClusterService` behind the same
+endpoints, visible to clients only in the ``replica`` job field and
+the ``shard-unavailable`` 503 reason.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import sys
+import math
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any
 
@@ -96,7 +93,7 @@ from .cluster import ClusterService
 from .faults import ServiceFaultPlan
 from .registry import VersionConflictError
 from .scheduler import AdmissionError
-from .service import MatchingService
+from .service import FrontDoor, MatchingService
 
 __all__ = [
     "BadRequest",
@@ -116,6 +113,13 @@ _GENERATORS = {
     "random": random_graph,
     "social": social_graph,
 }
+
+# Every field a /match body may carry; anything else is a 400 (the
+# router's internal part index among them).
+_MATCH_FIELDS = frozenset({
+    "graph", "query", "wait", "priority", "deadline_ms", "materialize",
+    "time_limit_ms", "idempotency_key", "num_parts", "as_of", "timeout_s",
+})
 
 _PATTERNS = {
     "K": clique_graph,
@@ -165,9 +169,10 @@ def parse_graph_spec(spec: Any) -> CSRGraph:
             raise BadRequest(f"bad edge list: {exc}")
         labels = spec.get("labels")
         if labels is not None:
-            graph = graph.with_labels(
-                np.asarray(labels, dtype=np.int64)
-            )
+            try:
+                graph = graph.with_labels(np.asarray(labels, dtype=np.int64))
+            except (TypeError, ValueError) as exc:
+                raise BadRequest(f"bad labels: {exc}")
         return graph
     if "generator" in spec:
         kind = str(spec["generator"])
@@ -189,6 +194,21 @@ def parse_graph_spec(spec: Any) -> CSRGraph:
     )
 
 
+def _number(source: Any, key: str, kind: type = float, default: Any = None) -> Any:
+    """``source[key]`` (a JSON body or the headers) as ``kind``, else
+    ``default``; a value that is not a finite number is a 400."""
+    value = source.get(key)
+    if value is None:
+        return default
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):  # int(Infinity) overflows
+        raise BadRequest(f"'{key}' must be a finite number, got {value!r}")
+    if not math.isfinite(number):
+        raise BadRequest(f"'{key}' must be a finite number, got {value!r}")
+    return number
+
+
 class _Handler(BaseHTTPRequestHandler):
     """JSON request handler; the service hangs off the server object."""
 
@@ -197,7 +217,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     # -------------------------------------------------------------- util
     @property
-    def service(self) -> MatchingService | ClusterService:
+    def service(self) -> FrontDoor:
         return self.server.service
 
     def setup(self) -> None:
@@ -335,21 +355,13 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest("body needs a 'graph' spec")
         graph = parse_graph_spec(body["graph"])
         name = body.get("name")
-        fp = self.service.register_graph(
-            graph, str(name) if name is not None else None
-        )
-        self._send_json(200, self.service.graph_info(fp))
-
-    def _require_single(self) -> MatchingService:
-        """The single-rank backend, or 400: versioning endpoints must
-        not mutate one replica's copy out from under the cluster ring."""
-        if not isinstance(self.service, MatchingService):
-            raise BadRequest(
-                "graph versioning endpoints (/edges, /versions, /compare,"
-                " as_of) are served by a single-rank service, not the"
-                " cluster router"
+        try:
+            fp = self.service.register_graph(
+                graph, str(name) if name is not None else None
             )
-        return self.service
+        except ValueError as exc:
+            raise BadRequest(str(exc))
+        self._send_json(200, self.service.graph_info(fp))
 
     @staticmethod
     def _edge_array(value: Any, field: str) -> np.ndarray:
@@ -367,7 +379,6 @@ class _Handler(BaseHTTPRequestHandler):
             raise BadRequest(f"bad '{field}' edge list: {exc}")
 
     def _post_edges(self, name: str, body: dict[str, Any]) -> None:
-        service = self._require_single()
         inserts = self._edge_array(
             body.get("insert", body.get("inserts")), "insert"
         )
@@ -375,7 +386,7 @@ class _Handler(BaseHTTPRequestHandler):
             body.get("delete", body.get("deletes")), "delete"
         )
         try:
-            summary = service.mutate_graph(
+            summary = self.service.mutate_graph(
                 name,
                 inserts=inserts,
                 deletes=deletes,
@@ -392,31 +403,31 @@ class _Handler(BaseHTTPRequestHandler):
         self._send_json(200, summary)
 
     def _get_versions(self, name: str) -> None:
-        service = self._require_single()
         try:
-            versions = service.versions(name)
+            versions = self.service.versions(name)
         except KeyError as exc:
             self._send_json(404, {"error": str(exc)})
             return
         self._send_json(200, {"graph": name, "versions": versions})
 
     def _post_compare(self, name: str, body: dict[str, Any]) -> None:
-        service = self._require_single()
         if "query" not in body:
             raise BadRequest("body needs a 'query' spec")
         query = parse_graph_spec(body["query"])
         base = body.get("base")
-        timeout = body.get("timeout_s")
+        timeout = _number(body, "timeout_s")
         try:
-            summary = service.compare(
+            summary = self.service.compare(
                 name,
                 query,
                 base=str(base) if base is not None else None,
-                timeout=float(timeout) if timeout is not None else None,
+                timeout=timeout,
             )
         except KeyError as exc:
             self._send_json(404, {"error": str(exc)})
             return
+        except ValueError as exc:
+            raise BadRequest(str(exc))
         self._send_json(200, summary)
 
     def _resolve_graph_arg(self, spec: Any) -> str:
@@ -426,88 +437,67 @@ class _Handler(BaseHTTPRequestHandler):
                 return self.service.resolve_key(spec)
             except KeyError:
                 # Not a registered key — maybe a pattern shorthand.
-                return self.service.register_graph(_pattern_graph(spec))
-        return self.service.register_graph(parse_graph_spec(spec))
+                graph = _pattern_graph(spec)
+        else:
+            graph = parse_graph_spec(spec)
+        try:
+            return self.service.register_graph(graph)
+        except ValueError as exc:
+            raise BadRequest(str(exc))
 
     def _post_match(self, body: dict[str, Any]) -> None:
+        unknown = sorted(set(body) - _MATCH_FIELDS)
+        if unknown:
+            raise BadRequest(f"unknown /match field(s): {', '.join(unknown)}")
         if "graph" not in body or "query" not in body:
             raise BadRequest("body needs 'graph' and 'query'")
-        graph_fp = self._resolve_graph_arg(body["graph"])
         query = parse_graph_spec(body["query"])
-        deadline_ms = body.get("deadline_ms")
-        if deadline_ms is None:
-            header = self.headers.get("X-Deadline-Ms")
-            if header is not None:
-                try:
-                    deadline_ms = float(header)
-                except ValueError:
-                    raise BadRequest(
-                        f"X-Deadline-Ms header is not a number: {header!r}"
-                    )
-        time_limit_ms = body.get("time_limit_ms")
+        timeout = _number(body, "timeout_s")
         idempotency_key = body.get("idempotency_key")
-        extra: dict[str, Any] = {}
-        num_parts = int(body.get("num_parts", 1))
-        if num_parts != 1:
-            # The cluster stripes the query across its shard's replicas
-            # (resuming on survivors); a single service computes one
-            # strided part — "part" selects which (router use only).
-            extra["num_parts"] = num_parts
-        if "part" in body:
-            if not isinstance(self.service, MatchingService):
-                raise BadRequest(
-                    "'part' selects one stride of a single-rank service;"
-                    " against a cluster send 'num_parts' and let the"
-                    " router stripe the query"
-                )
-            extra["part"] = int(body["part"])
         as_of = body.get("as_of")
-        if as_of is not None:
-            self._require_single()
-            extra["as_of"] = str(as_of)
+        options: dict[str, Any] = {
+            "priority": _number(body, "priority", int, 0),
+            # A proxy may attach the deadline as a header instead.
+            "deadline_ms": _number(
+                body, "deadline_ms",
+                default=_number(self.headers, "X-Deadline-Ms"),
+            ),
+            "materialize": bool(body.get("materialize", False)),
+            "time_limit_ms": _number(body, "time_limit_ms"),
+            "idempotency_key": (
+                str(idempotency_key) if idempotency_key is not None else None
+            ),
+            "num_parts": _number(body, "num_parts", int, 1),
+            "as_of": str(as_of) if as_of is not None else None,
+        }
+        graph_fp = self._resolve_graph_arg(body["graph"])
         try:
-            job_id = self.service.submit(
-                graph_fp,
-                query,
-                priority=int(body.get("priority", 0)),
-                deadline_ms=(
-                    float(deadline_ms) if deadline_ms is not None else None
-                ),
-                materialize=bool(body.get("materialize", False)),
-                time_limit_ms=(
-                    float(time_limit_ms) if time_limit_ms is not None else None
-                ),
-                idempotency_key=(
-                    str(idempotency_key) if idempotency_key is not None
-                    else None
-                ),
-                **extra,
-            )
+            job_id = self.service.submit(graph_fp, query, **options)
         except KeyError as exc:
             # An unknown graph key or a pruned/foreign as_of version.
             self._send_json(404, {"error": str(exc)})
             return
+        except ValueError as exc:
+            raise BadRequest(str(exc))
         if not body.get("wait", True):
             self._send_json(202, {"job_id": job_id})
             return
-        timeout = body.get("timeout_s")
-        job = self.service.wait(
-            job_id, timeout=float(timeout) if timeout is not None else None
-        )
+        job = self.service.wait(job_id, timeout=timeout)
         status = 200 if job.done.is_set() else 504
         self._send_json(status, job.to_json())
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
     """A threading HTTP server bound to one service backend — a single
-    :class:`MatchingService` or a replicated :class:`ClusterService`."""
+    :class:`MatchingService` or a replicated :class:`ClusterService`,
+    served through their shared :class:`FrontDoor` surface."""
 
     daemon_threads = True
 
     def __init__(
         self,
         address: tuple[str, int],
-        service: MatchingService | ClusterService,
+        service: FrontDoor,
         *,
         verbose: bool = False,
     ) -> None:
@@ -519,7 +509,7 @@ class ServiceHTTPServer(ThreadingHTTPServer):
 
 
 def serve(
-    service: MatchingService | ClusterService,
+    service: FrontDoor,
     host: str = "127.0.0.1",
     port: int = 0,
     *,
@@ -546,15 +536,13 @@ def main(argv: list[str] | None = None) -> int:
         help="worker processes per graph engine (default: config)",
     )
     parser.add_argument(
-        "--ranks", type=int, default=None, metavar="N",
+        "--ranks", type=int, default=1, metavar="N",
         help="service replicas; N > 1 serves a shard-routed cluster "
-        "that fails over across replicas on rank crashes "
-        "(default: config service_ranks)",
+        "that fails over across replicas on rank crashes (default: 1)",
     )
     parser.add_argument(
-        "--replication", type=int, default=None, metavar="R",
-        help="replicas per graph shard (clamped to --ranks; "
-        "default: config service_replication)",
+        "--replication", type=int, default=2, metavar="R",
+        help="replicas per graph shard (clamped to --ranks; default: 2)",
     )
     parser.add_argument(
         "--route-timeout-s", type=float, default=None, metavar="S",
@@ -582,11 +570,6 @@ def main(argv: list[str] | None = None) -> int:
         help="retained versions per mutable graph (as_of targets); "
         "commits past this depth prune the oldest version "
         "(default: config versioning_max_versions)",
-    )
-    parser.add_argument(
-        "--no-incremental", action="store_true",
-        help="disable incremental re-matching on version commits "
-        "(every post-commit cache miss runs a full match)",
     )
     parser.add_argument(
         "--preload", action="append", default=[], metavar="SPEC",
@@ -631,16 +614,10 @@ def main(argv: list[str] | None = None) -> int:
         overrides["service_request_timeout_s"] = args.request_timeout_s
     if args.max_body_bytes is not None:
         overrides["service_max_body_bytes"] = args.max_body_bytes
-    if args.ranks is not None:
-        overrides["service_ranks"] = args.ranks
-    if args.replication is not None:
-        overrides["service_replication"] = args.replication
     if args.route_timeout_s is not None:
         overrides["service_route_timeout_s"] = args.route_timeout_s
     if args.max_versions is not None:
         overrides["versioning_max_versions"] = args.max_versions
-    if args.no_incremental:
-        overrides["versioning_incremental"] = False
     config = CuTSConfig(**overrides)
 
     plan = (
@@ -649,10 +626,12 @@ def main(argv: list[str] | None = None) -> int:
         else ServiceFaultPlan.from_env()
     )
     faults = None if plan is None or plan.is_null else plan
-    service: MatchingService | ClusterService
-    if config.service_ranks > 1:
+    service: FrontDoor
+    if args.ranks > 1:
         service = ClusterService(
             config,
+            ranks=args.ranks,
+            replication=args.replication,
             workers=args.workers,
             state_dir=args.state_dir,
             faults=faults,

@@ -74,13 +74,18 @@ class Request:
     priority: int = 0
     deadline: float | None = None  # absolute time.monotonic() instant
     seq: int = 0
-    # Strided sub-query: execute only roots[part::num_parts] (the same
-    # striding CuTSMatcher.match exposes).  The cluster router splits
-    # one oversized query into num_parts such requests across replicas;
-    # summing the part counts is exact because the root sets partition.
-    part: int = 0
+    # num_parts is the client's split hint.  The cluster router acts on
+    # it by sending num_parts requests with ``part`` set; each executes
+    # only roots[part::num_parts], and the root sets partition.
+    part: int | None = None
     num_parts: int = 1
     cancelled: threading.Event = field(default_factory=threading.Event)
+
+    @property
+    def stride(self) -> tuple[int, int]:
+        """``(part, num_parts)`` of the roots this request executes:
+        ``(0, 1)``, the whole query, unless ``part`` is set."""
+        return (0, 1) if self.part is None else (self.part, self.num_parts)
 
 
 class Scheduler:
@@ -176,11 +181,6 @@ class Scheduler:
         e.g. degraded read-only mode or a below-quorum shard."""
         with self._cond:
             return self._reject(reason, message, retry_after)
-
-    def cancel_count(self, n: int = 1) -> None:
-        """Record ``n`` cancellations observed at pop time."""
-        with self._cond:
-            self.cancelled += n
 
     def note_dispatch_skips(self, *, cancelled: int = 0, expired: int = 0) -> None:
         """Record requests the dispatcher skipped at dispatch time — a

@@ -1,8 +1,10 @@
 """The embedded matching service: registry + scheduler + dispatcher +
 caches behind one long-lived object.
 
-``MatchingService`` is the Python-API face of the serving stack (the
-HTTP face in :mod:`repro.service.http` is a thin shell over it).  One
+``MatchingService`` is the rank-local executor of the serving stack.  It
+and the cluster router share one public surface, :class:`FrontDoor`
+(job model, validation, ``submit``/``match``/``compare``), which the
+HTTP face in :mod:`repro.service.http` is a thin shell over.  One
 background dispatch thread drains the scheduler in graph-affine batches;
 all matching parallelism lives *inside* the batch pass (the registry
 handles' persistent engines), so one drainer is enough and the
@@ -40,12 +42,18 @@ import queue
 import signal
 import threading
 import time
+from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from ..analysis.sanitizer import make_rlock
 from ..core.config import CuTSConfig
 from ..core.governor import MemoryGovernor
-from ..core.result import MatchResult
+from ..core.result import (
+    MatchResult,
+    payload_from_result,
+    result_from_payload,
+    verify_payload,
+)
 from ..core.stats import SearchStats
 from ..fingerprint import config_fingerprint, graph_fingerprint
 from ..graph.csr import CSRGraph
@@ -58,19 +66,15 @@ from ..versioning.lineage import (
     version_record,
 )
 from .cache import CacheKey, LRUBytesCache
-from .dispatcher import (
-    Dispatcher,
-    payload_from_result,
-    result_from_payload,
-    verify_payload,
-)
+from .dispatcher import Dispatcher
 from .faults import ServiceFaultInjector, ServiceFaultPlan
-from .registry import GraphHandle, GraphRegistry, VersionCommit
+from .registry import GraphRegistry, VersionCommit
 from .scheduler import AdmissionError, Request, Scheduler
 from .state import ServiceState, graph_from_record, graph_record
 
 __all__ = [
     "DeadlineExpired",
+    "FrontDoor",
     "Job",
     "JobFailed",
     "MatchingService",
@@ -99,7 +103,13 @@ class JobFailed(RuntimeError):
 
 @dataclass
 class Job:
-    """One submitted request's lifecycle, visible to clients."""
+    """One submitted request's lifecycle, visible to clients.
+
+    A rank-local job and a routed cluster job are the same record.  The
+    router-only fields (``replica``, ``failovers``, ``parts_recovered``,
+    ``reason``, ``retry_after``) stay unset on a single rank and appear
+    in :meth:`to_json` only when set.
+    """
 
     id: str
     request: Request
@@ -113,6 +123,14 @@ class Job:
     incremental: bool = False
     idempotency_key: str | None = None
     stats: SearchStats | None = None
+    # The client's relative budget, handed unchanged to every routed
+    # attempt (``request.deadline`` is this process's absolute instant).
+    deadline_ms: float | None = None
+    replica: int | None = None
+    failovers: int = 0
+    parts_recovered: int = 0
+    reason: str | None = None
+    retry_after: float | None = None
     submitted_at: float = field(default_factory=time.time)
     finished_at: float | None = None
     done: threading.Event = field(default_factory=threading.Event)
@@ -130,14 +148,21 @@ class Job:
             "submitted_at": self.submitted_at,
             "finished_at": self.finished_at,
         }
-        if self.fallback:
-            out["fallback"] = True
-        if self.incremental:
-            out["incremental"] = True
-        if self.idempotency_key is not None:
-            out["idempotency_key"] = self.idempotency_key
-        if self.error is not None:
-            out["error"] = self.error
+        optional: dict[str, object] = {
+            "num_parts": (
+                self.request.num_parts if self.request.num_parts > 1 else None
+            ),
+            "replica": self.replica,
+            "failovers": self.failovers or None,
+            "parts_recovered": self.parts_recovered or None,
+            "reason": self.reason,
+            "retry_after": self.retry_after,
+            "fallback": self.fallback or None,
+            "incremental": self.incremental or None,
+            "idempotency_key": self.idempotency_key,
+            "error": self.error,
+        }
+        out.update((k, v) for k, v in optional.items() if v is not None)
         if self.result is not None:
             out["result"] = payload_from_result(self.result)
             if self.result.matches is not None:
@@ -147,7 +172,316 @@ class Job:
         return out
 
 
-class MatchingService:
+class FrontDoor(ABC):
+    """The public surface both serving backends share.
+
+    Validation, job ids, idempotency dedupe and ``submit`` ... ``compare``
+    are written once, here.  A backend resolves graphs
+    (:meth:`_graph_key`) and runs admitted jobs (:meth:`_start`):
+    :class:`MatchingService` queues them on its scheduler, and
+    :class:`~repro.service.cluster.ClusterService` routes them to the
+    replicas of the graph's shard.
+    """
+
+    _JOB_PREFIX = "job"
+    config: CuTSConfig
+
+    def __init__(self) -> None:
+        self._jobs: dict[str, Job] = {}
+        self._jobs_lock = make_rlock("FrontDoor._jobs_lock")
+        self._job_seq = 0
+        self._idempotency: dict[str, str] = {}
+
+    def __enter__(self) -> "FrontDoor":
+        return self
+
+    def __exit__(self, *exc: object) -> None:
+        self.close()
+
+    # ------------------------------------------------------------------
+    # Backend surface
+    # ------------------------------------------------------------------
+    @abstractmethod
+    def _graph_key(self, graph: CSRGraph | str) -> str:
+        """Fingerprint of ``graph``: inline content is registered, a
+        name or fingerprint resolved (``KeyError`` when unknown)."""
+
+    @abstractmethod
+    def _start(self, job: Job) -> None:
+        """Hand an admitted job to execution; raising
+        :class:`AdmissionError` withdraws it."""
+
+    # The rest of the surface each backend implements (the HTTP face
+    # maps one endpoint to each).
+    @abstractmethod
+    def register_graph(self, graph: CSRGraph, name: str | None = None) -> str: ...
+
+    @abstractmethod
+    def resolve_key(self, key: str) -> str: ...
+
+    @abstractmethod
+    def graph_info(self, key: str) -> dict[str, object]: ...
+
+    @abstractmethod
+    def graphs(self) -> list[dict[str, object]]: ...
+
+    @abstractmethod
+    def versions(self, key: str) -> list[dict[str, object]]: ...
+
+    @abstractmethod
+    def mutate_graph(
+        self, key: str, *, inserts: object = (), deletes: object = (),
+        directed: bool = True,
+    ) -> dict[str, object]: ...
+
+    @abstractmethod
+    def healthz(self) -> dict[str, object]: ...
+
+    @abstractmethod
+    def metrics(self) -> dict[str, object]: ...
+
+    @abstractmethod
+    def close(self) -> None: ...
+
+    # ------------------------------------------------------------------
+    # Submission / results
+    # ------------------------------------------------------------------
+    def submit(
+        self,
+        graph: CSRGraph | str,
+        query: CSRGraph,
+        *,
+        priority: int = 0,
+        deadline_ms: float | None = None,
+        materialize: bool = False,
+        time_limit_ms: float | None = None,
+        idempotency_key: str | None = None,
+        num_parts: int = 1,
+        as_of: str | None = None,
+        _part: int | None = None,
+    ) -> str:
+        """Validate and admit one match request; returns its job id.
+
+        Everything is checked before a job exists: ``ValueError`` for
+        malformed arguments, ``KeyError`` for an unknown graph or an
+        ``as_of`` that is not a retained version of the graph's chain,
+        and :class:`~repro.service.scheduler.AdmissionError` when
+        admission refuses (its reason code says which limit was hit).
+        ``deadline_ms`` bounds queue wait and propagates into the
+        engine's cooperative wall-clock limit.  ``idempotency_key``
+        deduplicates retries: a key already bound to a job that is not
+        ``retryable`` returns that job's id without executing anything.
+        ``num_parts`` asks the cluster router to stripe the query
+        across its shard's replicas; it never changes a count.
+        ``as_of`` runs the request against that retained version
+        instead of the head.  ``_part`` is the router's channel to a
+        rank: run only the ``_part``-th of ``num_parts`` root strides.
+        """
+        if query.num_vertices == 0:
+            raise ValueError("query graph must have at least one vertex")
+        if deadline_ms is not None and deadline_ms < 0:
+            raise ValueError("deadline_ms must be >= 0")
+        if num_parts < 1:
+            raise ValueError(f"num_parts must be >= 1, got {num_parts}")
+        if num_parts > 1 and materialize:
+            raise ValueError("split queries are count-only")
+        if _part is not None and not 0 <= _part < num_parts:
+            raise ValueError(
+                f"need 0 <= part < num_parts, got part={_part} "
+                f"num_parts={num_parts}"
+            )
+        graph_fp = self._graph_key(graph)
+        if idempotency_key is not None:
+            with self._jobs_lock:
+                known = self._idempotency.get(idempotency_key)
+                if known is not None and known in self._jobs:
+                    return known
+        if as_of is not None:
+            chain = self.versions(graph_fp)
+            if as_of not in {entry["fingerprint"] for entry in chain}:
+                raise KeyError(
+                    f"version {as_of!r} is not a retained version of graph "
+                    f"{chain[-1]['name']!r} (unknown, pruned, or from "
+                    f"another lineage)"
+                )
+            graph_fp = as_of
+        with self._jobs_lock:
+            self._job_seq += 1
+            job_id = f"{self._JOB_PREFIX}-{self._job_seq:08d}"
+        request = Request(
+            job_id=job_id,
+            graph_fp=graph_fp,
+            query=query,
+            query_fp=graph_fingerprint(query),
+            materialize=materialize,
+            time_limit_ms=time_limit_ms,
+            priority=priority,
+            deadline=(
+                time.monotonic() + deadline_ms / 1000.0
+                if deadline_ms is not None
+                else None
+            ),
+            part=_part,
+            num_parts=num_parts,
+        )
+        job = Job(
+            id=job_id,
+            request=request,
+            idempotency_key=idempotency_key,
+            deadline_ms=deadline_ms,
+        )
+        with self._jobs_lock:
+            self._jobs[job_id] = job
+            if idempotency_key is not None:
+                self._idempotency[idempotency_key] = job_id
+        try:
+            self._start(job)
+        except AdmissionError:
+            with self._jobs_lock:
+                self._jobs.pop(job_id, None)
+                if idempotency_key is not None:
+                    self._idempotency.pop(idempotency_key, None)
+            raise
+        return job_id
+
+    def job(self, job_id: str) -> Job:
+        with self._jobs_lock:
+            job = self._jobs.get(job_id)
+        if job is None:
+            raise KeyError(f"no job {job_id!r}")
+        return job
+
+    def wait(self, job_id: str, timeout: float | None = None) -> Job:
+        """Block until the job settles (or ``timeout`` elapses)."""
+        job = self.job(job_id)
+        job.done.wait(timeout=timeout)
+        return job
+
+    def result(self, job_id: str, timeout: float | None = None) -> MatchResult:
+        """The job's :class:`MatchResult`, raising typed errors for the
+        unhappy terminal states."""
+        job = self.wait(job_id, timeout=timeout)
+        if not job.done.is_set():
+            raise TimeoutError(f"job {job_id} still {job.state}")
+        if job.state == DONE:
+            if job.result is None:
+                # Completed before a restart with materialize=True:
+                # only count-mode payloads are journaled, so the rows
+                # did not survive.
+                raise JobFailed(
+                    f"job {job_id} completed before a service restart and "
+                    f"its materialized rows were not journaled; resubmit"
+                )
+            return job.result
+        if job.reason is not None:
+            # A mid-request shed (e.g. the shard fell below quorum
+            # while routing) surfaces with the same typed reason a
+            # submit-time rejection carries.
+            raise AdmissionError(
+                job.reason,
+                job.error or f"job {job_id} was rejected",
+                retry_after=job.retry_after,
+            )
+        if job.state == EXPIRED:
+            raise DeadlineExpired(f"job {job_id}: {job.error}")
+        if job.state == CANCELLED:
+            raise JobFailed(f"job {job_id} was cancelled")
+        raise JobFailed(f"job {job_id} failed: {job.error}")
+
+    def match(
+        self,
+        graph: CSRGraph | str,
+        query: CSRGraph,
+        *,
+        priority: int = 0,
+        deadline_ms: float | None = None,
+        materialize: bool = False,
+        time_limit_ms: float | None = None,
+        idempotency_key: str | None = None,
+        num_parts: int = 1,
+        as_of: str | None = None,
+        timeout: float | None = None,
+    ) -> MatchResult:
+        """Submit and wait: the one-call serving equivalent of
+        :meth:`CuTSMatcher.match`."""
+        job_id = self.submit(
+            graph,
+            query,
+            priority=priority,
+            deadline_ms=deadline_ms,
+            materialize=materialize,
+            time_limit_ms=time_limit_ms,
+            idempotency_key=idempotency_key,
+            num_parts=num_parts,
+            as_of=as_of,
+        )
+        return self.result(job_id, timeout=timeout)
+
+    def match_many(
+        self,
+        graph: CSRGraph | str,
+        queries: list[CSRGraph],
+        *,
+        materialize: bool = False,
+        time_limit_ms: float | None = None,
+        timeout: float | None = None,
+    ) -> list[MatchResult]:
+        """Submit a whole batch at once and gather results in order.
+
+        Submitting everything before waiting is what lets a scheduler
+        hand its dispatcher one graph-affine batch and the engine run
+        it as a single batched pool pass.
+        """
+        job_ids = [
+            self.submit(
+                graph,
+                query,
+                materialize=materialize,
+                time_limit_ms=time_limit_ms,
+            )
+            for query in queries
+        ]
+        return [self.result(job_id, timeout=timeout) for job_id in job_ids]
+
+    def compare(
+        self,
+        key: str,
+        query: CSRGraph,
+        *,
+        base: str | None = None,
+        timeout: float | None = None,
+    ) -> dict[str, object]:
+        """Shadow-compare: the same count-only query against two
+        retained versions of one graph (``POST /graphs/<name>/compare``).
+
+        ``base`` defaults to the head's parent, making the default call
+        "what did the last commit change for this query?".  Both sides
+        go through the ordinary submit path, so retained cache entries
+        and the incremental probe both apply.
+        """
+        head = self.versions(key)[-1]
+        head_fp = str(head["fingerprint"])
+        base_fp = base if base is not None else head["parent_fingerprint"]
+        if base_fp is None:
+            raise KeyError(
+                f"graph {head['name']!r} has no parent version to compare "
+                f"against"
+            )
+        base_count = self.match(
+            head_fp, query, as_of=str(base_fp), timeout=timeout
+        ).count
+        head_count = self.match(head_fp, query, timeout=timeout).count
+        return {
+            "graph": head["name"],
+            "base_fingerprint": base_fp,
+            "head_fingerprint": head_fp,
+            "base_count": int(base_count),
+            "head_count": int(head_count),
+            "count_delta": int(head_count) - int(base_count),
+        }
+
+
+class MatchingService(FrontDoor):
     """Long-lived query server over the cuTS engine (embedded form).
 
     Parameters
@@ -218,10 +552,7 @@ class MatchingService:
             self.config, self.result_cache, self.plan_cache, self.config_fp,
             faults=self.faults,
         )
-        self._jobs: dict[str, Job] = {}
-        self._jobs_lock = make_rlock("MatchingService._jobs_lock")
-        self._job_seq = 0
-        self._idempotency: dict[str, str] = {}
+        super().__init__()
         # Query index: query_fp -> query graph, fed by every submit.
         # Cache promotion needs the query *shape* (its diameter and
         # root set) to prove an entry unaffected by a delta; a cache
@@ -279,8 +610,12 @@ class MatchingService:
     def close(self) -> None:
         """Stop dispatching, fail queued jobs, release every engine."""
         if self._killed:
-            # A killed service has no journal writer left to drain and
-            # must not settle anything; just release the engines.
+            # A killed service must not settle anything.  Its writer
+            # only finishes the batch it held when the kill landed (a
+            # restart follows the death, it never races it); then the
+            # engines are released.
+            if self._journal_thread is not None:
+                self._journal_thread.join(timeout=10.0)
             self.registry.close()
             return
         self._stop.set()
@@ -341,12 +676,6 @@ class MatchingService:
         flushed = threading.Event()
         self._journal_q.put(("flush", flushed))
         flushed.wait(timeout)
-
-    def __enter__(self) -> "MatchingService":
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.close()
 
     # ------------------------------------------------------------------
     # Crash recovery
@@ -426,6 +755,7 @@ class MatchingService:
         except Exception:
             return  # a torn legacy record: skip rather than crash boot
         limit = record.get("time_limit_ms")
+        part = record.get("part")
         request = Request(
             job_id=job_id,
             graph_fp=str(record["graph_fp"]),
@@ -434,7 +764,7 @@ class MatchingService:
             materialize=bool(record.get("materialize", False)),
             time_limit_ms=float(limit) if limit is not None else None,
             priority=int(record.get("priority", 0)),  # type: ignore[arg-type]
-            part=int(record.get("part", 0)),  # type: ignore[arg-type]
+            part=int(part) if part is not None else None,  # type: ignore[arg-type]
             num_parts=int(record.get("num_parts", 1)),  # type: ignore[arg-type]
         )
         raw_key = record.get("idempotency_key")
@@ -508,6 +838,9 @@ class MatchingService:
                 "service is in degraded read-only mode; graph "
                 "registration is paused",
             )
+        return self._register(graph, name)
+
+    def _register(self, graph: CSRGraph, name: str | None = None) -> str:
         handle = self.registry.register(graph, name)
         if self.state is not None:
             self.state.save_graph(graph, handle.fingerprint)
@@ -533,24 +866,12 @@ class MatchingService:
 
     def resolve_key(self, key: str) -> str:
         """Fingerprint for a registered name or fingerprint.  Raises
-        ``KeyError`` for unknown keys.  (The HTTP face calls this
-        instead of touching the registry, so the single-process service
-        and the cluster router stay interchangeable behind it.)"""
+        ``KeyError`` for unknown keys."""
         return self.registry.resolve(key).fingerprint
 
     def graph_info(self, key: str) -> dict[str, object]:
         """The ``/graphs`` JSON entry for one registered graph."""
         return self.registry.resolve(key).info()
-
-    def _resolve_graph(self, graph: CSRGraph | str) -> GraphHandle:
-        if isinstance(graph, CSRGraph):
-            handle = self.registry.register(graph)
-            if self.state is not None:
-                self.state.save_graph(graph, handle.fingerprint)
-                self.state.save_names(self.registry.names())
-            self._recharge()
-            return handle
-        return self.registry.resolve(graph)
 
     # ------------------------------------------------------------------
     # Versioned mutation / time travel
@@ -694,160 +1015,27 @@ class MatchingService:
         (``GET /graphs/<name>/versions``)."""
         return self.registry.lineage(key)
 
-    def _version_of(self, head: GraphHandle, as_of: str) -> GraphHandle:
-        """The retained member of ``head``'s chain whose fingerprint is
-        ``as_of`` — the time-travel target.  Raises ``KeyError`` for
-        fingerprints that are unknown, pruned, or from another lineage
-        (never silently serves the wrong version)."""
-        if as_of == head.fingerprint:
-            return head
-        target = self.registry.by_fingerprint(as_of)
-        if target is not None:
-            chain = {
-                entry["fingerprint"]
-                for entry in self.registry.lineage(head.fingerprint)
-            }
-            if as_of in chain:
-                return target
-        raise KeyError(
-            f"version {as_of!r} is not a retained version of graph "
-            f"{head.name!r} (unknown, pruned, or from another lineage)"
-        )
-
-    def compare(
-        self,
-        key: str,
-        query: CSRGraph,
-        *,
-        base: str | None = None,
-        timeout: float | None = None,
-    ) -> dict[str, object]:
-        """Shadow-compare: the same count-only query against two
-        retained versions of one graph (``POST /graphs/<name>/compare``).
-
-        ``base`` defaults to the head's parent, making the default call
-        "what did the last commit change for this query?".  Both sides
-        go through the ordinary submit path, so retained cache entries
-        and the incremental probe both apply.
-        """
-        head = self.registry.resolve(key)
-        base_fp = base if base is not None else head.parent_fp
-        if base_fp is None:
-            raise KeyError(
-                f"graph {head.name!r} has no parent version to compare "
-                f"against"
-            )
-        base_handle = self._version_of(head, base_fp)
-        base_result = self.match(
-            base_handle.fingerprint, query, timeout=timeout
-        )
-        head_result = self.match(head.fingerprint, query, timeout=timeout)
-        return {
-            "graph": head.name,
-            "base_fingerprint": base_handle.fingerprint,
-            "head_fingerprint": head.fingerprint,
-            "base_count": int(base_result.count),
-            "head_count": int(head_result.count),
-            "count_delta": int(head_result.count) - int(base_result.count),
-        }
-
     # ------------------------------------------------------------------
     # Submission / results
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        graph: CSRGraph | str,
-        query: CSRGraph,
-        *,
-        priority: int = 0,
-        deadline_ms: float | None = None,
-        materialize: bool = False,
-        time_limit_ms: float | None = None,
-        idempotency_key: str | None = None,
-        part: int = 0,
-        num_parts: int = 1,
-        as_of: str | None = None,
-    ) -> str:
-        """Queue one match request; returns its job id.
-
-        Raises :class:`~repro.service.scheduler.AdmissionError`
-        synchronously when admission control refuses (queue depth,
-        oversized query, memory budget, degraded mode) — rejection is an
-        answer, not an exception to be retried blindly; the reason code
-        says which limit was hit.  ``deadline_ms`` bounds *queue wait*
-        and, for dispatched work, propagates into the engine's
-        cooperative wall-clock limit.  ``idempotency_key`` deduplicates
-        retries: a key already bound to a job that is not ``retryable``
-        returns that job's id without executing anything.
-        ``part``/``num_parts`` execute only that stride of the query's
-        roots (the cluster router's unit of cross-replica splitting);
-        summing the part counts over a full stride set is exact.
-        ``as_of`` time-travels: the request runs against that retained
-        version of the named graph's chain instead of its head
-        (``KeyError`` for pruned or foreign fingerprints).
-        """
-        if query.num_vertices == 0:
-            raise ValueError("query graph must have at least one vertex")
-        if deadline_ms is not None and deadline_ms < 0:
-            raise ValueError("deadline_ms must be >= 0")
-        if num_parts < 1 or not 0 <= part < num_parts:
-            raise ValueError(
-                f"need 0 <= part < num_parts, got part={part} "
-                f"num_parts={num_parts}"
-            )
+    def _graph_key(self, graph: CSRGraph | str) -> str:
         if self._killed:
             raise self.scheduler.reject(
                 "shutdown", "this service incarnation was killed"
             )
-        if idempotency_key is not None:
-            with self._jobs_lock:
-                known = self._idempotency.get(idempotency_key)
-                if known is not None and known in self._jobs:
-                    return known
-        handle = self._resolve_graph(graph)
-        if as_of is not None:
-            handle = self._version_of(handle, as_of)
-        query_fp = graph_fingerprint(query)
+        if isinstance(graph, CSRGraph):
+            # Inline content registers even in degraded mode, so a
+            # cached count for it can still be served.
+            return self._register(graph)
+        return self.registry.resolve(graph).fingerprint
+
+    def _start(self, job: Job) -> None:
+        request = job.request
         with self._jobs_lock:
-            self._queries.setdefault(query_fp, query)
+            self._queries.setdefault(request.query_fp, request.query)
         if self._degraded:
-            if num_parts != 1:
-                raise self.scheduler.reject(
-                    "degraded",
-                    "service is in degraded read-only mode; strided "
-                    "part queries are not served from cache",
-                )
-            return self._submit_degraded(
-                handle, query, query_fp,
-                materialize=materialize,
-                time_limit_ms=time_limit_ms,
-                priority=priority,
-                idempotency_key=idempotency_key,
-            )
-        with self._jobs_lock:
-            self._job_seq += 1
-            job_id = f"job-{self._job_seq:08d}"
-        request = Request(
-            job_id=job_id,
-            graph_fp=handle.fingerprint,
-            query=query,
-            query_fp=query_fp,
-            materialize=materialize,
-            time_limit_ms=time_limit_ms,
-            priority=priority,
-            deadline=(
-                time.monotonic() + deadline_ms / 1000.0
-                if deadline_ms is not None
-                else None
-            ),
-            part=part,
-            num_parts=num_parts,
-        )
-        job = Job(id=job_id, request=request, idempotency_key=idempotency_key)
-        with self._jobs_lock:
-            self._jobs[job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = job_id
+            self._serve_degraded(job)
+            return
         # Enqueue the pending record *before* the request becomes
         # visible to the dispatch thread: once the scheduler holds it,
         # the loop may enqueue running/done for this job at any moment,
@@ -858,31 +1046,21 @@ class MatchingService:
         try:
             self.scheduler.submit(request)
         except AdmissionError:
-            with self._jobs_lock:
-                self._jobs.pop(job_id, None)
-                if idempotency_key is not None:
-                    self._idempotency.pop(idempotency_key, None)
             if self._journal_q is not None:
-                self._journal_q.put(("forget", job_id))
+                self._journal_q.put(("forget", job.id))
             raise
-        return job_id
 
-    def _submit_degraded(
-        self,
-        handle: GraphHandle,
-        query: CSRGraph,
-        query_fp: str,
-        *,
-        materialize: bool,
-        time_limit_ms: float | None,
-        priority: int,
-        idempotency_key: str | None,
-    ) -> str:
-        """Degraded read-only mode: serve verified count-only cache
+    def _serve_degraded(self, job: Job) -> None:
+        """Degraded read-only mode: settle verified count-only cache
         hits synchronously; reject everything else with ``degraded``."""
+        request = job.request
         payload = None
-        if not materialize and time_limit_ms is None:
-            key = (handle.fingerprint, query_fp, self.config_fp)
+        if (
+            not request.materialize
+            and request.time_limit_ms is None
+            and request.stride == (0, 1)
+        ):
+            key = (request.graph_fp, request.query_fp, self.config_fp)
             candidate = self.result_cache.get(key)
             if candidate is not None and verify_payload(candidate):
                 payload = candidate
@@ -892,69 +1070,12 @@ class MatchingService:
                 "service is in degraded read-only mode (sustained memory "
                 "pressure); only cached count queries are served",
             )
-        with self._jobs_lock:
-            self._job_seq += 1
-            job_id = f"job-{self._job_seq:08d}"
-        request = Request(
-            job_id=job_id,
-            graph_fp=handle.fingerprint,
-            query=query,
-            query_fp=query_fp,
-            materialize=False,
-            time_limit_ms=None,
-            priority=priority,
-        )
-        job = Job(
-            id=job_id,
-            request=request,
-            state=DONE,
-            result=result_from_payload(payload, self.config),
-            cached=True,
-            idempotency_key=idempotency_key,
-            finished_at=time.time(),
-        )
-        job.done.set()
-        with self._jobs_lock:
-            self._jobs[job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = job_id
+        job.state = DONE
+        job.result = result_from_payload(payload, self.config)
+        job.cached = True
+        job.finished_at = time.time()
         self._journal(job, DONE, result_payload=payload)
-        return job_id
-
-    def job(self, job_id: str) -> Job:
-        with self._jobs_lock:
-            job = self._jobs.get(job_id)
-        if job is None:
-            raise KeyError(f"no job {job_id!r}")
-        return job
-
-    def wait(self, job_id: str, timeout: float | None = None) -> Job:
-        """Block until the job settles (or ``timeout`` elapses)."""
-        job = self.job(job_id)
-        job.done.wait(timeout=timeout)
-        return job
-
-    def result(self, job_id: str, timeout: float | None = None) -> MatchResult:
-        """The job's :class:`MatchResult`, raising typed errors for the
-        unhappy terminal states."""
-        job = self.wait(job_id, timeout=timeout)
-        if not job.done.is_set():
-            raise TimeoutError(f"job {job_id} still {job.state}")
-        if job.state == DONE:
-            if job.result is None:
-                # Completed before a restart with materialize=True:
-                # only count-mode payloads are journaled, so the rows
-                # did not survive.
-                raise JobFailed(
-                    f"job {job_id} completed before a service restart and "
-                    f"its materialized rows were not journaled; resubmit"
-                )
-            return job.result
-        if job.state == EXPIRED:
-            raise DeadlineExpired(f"job {job_id}: {job.error}")
-        if job.state == CANCELLED:
-            raise JobFailed(f"job {job_id} was cancelled")
-        raise JobFailed(f"job {job_id} failed: {job.error}")
+        job.done.set()
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-pending job (returns whether it was pending)."""
@@ -963,66 +1084,6 @@ class MatchingService:
             return False
         job.request.cancelled.set()
         return True
-
-    # ------------------------------------------------------------------
-    # Synchronous conveniences
-    # ------------------------------------------------------------------
-    def match(
-        self,
-        graph: CSRGraph | str,
-        query: CSRGraph,
-        *,
-        priority: int = 0,
-        deadline_ms: float | None = None,
-        materialize: bool = False,
-        time_limit_ms: float | None = None,
-        idempotency_key: str | None = None,
-        part: int = 0,
-        num_parts: int = 1,
-        as_of: str | None = None,
-        timeout: float | None = None,
-    ) -> MatchResult:
-        """Submit and wait: the one-call serving equivalent of
-        :meth:`CuTSMatcher.match`."""
-        job_id = self.submit(
-            graph,
-            query,
-            priority=priority,
-            deadline_ms=deadline_ms,
-            materialize=materialize,
-            time_limit_ms=time_limit_ms,
-            idempotency_key=idempotency_key,
-            part=part,
-            num_parts=num_parts,
-            as_of=as_of,
-        )
-        return self.result(job_id, timeout=timeout)
-
-    def match_many(
-        self,
-        graph: CSRGraph | str,
-        queries: list[CSRGraph],
-        *,
-        materialize: bool = False,
-        time_limit_ms: float | None = None,
-        timeout: float | None = None,
-    ) -> list[MatchResult]:
-        """Submit a whole batch at once and gather results in order.
-
-        Submitting everything before waiting is what lets the scheduler
-        hand the dispatcher one graph-affine batch and the engine run it
-        as a single batched pool pass.
-        """
-        job_ids = [
-            self.submit(
-                graph,
-                query,
-                materialize=materialize,
-                time_limit_ms=time_limit_ms,
-            )
-            for query in queries
-        ]
-        return [self.result(job_id, timeout=timeout) for job_id in job_ids]
 
     # ------------------------------------------------------------------
     # Introspection

@@ -29,6 +29,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import time
 
 import pytest
 
@@ -36,6 +37,7 @@ from tests.conftest import oracle_count
 from repro.core.config import CuTSConfig
 from repro.graph import chain_graph, cycle_graph, mesh_graph, star_graph
 from repro.service import ClusterService
+from repro.service.state import ServiceState
 
 PHASES = ("pre-dispatch", "mid-shard", "post-commit-pre-reply")
 SEEDS = (3, 17)
@@ -194,5 +196,53 @@ def test_back_to_back_kills_across_phases(tmp_path):
             assert cluster.replication_of(fp) == 2
         for rank_keys in journal_keys_by_rank(state_dir).values():
             assert len(rank_keys) == len(set(rank_keys))
+    finally:
+        cluster.close()
+
+
+def test_restart_waits_for_the_dead_incarnations_journal(
+    tmp_path, monkeypatch
+):
+    """A restart follows the death, it never races it: the killed
+    primary's journal writer finishes the batch it held before the new
+    incarnation replays the journal, so a job that committed just
+    before a ``post-commit-pre-reply`` kill comes back done and its key
+    answers the replay instead of admitting a new job."""
+    record_jobs = ServiceState.record_jobs
+
+    def slow_record_jobs(self, records):
+        if any(record["state"] == "done" for record in records):
+            time.sleep(0.5)  # the writer is mid-batch when the kill lands
+        return record_jobs(self, records)
+
+    monkeypatch.setattr(ServiceState, "record_jobs", slow_record_jobs)
+    data, query = mesh_graph(5, 5), chain_graph(3)
+    cluster = ClusterService(
+        CuTSConfig(),
+        ranks=3,
+        replication=2,
+        state_dir=str(tmp_path / "cluster"),
+        auto_heal=False,
+    )
+    try:
+        fp = cluster.register_graph(data)
+        killed: list[int] = []
+
+        def hook(hook_phase: str, rank_id: int, job_id: str) -> None:
+            if hook_phase == "post-commit-pre-reply" and not killed:
+                killed.append(rank_id)
+                cluster.crash_rank(rank_id)
+
+        cluster.phase_hook = hook
+        result = cluster.match(fp, query, idempotency_key="k", timeout=60)
+        assert result.count == oracle_count(data, query)
+        cluster.phase_hook = None
+        cluster.restart_rank(killed[0])
+        rank_service = cluster.ranks[killed[0]].service
+        committed = rank_service.job("job-00000001")
+        assert committed.state == "done"
+        assert rank_service.submit(fp, query, idempotency_key="k") == (
+            committed.id
+        )
     finally:
         cluster.close()

@@ -11,6 +11,10 @@ Three randomized-seed guarantees, each gated on a full-rematch oracle:
 * **time travel** — ``as_of`` on a retired version returns the count
   archived when that version was head.
 
+The service-level guarantees run against one rank and against a 3-rank
+replicated cluster, where commits fan out to every replica of the
+shard and must agree on the child fingerprint.
+
 Plus unit tiers for the delta algebra (normalisation, JSON round-trip),
 the overlay splice, dirty-ball BFS, journal recovery, and the guard
 rails of the incremental path.
@@ -18,11 +22,15 @@ rails of the incremental path.
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
 
 from repro.core.config import CuTSConfig
 from repro.core.matcher import CuTSMatcher
+from repro.fingerprint import graph_fingerprint
 from repro.graph import (
     chain_graph,
     clique_graph,
@@ -32,7 +40,12 @@ from repro.graph import (
     random_graph,
     star_graph,
 )
-from repro.service import MatchingService
+from repro.service import (
+    ClusterService,
+    HashRing,
+    MatchingService,
+    VersionConflictError,
+)
 from repro.storage.overlay import spliced_graph
 from repro.versioning import (
     DeltaError,
@@ -353,6 +366,47 @@ def service(tmp_path):
     svc.close()
 
 
+BACKENDS = ("single", "cluster")
+
+
+def make_backend(kind, tmp_path, config=None):
+    """One rank, or a 3-rank cluster replicating each shard twice."""
+    config = config or CuTSConfig()
+    if kind == "single":
+        return MatchingService(config, state_dir=str(tmp_path))
+    return ClusterService(
+        config, ranks=3, replication=2,
+        state_dir=str(tmp_path / "cluster"), auto_heal=False,
+    )
+
+
+@pytest.fixture(params=BACKENDS)
+def backend(request, tmp_path):
+    svc = make_backend(request.param, tmp_path)
+    yield svc
+    svc.close()
+
+
+def rank_services(svc):
+    """The rank-local services behind a backend."""
+    if isinstance(svc, ClusterService):
+        return [
+            rank.service for rank in svc.ranks.values()
+            if rank.state == "live"
+        ]
+    return [svc]
+
+
+def head_graph(svc, name):
+    """Content of ``name``'s head version, from whichever rank holds it."""
+    fp = svc.resolve_key(name)
+    for rank_service in rank_services(svc):
+        handle = rank_service.registry.by_fingerprint(fp)
+        if handle is not None:
+            return handle.graph
+    raise KeyError(fp)
+
+
 def test_cache_entry_outside_dirty_ball_survives_commit(service):
     service.register_graph(combo_graph(), "combo")
     star = star_graph(5)
@@ -373,38 +427,40 @@ def test_cache_entry_outside_dirty_ball_survives_commit(service):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-def test_service_incremental_matches_full_oracle(service, seed):
+def test_service_incremental_matches_full_oracle(backend, seed):
     rng = np.random.default_rng(200 + seed)
     graph = random_graph(36, 0.09, seed=seed)
-    service.register_graph(graph, "g")
+    backend.register_graph(graph, "g")
     query = chain_graph(3)
-    service.match("g", query, timeout=30)
+    backend.match("g", query, timeout=30)
     for _ in range(3):
-        head = service.registry.resolve("g").graph
+        head = head_graph(backend, "g")
         ins, dels = random_delta(rng, head, 1, 1)
-        service.mutate_graph("g", inserts=ins.tolist(), deletes=dels.tolist())
-        got = service.match("g", query, timeout=30)
+        backend.mutate_graph("g", inserts=ins.tolist(), deletes=dels.tolist())
+        got = backend.match("g", query, timeout=30)
         oracle = CuTSMatcher(
-            service.registry.resolve("g").graph, service.config
+            head_graph(backend, "g"), backend.config
         ).match(query)
         assert got.count == oracle.count
     # At least one post-commit miss took the incremental path.
-    assert service.metrics()["dispatcher"]["incremental_matches"] >= 1
+    assert sum(
+        rank_service.metrics()["dispatcher"]["incremental_matches"]
+        for rank_service in rank_services(backend)
+    ) >= 1
 
 
-def test_as_of_on_retired_versions_matches_archived_oracle(tmp_path):
-    svc = MatchingService(
-        CuTSConfig(versioning_max_versions=4), state_dir=str(tmp_path)
-    )
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_as_of_on_retired_versions_matches_archived_oracle(kind, tmp_path):
+    svc = make_backend(kind, tmp_path, CuTSConfig(versioning_max_versions=4))
     try:
         rng = np.random.default_rng(42)
         svc.register_graph(random_graph(32, 0.1, seed=9), "g")
         query = cycle_graph(4)
         archive = {}
-        head_fp = svc.registry.resolve("g").fingerprint
+        head_fp = svc.resolve_key("g")
         archive[head_fp] = svc.match("g", query, timeout=30).count
         for _ in range(3):
-            head = svc.registry.resolve("g").graph
+            head = head_graph(svc, "g")
             ins, dels = random_delta(rng, head, 2, 1)
             summary = svc.mutate_graph(
                 "g", inserts=ins.tolist(), deletes=dels.tolist()
@@ -424,17 +480,234 @@ def test_as_of_on_retired_versions_matches_archived_oracle(tmp_path):
         svc.close()
 
 
-def test_pruned_version_is_not_servable(tmp_path):
-    svc = MatchingService(
-        CuTSConfig(versioning_max_versions=2), state_dir=str(tmp_path)
-    )
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_pruned_version_is_not_servable(kind, tmp_path):
+    svc = make_backend(kind, tmp_path, CuTSConfig(versioning_max_versions=2))
     try:
         svc.register_graph(mesh_graph(5, 5), "g")
-        fp0 = svc.registry.resolve("g").fingerprint
+        fp0 = svc.resolve_key("g")
         svc.mutate_graph("g", inserts=[[0, 6]], directed=False)
         svc.mutate_graph("g", inserts=[[1, 7]], directed=False)
         assert len(svc.versions("g")) == 2
         with pytest.raises(KeyError):
             svc.match("g", chain_graph(3), as_of=fp0, timeout=30)
+    finally:
+        svc.close()
+
+
+def assert_replicas_agree(svc, name, head_fp):
+    """Every live replica of the shard holds ``head_fp`` as the head."""
+    if not isinstance(svc, ClusterService):
+        return
+    replicas = svc.graph_info(name)["replicas"]
+    heads = {
+        svc.ranks[r].service.resolve_key(name)
+        for r in replicas
+        if svc.ranks[r].state == "live"
+    }
+    assert heads == {head_fp}
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_commits_are_exact_on_every_backend(kind, tmp_path):
+    """Random insert/delete commits: each commit's fingerprint equals a
+    local splice replay, the head and ``as_of`` every retained version
+    count exactly, pruned versions are refused, and every replica of
+    the shard agrees on the head — also across a secondary crashed
+    between commits and healed."""
+    cfg = CuTSConfig(versioning_max_versions=3)
+    svc = make_backend(kind, tmp_path, cfg)
+    try:
+        rng = np.random.default_rng(17)
+        head = random_graph(30, 0.12, seed=4)
+        query = chain_graph(3)
+        root = svc.register_graph(head, "g")
+        local = {root: head}
+        if kind == "cluster":
+            # Never-mutated graphs are placed by their own fingerprint.
+            other = svc.register_graph(mesh_graph(4, 4), "other")
+            ring = HashRing(range(3))
+            assert svc.graph_info("other")["replicas"] == (
+                ring.replicas_for(other, 2)
+            )
+            assert svc.graph_info("g")["replicas"] == (
+                ring.replicas_for(root, 2)
+            )
+        for step in range(5):
+            if kind == "cluster" and step == 2:
+                secondary = svc.graph_info("g")["replicas"][1]
+                svc.crash_rank(secondary)
+            if kind == "cluster" and step == 4:
+                svc.restart_rank(secondary)
+                assert_replicas_agree(svc, "g", graph_fingerprint(head))
+            ins, dels = random_delta(rng, head, 2, 1)
+            summary = svc.mutate_graph(
+                "g", inserts=ins.tolist(), deletes=dels.tolist()
+            )
+            delta = EdgeDelta.build(inserts=ins, deletes=dels, parent=head)
+            head = spliced_graph(head, delta.inserts, delta.deletes)
+            head_fp = graph_fingerprint(head)
+            assert summary["fingerprint"] == head_fp
+            local[head_fp] = head
+            assert_replicas_agree(svc, "g", head_fp)
+            retained = [entry["fingerprint"] for entry in svc.versions("g")]
+            assert retained[-1] == head_fp
+            assert svc.match("g", query, timeout=60).count == (
+                CuTSMatcher(head, cfg).match(query).count
+            )
+            for fp in retained:
+                assert svc.match("g", query, as_of=fp, timeout=60).count == (
+                    CuTSMatcher(local[fp], cfg).match(query).count
+                ), (step, fp)
+            for fp in set(local) - set(retained):
+                with pytest.raises(KeyError):
+                    svc.match("g", query, as_of=fp, timeout=60)
+    finally:
+        svc.close()
+
+
+def test_lagging_replica_catches_up_before_the_next_commit(tmp_path):
+    """A replica unreachable during a commit misses it; reads stay
+    exact meanwhile (a replica lacking the head fails over), and the
+    next commit replays the missed delta on it before committing."""
+    svc = ClusterService(
+        CuTSConfig(), ranks=3, replication=3,
+        state_dir=str(tmp_path / "cluster"), auto_heal=False,
+    )
+    try:
+        head = mesh_graph(5, 5)
+        svc.register_graph(head, "g")
+        query = chain_graph(3)
+        lagging = svc.graph_info("g")["replicas"][0]
+        svc.partition_rank(lagging, ticks=1)
+        for edge in ([0, 6], [1, 7]):
+            summary = svc.mutate_graph("g", inserts=[edge], directed=False)
+            delta = EdgeDelta.build(inserts=[edge], parent=head, directed=False)
+            head = spliced_graph(head, delta.inserts, delta.deletes)
+            assert summary["fingerprint"] == graph_fingerprint(head)
+            if edge == [0, 6]:
+                # Still at the root: the router's head is not on it.
+                assert svc.ranks[lagging].service.resolve_key("g") != (
+                    summary["fingerprint"]
+                )
+                # The first read heals the partition; the second reaches
+                # the lagging primary, which lacks the head and fails
+                # over.
+                for _ in range(2):
+                    assert svc.match("g", query, timeout=60).count == (
+                        CuTSMatcher(head, svc.config).match(query).count
+                    )
+                assert svc.metrics()["router"]["failovers"] >= 1
+        assert_replicas_agree(svc, "g", graph_fingerprint(head))
+        lineages = {
+            tuple(v["fingerprint"] for v in svc.ranks[r].service.versions("g"))
+            for r in svc.ranks
+        }
+        assert len(lineages) == 1  # replayed, not re-registered
+    finally:
+        svc.close()
+
+
+def test_concurrent_commit_to_one_graph_is_a_conflict(tmp_path, monkeypatch):
+    svc = make_backend("cluster", tmp_path)
+    try:
+        svc.register_graph(mesh_graph(4, 4), "g")
+        primary = svc.ranks[svc.graph_info("g")["replicas"][0]].service
+        entered, release = threading.Event(), threading.Event()
+        commit = primary.mutate_graph
+
+        def slow_commit(*args, **kwargs):
+            entered.set()
+            release.wait(timeout=30)
+            return commit(*args, **kwargs)
+
+        monkeypatch.setattr(primary, "mutate_graph", slow_commit)
+        first = threading.Thread(
+            target=svc.mutate_graph, args=("g",),
+            kwargs={"inserts": [[0, 5]], "directed": False},
+        )
+        first.start()
+        assert entered.wait(timeout=30)
+        with pytest.raises(VersionConflictError):
+            svc.mutate_graph("g", inserts=[[1, 6]], directed=False)
+        release.set()
+        first.join(timeout=30)
+        assert not first.is_alive()
+        assert svc.versions("g")[-1]["lineage_depth"] == 1
+    finally:
+        svc.close()
+
+
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_commit_moves_the_first_name_not_an_alias(kind, tmp_path):
+    """Known content registered again — inline in a match, or under a
+    second name — is an alias: a commit to the first name moves that
+    name (the aliases stay on the parent, as on one rank), its reads
+    count the child exactly, and later commits to it still succeed."""
+    svc = make_backend(kind, tmp_path)
+    try:
+        head = mesh_graph(5, 5)
+        query = chain_graph(3)
+        root = svc.register_graph(head, "g")
+        svc.match(head, query, timeout=60)  # registers it as head.name
+        svc.register_graph(head, "alias")
+        for edge in ([0, 6], [1, 7]):
+            summary = svc.mutate_graph("g", inserts=[edge], directed=False)
+            delta = EdgeDelta.build(inserts=[edge], parent=head, directed=False)
+            head = spliced_graph(head, delta.inserts, delta.deletes)
+            assert summary["graph"] == "g"
+            assert summary["fingerprint"] == graph_fingerprint(head)
+            assert svc.resolve_key("g") == summary["fingerprint"]
+            assert_replicas_agree(svc, "g", summary["fingerprint"])
+            assert svc.match("g", query, timeout=60).count == (
+                CuTSMatcher(head, svc.config).match(query).count
+            )
+        for alias in ("mesh5x5", "alias"):
+            assert svc.resolve_key(alias) == root
+            with pytest.raises(VersionConflictError):
+                svc.mutate_graph(alias, inserts=[[2, 8]], directed=False)
+    finally:
+        svc.close()
+
+
+def wait_for(predicate, timeout=30.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.01)
+
+
+def test_replica_refusing_after_the_first_commit_is_skipped(tmp_path):
+    """A commit either happens or not for the client: a secondary that
+    refuses once the primary's commit is recorded (here: degraded
+    read-only mode) is skipped, reads stay exact, and the next commit
+    brings it to the head before committing on it."""
+    svc = make_backend("cluster", tmp_path)
+    try:
+        head = mesh_graph(5, 5)
+        query = chain_graph(3)
+        root = svc.register_graph(head, "g")
+        refusing = svc.ranks[svc.graph_info("g")["replicas"][1]].service
+        refusing.governor.forced_pressure = 1.0
+        wait_for(lambda: refusing.degraded)
+        for edge in ([0, 6], [1, 7]):
+            summary = svc.mutate_graph("g", inserts=[edge], directed=False)
+            delta = EdgeDelta.build(inserts=[edge], parent=head, directed=False)
+            head = spliced_graph(head, delta.inserts, delta.deletes)
+            assert summary["fingerprint"] == graph_fingerprint(head)
+            assert svc.resolve_key("g") == summary["fingerprint"]
+            assert svc.match("g", query, timeout=60).count == (
+                CuTSMatcher(head, svc.config).match(query).count
+            )
+            if edge == [0, 6]:
+                assert refusing.resolve_key("g") == root
+                refusing.governor.forced_pressure = None
+                wait_for(lambda: not refusing.degraded)
+        assert_replicas_agree(svc, "g", graph_fingerprint(head))
+        lineages = {
+            tuple(v["fingerprint"] for v in svc.ranks[r].service.versions("g"))
+            for r in svc.graph_info("g")["replicas"]
+        }
+        assert len(lineages) == 1  # the missed commit was replayed
     finally:
         svc.close()
