@@ -5,7 +5,9 @@ arrays into one POSIX shared-memory segment that every worker process
 attaches zero-copy.  A single in-place write through any attached view
 corrupts the graph under every sibling worker *silently* — NumPy cannot
 tell a shared mapping from a private one.  The same discipline applies
-to any parameter a docstring documents as read-only.
+to the graph's lazily built edge-key index (``edge_keys``), which every
+matcher and service thread bound to the graph shares, and to any
+parameter a docstring documents as read-only.
 
 Flagged:
 
@@ -30,7 +32,7 @@ from ..engine import SourceModule
 from ..registry import register
 
 CSR_FIELDS = frozenset(
-    {"indptr", "indices", "rindptr", "rindices", "labels"}
+    {"indptr", "indices", "rindptr", "rindices", "labels", "edge_keys"}
 )
 
 MUTATING_METHODS = frozenset(

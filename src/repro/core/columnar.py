@@ -25,12 +25,12 @@ over reusable buffers:
   constraint list, the injectivity column set (live-column analysis
   over ``constraints_at``), and the columns each future step reads.
 * :class:`ColumnarEngine` — the fused expansion: anchor-adjacency pool
-  gather, table filter, remaining-edge probes batched into one sweep
-  (a packed adjacency bitset on small graphs, the
-  :func:`~repro.core.intersect.fused_constraint_mask`
-  segmented-searchsorted sweep otherwise), injectivity prefiltered by a
-  per-path 64-bit Bloom signature carried level-to-level, with **no
-  intermediate** ``np.nonzero`` round trips.
+  gather, table filter, one whole-pool probe per remaining edge
+  constraint ANDed straight into the lane mask (a packed adjacency
+  bitset on small graphs, one ``searchsorted`` into the data graph's
+  sorted edge-key index otherwise — :meth:`CSRGraph.has_edges`),
+  injectivity prefiltered by a per-path 64-bit Bloom signature carried
+  level-to-level, with **no intermediate** ``np.nonzero`` round trips.
 
 Three structural shortcuts keep the host work sublinear in what the
 modeled kernel does (the *model* is never shortcut — every counter and
@@ -74,7 +74,6 @@ import numpy as np
 
 from ..gpusim.kernel import LAUNCH_OVERHEAD_CYCLES, launch_kernel
 from ..graph.csr import CSRGraph
-from .intersect import fused_constraint_mask
 from .ordering import MatchOrder
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -92,8 +91,8 @@ BITSET_MAX_VERTICES = 4096
 """Largest ``|V|`` for which the packed adjacency bitset is built.
 
 The bitset makes every remaining-edge probe O(1) bit tests (``|V|²/8``
-bytes resident, ≤ 2 MiB at this cap); larger graphs fall back to the
-batched segmented-searchsorted sweep."""
+bytes resident, ≤ 2 MiB at this cap); larger graphs probe the sorted
+edge-key index (:attr:`CSRGraph.edge_keys`), about 4× slower per lane."""
 
 Fanout = tuple[str, int, np.ndarray, np.ndarray, int]
 """One constraint's fanout over a frontier:
@@ -372,16 +371,14 @@ class ColumnarEngine:
         return self._symmetric
 
     def _bitset(self) -> np.ndarray | None:
-        """Packed row-major adjacency bitset (or None past the cap)."""
+        """Packed row-major adjacency bitset (or None past the cap): bit
+        ``u * |V| + v`` is set for every edge key."""
         if not self._bits_built:
             self._bits_built = True
             n = self.data.num_vertices
             if 0 < n <= BITSET_MAX_VERTICES:
                 dense = np.zeros(n * n, dtype=np.bool_)
-                src = np.repeat(
-                    np.arange(n, dtype=np.int64), np.diff(self.data.indptr)
-                )
-                dense[src * n + self.data.indices] = True
+                dense[self.data.edge_keys] = True
                 self._bits = np.packbits(dense, bitorder="little")
         return self._bits
 
@@ -771,7 +768,12 @@ class ColumnarEngine:
             results = total - rejected
         else:
             results = int(np.count_nonzero(mask))
-        # ----- write-out + batched model bookkeeping ------------------
+        if profile:
+            t1 = _time.perf_counter()
+            state.stats.record_stage("injectivity", t1 - t0)
+            t0 = t1
+
+        # ----- batched model bookkeeping ------------------------------
         w_words = 2 * results
         # Integer virtual-warp steps t = ceil(c / vw); every quantity
         # below is an exact small integer, so the reference's float
@@ -827,11 +829,14 @@ class ColumnarEngine:
             )
 
         state.tick()
+        if profile:
+            t1 = _time.perf_counter()
+            state.stats.record_stage("bookkeeping", t1 - t0)
+            t0 = t1
         if count_only:
-            if profile:
-                t1 = _time.perf_counter()
-                state.stats.record_stage("write_out", t1 - t0)
             return results
+
+        # ----- write-out: compact the survivors -----------------------
         if mask is None:
             # path_ids is freshly owned (a real anchor's repeat result);
             # the arena-backed disconnected-step table must be copied.
@@ -905,39 +910,40 @@ class ColumnarEngine:
     ) -> None:
         """AND every remaining edge constraint into ``mask`` over the
         whole pool (no nonzero round trip; lanes already dead stay
-        dead, so probing them is free of semantic effect)."""
-        data = self.data
-        arena = self.arena
+        dead, so probing them is free of semantic effect).  A probe
+        reads the packed bitset up to :data:`BITSET_MAX_VERTICES` and
+        the data graph's sorted edge-key index past it."""
         bits = self._bitset()
-        if bits is None:
-            # Batched fallback: all constraints in one segmented sweep.
-            lanes: list[tuple[np.ndarray, np.ndarray]] = []
-            for kind, j, _starts, _counts, _total in rest:
-                src = anc[j][path_ids]
-                lanes.append(
-                    (src, cands) if kind == "fwd" else (cands, src)
-                )
-            ok = fused_constraint_mask(data, lanes)
+        src = self.arena.take("probe_src", total)
+        for kind, j, _starts, _counts, _total in rest:
+            anc[j].take(path_ids, out=src, mode="clip")
+            sources, targets = (
+                (src, cands) if kind == "fwd" else (cands, src)
+            )
+            if bits is None:
+                ok = self.data.has_edges(sources, targets)
+            else:
+                ok = self._bit_probe(bits, sources, targets)
             np.logical_and(mask, ok, out=mask)
-            return
-        n = data.num_vertices
-        src = arena.take("probe_src", total)
+
+    def _bit_probe(
+        self, bits: np.ndarray, sources: np.ndarray, targets: np.ndarray
+    ) -> np.ndarray:
+        """Edge existence via the packed adjacency bitset: bit
+        ``u * |V| + v``, one byte gather plus shifts, into arena
+        buffers (the returned view dies with the next probe)."""
+        arena = self.arena
+        total = sources.shape[0]
         key = arena.take("probe_key", total)
         bitpos = arena.take("probe_bit", total)
         byte = arena.take("probe_byte", total, _DTYPES["u1"])
         ok = arena.take("probe_ok", total, _DTYPES["bool"])
-        for kind, j, _starts, _counts, _total in rest:
-            anc[j].take(path_ids, out=src, mode="clip")
-            if kind == "fwd":
-                np.multiply(src, n, out=key)
-                np.add(key, cands, out=key)
-            else:
-                np.multiply(cands, n, out=key)
-                np.add(key, src, out=key)
-            np.bitwise_and(key, 7, out=bitpos)
-            np.right_shift(key, 3, out=key)
-            bits.take(key, out=byte, mode="clip")
-            np.right_shift(byte, bitpos, out=key)
-            np.bitwise_and(key, 1, out=key)
-            np.not_equal(key, 0, out=ok)
-            np.logical_and(mask, ok, out=mask)
+        np.multiply(sources, self.data.num_vertices, out=key)
+        np.add(key, targets, out=key)
+        np.bitwise_and(key, 7, out=bitpos)
+        np.right_shift(key, 3, out=key)
+        bits.take(key, out=byte, mode="clip")
+        np.right_shift(byte, bitpos, out=key)
+        np.bitwise_and(key, 1, out=key)
+        np.not_equal(key, 0, out=ok)
+        return ok

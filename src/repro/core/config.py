@@ -45,10 +45,11 @@ class CuTSConfig:
         modeled time and statistics are identical between the two.
     profile_expansion:
         Record per-stage wall-clock timings (anchor-gather / filter /
-        intersection / write-out) of every fused expansion into
-        ``SearchStats.stage_wall_s``.  Off by default — the reads cost a
-        few ``perf_counter`` calls per expansion and the timings are
-        diagnostic only (they never influence control flow).
+        intersection / injectivity / bookkeeping / write-out) of every
+        fused expansion into ``SearchStats.stage_wall_s``.  Off by
+        default — the reads cost a few ``perf_counter`` calls per
+        expansion and the timings are diagnostic only (they never
+        influence control flow).
     virtual_warp_size:
         Fixed virtual-warp width; ``0`` (default) derives it from the
         data graph's average degree (§4.1.2).

@@ -20,6 +20,12 @@ movement, the paper's "we adaptively choose the intersection method".
 
 Every kernel optionally charges a :class:`~repro.gpusim.cost.CostModel`
 with its movement so the ablation benchmark reproduces the cost gap.
+The charges come from degree arithmetic, never from how the host answers
+a membership probe: :func:`p_intersection`'s parent-list checks run as
+:meth:`~repro.graph.csr.CSRGraph.has_edges`, one ``searchsorted`` into
+the data graph's sorted edge-key index per remaining vertex.  The
+columnar engine's fused filter probes its constraints the same way
+(:mod:`repro.core.columnar`).
 """
 
 from __future__ import annotations
@@ -38,7 +44,6 @@ __all__ = [
     "adaptive_intersection",
     "estimate_c_cost",
     "estimate_p_cost",
-    "fused_constraint_mask",
 ]
 
 
@@ -165,36 +170,6 @@ def estimate_p_cost(graph: CSRGraph, verts: np.ndarray) -> int:
     kids = graph.children(int(verts[0]))
     in_degs = graph.rindptr[kids + 1] - graph.rindptr[kids]
     return int(len(kids) + in_degs.sum())
-
-
-def fused_constraint_mask(
-    graph: CSRGraph,
-    lanes: Sequence[tuple[np.ndarray, np.ndarray]],
-) -> np.ndarray:
-    """Conjunction of edge-existence probes, one sweep for all lanes.
-
-    Each ``(sources, targets)`` pair in ``lanes`` asks whether edge
-    ``(sources[i], targets[i])`` exists; all pairs have equal length
-    ``L``.  Rather than running one segmented binary search per
-    constraint, the lanes are concatenated and resolved in a **single**
-    segmented-searchsorted sweep over the out-CSR (a backward
-    constraint is expressed by swapping its pair), then AND-reduced
-    back to length ``L`` — the batched membership pass of the columnar
-    expansion engine's fused filter.
-    """
-    if not lanes:
-        raise ValueError("need at least one constraint lane")
-    if len(lanes) == 1:
-        src, tgt = lanes[0]
-        return graph.has_edges(src, tgt)
-    sources = np.concatenate([src for src, _ in lanes])
-    targets = np.concatenate([tgt for _, tgt in lanes])
-    flat = graph.has_edges(sources, targets)
-    width = len(lanes[0][0])
-    out: np.ndarray = np.logical_and.reduce(
-        flat.reshape(len(lanes), width), axis=0
-    )
-    return out
 
 
 def adaptive_intersection(

@@ -10,9 +10,13 @@ performing the intersection can be done with O(1) time cost".  We keep
 * the **in**-CSR (``rindptr`` / ``rindices``) — the parent lists used by
   the p-intersection micro-kernel.
 
-Neighbour lists are kept **sorted** so that edge-existence queries are a
-vectorised ``searchsorted`` (the NumPy analogue of a warp doing a binary
-probe into a coalesced adjacency segment).
+Neighbour lists are kept **sorted and duplicate-free** (checked at
+construction).  Row order then sorts the out-CSR's edge keys
+``u * |V| + v`` as well, so a vectorised edge-existence probe is a single
+``np.searchsorted`` into that key index (:attr:`CSRGraph.edge_keys`,
+built lazily once per graph object) plus one equality gather — the
+NumPy analogue of a warp doing a binary probe into a coalesced adjacency
+segment, with the whole batch resolved in one C-level call.
 
 All arrays are contiguous ``int64`` NumPy arrays; every accessor returns
 views, never copies, per the HPC guide's "views, not copies" rule.
@@ -34,8 +38,9 @@ class GraphFormatError(ValueError):
     Raised for malformed on-disk graph files (bad headers, negative or
     dangling vertex ids, disallowed self-loops) and for CSR arrays that
     violate the representation invariants (non-monotone offsets,
-    out-of-range column indices).  Subclasses :class:`ValueError` so
-    pre-existing ``except ValueError`` callers keep working.
+    out-of-range column indices, unsorted or duplicated adjacency
+    rows).  Subclasses :class:`ValueError` so pre-existing
+    ``except ValueError`` callers keep working.
     """
 
 INDEX_DTYPE: Final[np.dtype] = np.dtype(np.int64)
@@ -59,10 +64,10 @@ class CSRGraph:
         Number of vertices ``|V|``; vertex ids are ``0 .. |V|-1``.
     indptr, indices:
         Out-adjacency in CSR form.  ``indices[indptr[u]:indptr[u+1]]`` is
-        the sorted list of children of ``u``.
+        the strictly increasing list of children of ``u``.
     rindptr, rindices:
         In-adjacency in CSR form.  ``rindices[rindptr[u]:rindptr[u+1]]``
-        is the sorted list of parents of ``u``.
+        is the strictly increasing list of parents of ``u``.
     name:
         Optional human-readable dataset name (used in experiment tables).
     labels:
@@ -80,6 +85,9 @@ class CSRGraph:
     rindices: np.ndarray
     name: str = field(default="graph", compare=False)
     labels: np.ndarray | None = field(default=None, compare=False)
+    _edge_keys: np.ndarray | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         n = self.num_vertices
@@ -149,6 +157,16 @@ class CSRGraph:
                     f"{int(self.rindices.max())} (dangling edge; "
                     f"graph has {n} vertices)"
                 )
+        for attr, ptr, idx in (
+            ("indices", self.indptr, self.indices),
+            ("rindices", self.rindptr, self.rindices),
+        ):
+            row = _first_unsorted_row(ptr, idx)
+            if row >= 0:
+                raise GraphFormatError(
+                    f"{attr} row {row} is not strictly increasing "
+                    "(adjacency rows must be sorted and duplicate-free)"
+                )
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -217,63 +235,67 @@ class CSRGraph:
     # ------------------------------------------------------------------
     # Vectorised edge-existence probe — the heart of the fused kernel
     # ------------------------------------------------------------------
+    @property
+    def edge_keys(self) -> np.ndarray:
+        """Sorted edge-key index: ``u * |V| + v`` for every edge ``(u, v)``.
+
+        Laid out in out-CSR order, which sorts it strictly (rows are
+        sorted and duplicate-free).  Built on first use, once per graph
+        object, and read-only; it costs 8 bytes per edge.  There is no
+        lock: threads that race to build it produce equal arrays, and
+        either may win.
+        """
+        keys = self._edge_keys
+        if keys is None:
+            n = self.num_vertices
+            keys = np.repeat(
+                np.arange(n, dtype=INDEX_DTYPE), np.diff(self.indptr)
+            )
+            keys *= n
+            keys += self.indices
+            keys.flags.writeable = False
+            object.__setattr__(self, "_edge_keys", keys)
+        return keys
+
     def has_edges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorised edge-existence: does ``(sources[i], targets[i])`` exist?
 
         This models a virtual warp probing the coalesced adjacency segment
         of each source vertex; it is the inner operation of both the
         c-intersection membership check and the fused search kernel.
+        Every probe is one ``searchsorted`` into :attr:`edge_keys` plus
+        one equality gather.
 
         Parameters
         ----------
         sources, targets:
-            Equal-length integer arrays of vertex ids.
+            Equal-shape integer arrays of vertex ids, each in
+            ``[0, |V|)``.  Out-of-range ids are not checked: they alias
+            other keys and give wrong answers.
 
         Returns
         -------
         A boolean array ``mask`` with ``mask[i] == has_edge(sources[i],
         targets[i])``.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
+        sources = np.asarray(sources, dtype=INDEX_DTYPE)
+        targets = np.asarray(targets, dtype=INDEX_DTYPE)
         if sources.shape != targets.shape:
             raise ValueError("sources and targets must have equal shape")
-        if sources.size == 0:
-            return np.zeros(0, dtype=bool)
-        starts = self.indptr[sources]
-        ends = self.indptr[sources + 1]
-        # Binary-search each target inside its source's sorted segment.
-        pos = _segmented_searchsorted(self.indices, starts, ends, targets)
-        in_range = pos < ends
-        found = np.zeros(sources.shape, dtype=bool)
-        # Guard the gather: only compare where pos is a valid slot.
-        safe = np.minimum(pos, len(self.indices) - 1 if len(self.indices) else 0)
-        if len(self.indices):
-            found = in_range & (self.indices[safe] == targets)
-        return found
+        keys = self.edge_keys
+        if not keys.size:
+            return np.zeros(sources.shape, dtype=bool)
+        query = sources * self.num_vertices
+        query += targets
+        pos = keys.searchsorted(query)
+        return keys.take(pos, mode="clip") == query
 
     def has_redges(self, sources: np.ndarray, targets: np.ndarray) -> np.ndarray:
         """Vectorised reverse-edge existence: does ``(targets[i], sources[i])``
-        exist, probed through the in-CSR of ``sources[i]``?
-
-        Equivalent to ``has_edges(targets, sources)`` but reads the parent
-        lists — this is what the p-intersection micro-kernel does.
+        exist?  The p-intersection micro-kernel's parent-list probe;
+        ``has_edges(targets, sources)`` under the same id contract.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        targets = np.asarray(targets, dtype=np.int64)
-        if sources.shape != targets.shape:
-            raise ValueError("sources and targets must have equal shape")
-        if sources.size == 0:
-            return np.zeros(0, dtype=bool)
-        starts = self.rindptr[sources]
-        ends = self.rindptr[sources + 1]
-        pos = _segmented_searchsorted(self.rindices, starts, ends, targets)
-        in_range = pos < ends
-        found = np.zeros(sources.shape, dtype=bool)
-        safe = np.minimum(pos, len(self.rindices) - 1 if len(self.rindices) else 0)
-        if len(self.rindices):
-            found = in_range & (self.rindices[safe] == targets)
-        return found
+        return self.has_edges(targets, sources)
 
     # ------------------------------------------------------------------
     # Conversions / dunder
@@ -315,33 +337,13 @@ class CSRGraph:
         )
 
 
-def _segmented_searchsorted(
-    flat: np.ndarray, starts: np.ndarray, ends: np.ndarray, values: np.ndarray
-) -> np.ndarray:
-    """Binary-search ``values[i]`` inside ``flat[starts[i]:ends[i]]``.
-
-    Each segment of ``flat`` is sorted.  Returns the *global* insertion
-    position within ``flat`` (clamped to ``[starts[i], ends[i]]``).
-
-    Implemented as a branch-free vectorised binary search so one call
-    services every lane of the virtual warp at once.
-    """
-    lo = starts.astype(np.int64).copy()
-    hi = ends.astype(np.int64).copy()
-    if flat.size == 0:
-        return lo
-    # Classic vectorised binary search: ~log2(max segment length) rounds.
-    # Each round is one coalesced gather + compare across all lanes.
-    while True:
-        active = lo < hi
-        if not active.any():
-            break
-        mid = (lo + hi) >> 1
-        # Gather is safe: mid < hi <= len(flat) wherever active.
-        mid_safe = np.where(active, mid, 0)
-        less = flat[mid_safe] < values
-        go_right = active & less
-        go_left = active & ~less
-        lo[go_right] = mid[go_right] + 1
-        hi[go_left] = mid[go_left]
-    return lo
+def _first_unsorted_row(indptr: np.ndarray, indices: np.ndarray) -> int:
+    """First row of a CSR adjacency that is not strictly increasing
+    (unsorted, or holding a duplicate), or ``-1`` — one O(E) pass."""
+    bad = indices[1:] <= indices[:-1]
+    cuts = indptr[1:-1]
+    # A pair straddling a row boundary may decrease freely.
+    bad[cuts[(cuts > 0) & (cuts < len(indices))] - 1] = False
+    if not bad.any():
+        return -1
+    return int(np.searchsorted(indptr, int(np.argmax(bad)), side="right")) - 1

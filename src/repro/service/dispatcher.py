@@ -139,9 +139,9 @@ class Dispatcher:
         self.incremental_matches = 0
         self.incremental_rejects = 0
         # Per-stage expansion wall totals (anchor_gather / filter /
-        # intersection / write_out), folded from every settled result's
-        # SearchStats.  Empty unless the engine config has
-        # ``profile_expansion`` on.
+        # intersection / injectivity / bookkeeping / write_out), folded
+        # from every settled result's SearchStats.  Empty unless the
+        # engine config has ``profile_expansion`` on.
         self.stage_wall_s: dict[str, float] = {}
 
     # ------------------------------------------------------------------

@@ -27,3 +27,7 @@ def scale_counts(counts, out):
 def suppressed_write(graph):
     graph.indices[0] = -1  # repro: ignore[RP001]
     return graph
+
+
+def corrupt_edge_index(graph):
+    graph.edge_keys[0] = 0                        # line 33: shared edge-key index

@@ -35,6 +35,7 @@ EXPECTED = {
     ("RP001", "repro/parallel/bad_shared.py", 10),
     ("RP001", "repro/parallel/bad_shared.py", 23),
     ("RP001", "repro/parallel/bad_shared.py", 24),
+    ("RP001", "repro/parallel/bad_shared.py", 33),
     ("RP002", "repro/core/bad_rng.py", 10),
     ("RP002", "repro/core/bad_rng.py", 11),
     ("RP002", "repro/core/bad_rng.py", 12),

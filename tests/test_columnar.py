@@ -14,7 +14,8 @@ nothing new).
 import numpy as np
 import pytest
 
-from repro.core import CuTSConfig, CuTSMatcher
+from repro.core import CuTSConfig, CuTSMatcher, columnar
+from repro.experiments.datasets import load_dataset
 from repro.gpusim import V100, scaled_device
 from repro.graph import (
     chain_graph,
@@ -137,6 +138,13 @@ def _oracle_case(seed):
     return data, query, materialize, cfg
 
 
+@pytest.fixture
+def without_bitset(monkeypatch):
+    """Route every columnar edge probe through the sorted edge-key index
+    (``CSRGraph.has_edges``) instead of the packed bitset."""
+    monkeypatch.setattr(columnar, "BITSET_MAX_VERTICES", 0)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_randomized_equivalence_oracle(seed):
     data, query, materialize, cfg = _oracle_case(seed)
@@ -144,9 +152,14 @@ def test_randomized_equivalence_oracle(seed):
     assert_bit_exact(ref, col)
 
 
-def test_equivalence_under_governor_chunking():
-    """Chunk peeling + budget retry through the columnar path must not
-    change counts, rows, or a single modeled counter."""
+@pytest.mark.parametrize("seed", range(50))
+def test_randomized_equivalence_oracle_without_bitset(seed, without_bitset):
+    data, query, materialize, cfg = _oracle_case(seed)
+    ref, col = both_engines(data, query, materialize=materialize, **cfg)
+    assert_bit_exact(ref, col)
+
+
+def _governor_case():
     data = social_graph(80, 3, community_edges=120, seed=9)
     ref, col = both_engines(
         data, cycle_graph(4),
@@ -154,6 +167,34 @@ def test_equivalence_under_governor_chunking():
     )
     assert_bit_exact(ref, col)
     assert col.stats.chunks_processed > 1
+
+
+def test_equivalence_under_governor_chunking():
+    """Chunk peeling + budget retry through the columnar path must not
+    change counts, rows, or a single modeled counter."""
+    _governor_case()
+
+
+def test_equivalence_under_governor_chunking_without_bitset(without_bitset):
+    _governor_case()
+
+
+def test_equivalence_above_bitset_cap():
+    """A graph past the bitset cap probes the edge-key index unpatched."""
+    data = load_dataset("roadNet-CA", 1.0)
+    assert data.num_vertices > columnar.BITSET_MAX_VERTICES
+    ref, col = both_engines(data, cycle_graph(4))
+    assert col.count == 31_704
+    assert_bit_exact(ref, col)
+
+
+def test_equivalence_directed_above_bitset_cap():
+    """A directed graph past the cap, where a probe with its endpoints
+    swapped would change the count."""
+    data = random_directed(columnar.BITSET_MAX_VERTICES + 1, 60_000, 11)
+    ref, col = both_engines(data, DIRECTED_TRI)
+    assert col.count == 43_881
+    assert_bit_exact(ref, col)
 
 
 def test_equivalence_count_only_leaf():
@@ -209,14 +250,15 @@ def test_arena_views_alias_backing_buffer():
 
 
 def test_profile_expansion_stage_timers():
-    """profile_expansion populates the four per-stage wall counters in
+    """profile_expansion populates the six per-stage wall counters in
     SearchStats without touching any modeled quantity."""
     data = mesh_graph(6, 6)
     plain = CuTSMatcher(data).match(chain_graph(5))
     cfg = CuTSConfig(profile_expansion=True)
     profiled = CuTSMatcher(data, cfg).match(chain_graph(5))
     assert set(profiled.stats.stage_wall_s) == {
-        "anchor_gather", "filter", "intersection", "write_out"
+        "anchor_gather", "filter", "intersection", "injectivity",
+        "bookkeeping", "write_out",
     }
     assert all(v >= 0.0 for v in profiled.stats.stage_wall_s.values())
     assert plain.stats.stage_wall_s == {}

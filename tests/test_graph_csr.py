@@ -1,10 +1,12 @@
 """Tests for the dual-CSR graph representation."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.graph import CSRGraph, from_edges
-from repro.graph.csr import _segmented_searchsorted
 
 
 def test_basic_counts(mesh44):
@@ -180,50 +182,52 @@ def test_empty_graph_properties():
     assert g.average_out_degree == 0.0
 
 
-def test_segmented_searchsorted_exact():
-    flat = np.array([1, 3, 5, 2, 4, 6, 8], dtype=np.int64)
-    starts = np.array([0, 3, 3], dtype=np.int64)
-    ends = np.array([3, 7, 7], dtype=np.int64)
-    values = np.array([3, 6, 7], dtype=np.int64)
-    pos = _segmented_searchsorted(flat, starts, ends, values)
-    assert pos.tolist() == [1, 5, 6]
+def test_edge_keys_sorted_read_only_and_cached(directed_diamond):
+    keys = directed_diamond.edge_keys
+    n = directed_diamond.num_vertices
+    expected = [int(u) * n + int(v) for u, v in directed_diamond.edge_list()]
+    assert keys.tolist() == expected
+    assert np.all(np.diff(keys) > 0)
+    assert not keys.flags.writeable
+    assert directed_diamond.edge_keys is keys
 
 
-def test_segmented_searchsorted_out_of_range_values():
-    flat = np.array([10, 20, 30], dtype=np.int64)
-    starts = np.array([0, 0], dtype=np.int64)
-    ends = np.array([3, 3], dtype=np.int64)
-    values = np.array([5, 99], dtype=np.int64)
-    pos = _segmented_searchsorted(flat, starts, ends, values)
-    assert pos.tolist() == [0, 3]
-
-
-def test_segmented_searchsorted_empty_segments():
-    flat = np.array([7], dtype=np.int64)
-    starts = np.array([0, 1], dtype=np.int64)
-    ends = np.array([0, 1], dtype=np.int64)  # both segments empty
-    values = np.array([7, 7], dtype=np.int64)
-    pos = _segmented_searchsorted(flat, starts, ends, values)
-    assert pos.tolist() == [0, 1]
-
-
-def test_segmented_searchsorted_vs_numpy():
-    rng = np.random.default_rng(3)
-    rows = [np.sort(rng.integers(0, 100, size=rng.integers(0, 12))) for _ in range(50)]
-    flat = np.concatenate([r for r in rows]) if rows else np.zeros(0)
-    flat = flat.astype(np.int64)
-    offsets = np.cumsum([0] + [len(r) for r in rows])
-    starts, ends, values, expect = [], [], [], []
-    for i, r in enumerate(rows):
-        v = int(rng.integers(0, 100))
-        starts.append(offsets[i])
-        ends.append(offsets[i + 1])
-        values.append(v)
-        expect.append(offsets[i] + int(np.searchsorted(r, v)))
-    pos = _segmented_searchsorted(
-        flat,
-        np.array(starts, dtype=np.int64),
-        np.array(ends, dtype=np.int64),
-        np.array(values, dtype=np.int64),
+def test_edge_keys_racing_builders_each_see_a_whole_index():
+    """The index is built without a lock: threads racing to build it on
+    a fresh graph must each probe a complete, correct index."""
+    rng = np.random.default_rng(7)
+    base = from_edges(rng.integers(0, 300, size=(3000, 2)), num_vertices=300)
+    src, tgt = np.divmod(np.arange(300 * 300, dtype=np.int64), 300)
+    edges = set(map(tuple, base.edge_list().tolist()))
+    expect = np.array(
+        [(u, v) in edges for u, v in zip(src.tolist(), tgt.tolist())]
     )
-    assert pos.tolist() == expect
+    workers = 8
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(10):
+            graph = CSRGraph(
+                base.num_vertices, base.indptr, base.indices,
+                base.rindptr, base.rindices,
+            )
+            barrier = threading.Barrier(workers)
+            results = [None] * workers
+
+            def probe(i, graph=graph, barrier=barrier, results=results):
+                barrier.wait(timeout=10)
+                results[i] = graph.has_edges(src, tgt)
+
+            threads = [
+                threading.Thread(target=probe, args=(i,))
+                for i in range(workers)
+            ]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+            for got in results:
+                assert np.array_equal(got, expect)
+    finally:
+        sys.setswitchinterval(old)

@@ -176,5 +176,41 @@ def test_csr_negative_index_is_format_error():
         _dual([0, 1, 1, 2], [1, -1], [0, 0, 1, 2], [0, 1], 3)
 
 
+def test_csr_unsorted_row_in_indices():
+    # Row 2 is [3, 0], after an empty row 1.
+    with pytest.raises(
+        GraphFormatError, match=r"^indices row 2 is not strictly increasing"
+    ):
+        _dual([0, 1, 1, 3, 3], [1, 3, 0], [0, 1, 2, 2, 3], [2, 0, 2], 4)
+
+
+def test_csr_duplicate_in_indices():
+    with pytest.raises(
+        GraphFormatError, match=r"^indices row 0 is not strictly increasing"
+    ):
+        _dual([0, 2, 2, 2], [1, 1], [0, 0, 1, 2], [0, 0], 3)
+
+
+def test_csr_unsorted_row_in_rindices():
+    # The last vertex's parent list is [2, 0, 1].
+    with pytest.raises(
+        GraphFormatError, match=r"^rindices row 3 is not strictly increasing"
+    ):
+        _dual([0, 1, 2, 3, 3], [3, 3, 3], [0, 0, 0, 0, 3], [2, 0, 1], 4)
+
+
+def test_csr_duplicate_in_rindices():
+    with pytest.raises(
+        GraphFormatError, match=r"^rindices row 0 is not strictly increasing"
+    ):
+        _dual([0, 0, 1, 2], [0, 0], [0, 2, 2, 2], [1, 1], 3)
+
+
+def test_csr_earlier_checks_win_over_row_order():
+    # Row 0 is both unsorted and dangling: the id-range message wins.
+    with pytest.raises(GraphFormatError, match="out-of-range vertex id 5"):
+        _dual([0, 2, 2, 2], [5, 1], [0, 0, 1, 2], [0, 0], 3)
+
+
 def test_graph_format_error_is_value_error():
     assert issubclass(GraphFormatError, ValueError)

@@ -2,7 +2,7 @@
 matcher's correctness invariants."""
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.baselines import networkx_count
@@ -12,7 +12,6 @@ from repro.graph import (
     from_undirected_edges,
     weakly_connected_components,
 )
-from repro.graph.csr import _segmented_searchsorted
 from repro.storage import (
     CSFStore,
     PathTrie,
@@ -186,33 +185,22 @@ def test_storage_accounting_identities(counts):
         assert comp.naive[lv] == (lv + 1) * c
 
 
-# ---------------------------------------------------------- searchsorted
+# ---------------------------------------------------------- edge probes
 @SETTINGS
-@given(data=st.data())
-def test_segmented_searchsorted_property(data):
-    num_rows = data.draw(st.integers(1, 10))
-    rows = [
-        np.sort(
-            np.array(
-                data.draw(st.lists(st.integers(0, 100), max_size=10)),
-                dtype=np.int64,
-            )
-        )
-        for _ in range(num_rows)
-    ]
-    flat = (
-        np.concatenate(rows)
-        if any(len(r) for r in rows)
-        else np.zeros(0, dtype=np.int64)
-    )
-    offsets = np.cumsum([0] + [len(r) for r in rows]).astype(np.int64)
-    values = np.array(
-        [data.draw(st.integers(0, 100)) for _ in range(num_rows)],
-        dtype=np.int64,
-    )
-    pos = _segmented_searchsorted(flat, offsets[:-1], offsets[1:], values)
-    for i, r in enumerate(rows):
-        assert pos[i] - offsets[i] == np.searchsorted(r, values[i])
+@example(g=from_edges(np.zeros((0, 2), dtype=np.int64), num_vertices=3))
+@example(g=from_edges([(1, 0), (1, 3), (2, 1)], num_vertices=4))
+@given(g=directed_graphs(max_n=12, max_edges=30))
+def test_edge_probes_match_edge_set(g):
+    """``has_edges`` / ``has_redges`` equal a set-of-edges oracle on every
+    ``(u, v)`` pair: rows with no neighbours, vertex 0 and ``|V|-1``,
+    and targets past a row's last neighbour (the second example has all
+    three; the first has no edges at all)."""
+    edges = set(map(tuple, g.edge_list().tolist()))
+    n = g.num_vertices
+    src, tgt = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    expect = [(u, v) in edges for u, v in zip(src.tolist(), tgt.tolist())]
+    assert g.has_edges(src, tgt).tolist() == expect
+    assert g.has_redges(tgt, src).tolist() == expect
 
 
 # ------------------------------------------------------------------ wcc
