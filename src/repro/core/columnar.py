@@ -22,15 +22,20 @@ over reusable buffers:
 * :class:`QueryPlan` — per-(data, query, order) static tables computed
   once per run: a fused degree+label candidate table per step (one
   boolean gather replaces up to three comparison passes), the per-step
-  constraint list, the injectivity column set (live-column analysis
-  over ``constraints_at``), and the columns each future step reads.
+  constraint list, and whether each step's injectivity check can
+  reject a lane.
+* :data:`CarryTable` — a frontier's carried state as one int64
+  ``(step + 1, F)`` table: row 0 the per-path 64-bit Bloom signatures,
+  rows ``1..step`` the ancestor columns.  A chunk peel is one 2-D
+  slice; :meth:`ColumnarEngine.child_carry` builds a child's table
+  with one gather.
 * :class:`ColumnarEngine` — the fused expansion: anchor-adjacency pool
   gather, table filter, one whole-pool probe per remaining edge
   constraint ANDed straight into the lane mask (a packed adjacency
   bitset on small graphs, one ``searchsorted`` into the data graph's
   sorted edge-key index otherwise — :meth:`CSRGraph.has_edges`),
-  injectivity prefiltered by a per-path 64-bit Bloom signature carried
-  level-to-level, with **no intermediate** ``np.nonzero`` round trips.
+  injectivity prefiltered by the table's Bloom row, with **no
+  intermediate** ``np.nonzero`` round trips.
 
 Three structural shortcuts keep the host work sublinear in what the
 modeled kernel does (the *model* is never shortcut — every counter and
@@ -44,8 +49,9 @@ RNG draw is identical to the reference path's):
   implies the edge).
 * **Bloom injectivity** — each path carries a 64-bit signature of its
   ancestor set (bit ``v & 63``); a candidate whose bit is absent is
-  provably new, so the exact column compare runs only on the few
-  suspect lanes (real duplicates plus ≈ ``d/64`` false positives).
+  provably new, so the exact compare against every ancestor row runs
+  only on the few suspect lanes (real duplicates plus ≈ ``d/64`` false
+  positives).
 * **Batched cost accounting** — the per-expansion ``charge_*`` calls
   collapse into one counter update with the same totals, transaction
   counts and launch arguments as the reference path's call sequence.
@@ -175,9 +181,8 @@ class QueryPlan:
     """Static per-run tables driving the fused columnar pass.
 
     Computed once per (data graph, query, order) from
-    :meth:`MatchOrder.constraints_at` — the live-column analysis of the
-    tentpole: which ancestor columns each step still reads, which
-    columns the injectivity check may skip, and the fused degree+label
+    :meth:`MatchOrder.constraints_at`: the constraint list, whether the
+    injectivity check can reject anything, and the fused degree+label
     candidate table per step.
     """
 
@@ -205,15 +210,13 @@ class QueryPlan:
         # passes), so the gather itself is skipped and the whole pool
         # stays provably live into the intersection stage.
         self.filter_all: list[bool] = []
-        # inj_cols[s]: ancestor columns the injectivity check must
-        # compare at step s.  When the data graph has no self-loops, a
-        # candidate adjacent to the vertex in a constrained column can
-        # never equal it, so constraint columns are skipped; the
-        # modeled instruction charge still covers all ``s`` columns.
-        self.inj_cols: list[tuple[int, ...]] = []
-        # live_cols[s]: columns any step >= s still reads (constraints
-        # or injectivity) — the carry set for incremental ancestors.
-        self.live_cols: list[tuple[int, ...]] = []
+        # check_inj[s]: the injectivity check at step s can reject a
+        # lane.  When the data graph has no self-loops, a candidate
+        # adjacent to the vertex in a constrained column can never
+        # equal it, so a step whose every column is constrained skips
+        # the compare; the modeled instruction charge still covers all
+        # ``s`` columns.
+        self.check_inj: list[bool] = []
         # fan_names[s]: per-constraint (starts, counts) arena buffer
         # names, precomputed so the hot fanout pass never formats
         # strings.  Step-keyed — see :meth:`ColumnarEngine.
@@ -235,7 +238,7 @@ class QueryPlan:
             if s == 0:
                 self.filter_tables.append(None)
                 self.filter_all.append(True)
-                self.inj_cols.append(())
+                self.check_inj.append(False)
                 continue
             q_next = order.sequence[s]
             table = np.ones(data.num_vertices, dtype=np.bool_)
@@ -251,29 +254,16 @@ class QueryPlan:
                 table &= data.labels == query.labels[q_next]
             self.filter_tables.append(table)
             self.filter_all.append(bool(table.all()))
-            skip = {j for _, j in cons} if self_loop_free else set()
-            self.inj_cols.append(
-                tuple(c for c in range(s) if c not in skip)
+            constrained = {j for _, j in cons}
+            self.check_inj.append(
+                not self_loop_free or len(constrained) < s
             )
 
-        # Backward live-column analysis: a column is live at step s if
-        # some step s' >= s reads it (as a probe source or through the
-        # injectivity compare).  Injectivity keeps almost every column
-        # live — the analysis exists to make that explicit (and to skip
-        # dead columns should a future engine relax the check).
-        reads: list[set[int]] = [set() for _ in range(n_steps)]
-        for s in range(1, n_steps):
-            reads[s].update(j for _, j in self.constraints[s])
-            reads[s].update(self.inj_cols[s])
-        live: set[int] = set()
-        self.live_cols = [()] * n_steps
-        for s in range(n_steps - 1, 0, -1):
-            live |= reads[s]
-            self.live_cols[s] = tuple(sorted(c for c in live if c < s))
 
-
-AncColumns = tuple[np.ndarray, ...]
-"""The frontier's materialised prefix, one contiguous array per level."""
+CarryTable = np.ndarray
+"""A frontier's carried state: one int64 ``(step + 1, F)`` table.  Row 0
+holds the per-path Bloom signatures, rows ``1..step`` the ancestor
+columns (row ``1 + lv`` the vertex matched at trie level ``lv``)."""
 
 
 class ColumnarEngine:
@@ -391,45 +381,37 @@ class ColumnarEngine:
     # ------------------------------------------------------------------
     # Ancestor carry (incremental columns + Bloom signature)
     # ------------------------------------------------------------------
-    def bloom_of(self, anc: AncColumns) -> np.ndarray:
+    def bloom_of(self, anc: np.ndarray) -> np.ndarray:
         """Per-path 64-bit Bloom signature of the ancestor set (bit
-        ``v & 63`` per ancestor vertex).  Rebuilt only when columns are
-        (re)materialised from the trie; otherwise carried forward by
-        :meth:`child_carry`."""
-        vb = self.vbits()
-        m = vb.take(anc[0], mode="clip")
-        for c in anc[1:]:
-            np.bitwise_or(m, vb.take(c, mode="clip"), out=m)
-        return m
+        ``v & 63`` per ancestor vertex) of ``(step, F)`` columns.  Built
+        only when a carry table is rebuilt from the trie (it becomes
+        row 0); otherwise carried forward by :meth:`child_carry`."""
+        return np.bitwise_or.reduce(
+            self.vbits().take(anc, mode="clip"), axis=0
+        )
 
     def child_carry(
-        self,
-        anc: AncColumns,
-        bloom: np.ndarray,
-        pa_local: np.ndarray,
-        ca: np.ndarray,
-    ) -> tuple[AncColumns, np.ndarray]:
-        """The child frontier's carry: surviving parents' columns and
-        Bloom signatures gathered by ``pa_local``, plus the new column.
-        All levels (and the Bloom row) are stacked into one matrix and
-        gathered with a single axis-1 take — one numpy call instead of
-        one per ancestor level; the child's columns are row views of
-        the result, which stays alive exactly as long as the child
-        subtree references them.  ``ca`` itself is freshly owned (it is
-        also a trie level)."""
-        mat = np.concatenate(anc + (bloom,)).reshape(len(anc) + 1, -1)
-        sub = mat.take(pa_local, mode="clip", axis=1)
-        m = sub[-1]
+        self, table: CarryTable, pa_local: np.ndarray, ca: np.ndarray
+    ) -> CarryTable:
+        """The child frontier's table: every row of the surviving
+        parents gathered by ``pa_local`` in one axis-1 take, the new
+        column written in place below them, and its Bloom bit ORed into
+        row 0.  The table is freshly owned and lives exactly as long as
+        the child subtree's items reference it."""
+        rows = table.shape[0]
+        child = np.empty((rows + 1, ca.shape[0]), dtype=np.int64)
+        table.take(pa_local, axis=1, out=child[:rows], mode="clip")
+        child[rows] = ca
         vbit = self.arena.take("carry_vbit", ca.shape[0])
         self.vbits().take(ca, out=vbit, mode="clip")
-        np.bitwise_or(m, vbit, out=m)
-        return tuple(sub[:-1]) + (ca,), m
+        np.bitwise_or(child[0], vbit, out=child[0])
+        return child
 
     # ------------------------------------------------------------------
     # Fanouts (shared by pool estimate, anchor choice, c/p choice)
     # ------------------------------------------------------------------
     def constraint_fanouts(
-        self, plan: QueryPlan, anc: AncColumns, step: int
+        self, plan: QueryPlan, table: CarryTable, step: int
     ) -> tuple[Fanout, ...]:
         """Adjacency starts/counts of every constraint over the
         frontier; arrays are arena views reused by the pool gather.
@@ -452,7 +434,7 @@ class ColumnarEngine:
                     out.append((kind, j, prev[2], prev[3], prev[4]))
                     continue
             ptr = data.indptr if kind == "fwd" else data.rindptr
-            col = anc[j]
+            col = table[1 + j]
             size = col.shape[0]
             starts = arena.take(names[idx][0], size)
             counts = arena.take(names[idx][1], size)
@@ -471,14 +453,13 @@ class ColumnarEngine:
     def extend(
         self,
         plan: QueryPlan,
-        anc: AncColumns,
+        table: CarryTable,
         step: int,
         state: "_RunState",
         fanouts: tuple[Fanout, ...] | None = None,
-        bloom: np.ndarray | None = None,
         count_only: bool = False,
     ) -> tuple[np.ndarray, np.ndarray] | int:
-        """One fused expansion over ``anc``'s frontier at ``step``.
+        """One fused expansion over ``table``'s frontier at ``step``.
 
         Returns ``(pa_local, ca)`` — freshly-owned survivor arrays
         (local parent indices into the frontier, candidate vertices) —
@@ -495,10 +476,10 @@ class ColumnarEngine:
         tw = cost.device.transaction_words
         profile = state.profile
         t0 = _time.perf_counter() if profile else 0.0
-        num_frontier = anc[0].shape[0] if anc else 0
+        num_frontier = table.shape[1]
 
         if fanouts is None:
-            fanouts = self.constraint_fanouts(plan, anc, step)
+            fanouts = self.constraint_fanouts(plan, table, step)
 
         # Batched model bookkeeping: charges accumulate locally and land
         # on the cost model in one update before the launch — same
@@ -536,7 +517,7 @@ class ColumnarEngine:
             indices = data.indices if anchor_kind == "fwd" else data.rindices
             cum = arena.take("cum", num_frontier + 1)
             cum[0] = 0
-            pool_counts.cumsum(out=cum[1:])
+            np.add.accumulate(pool_counts, out=cum[1:])
             # offsets[k] = starts[path] - cum[path] + k, flat-gathered.
             roff = arena.take("roff", num_frontier)
             np.subtract(starts, cum[:num_frontier], out=roff)
@@ -563,10 +544,10 @@ class ColumnarEngine:
         # actually die, so an all-true filter table costs nothing.
         mask: np.ndarray | None = None
         if not plan.filter_all[step]:
-            table = plan.filter_tables[step]
-            assert table is not None
+            passes = plan.filter_tables[step]
+            assert passes is not None
             mask = arena.take("mask", total, _DTYPES["bool"])
-            table.take(cands, out=mask, mode="clip")
+            passes.take(cands, out=mask, mode="clip")
         instr += 2 * total
         if profile:
             t1 = _time.perf_counter()
@@ -680,7 +661,7 @@ class ColumnarEngine:
                         mask = arena.take("mask", total, _DTYPES["bool"])
                         mask[:] = True
                     self._apply_constraints(
-                        probes, anc, path_ids, cands, mask, total
+                        probes, table, path_ids, cands, mask, total
                     )
         if profile:
             t1 = _time.perf_counter()
@@ -690,84 +671,52 @@ class ColumnarEngine:
         # ----- injectivity: candidate must be new on its path ---------
         live2 = total if mask is None else int(np.count_nonzero(mask))
         rejected = 0
-        all_live_pre_inj = mask is None
         if live2:
-            inj_cols = plan.inj_cols[step]
-            if inj_cols:
-                if bloom is not None:
-                    # Bloom prefilter: a candidate whose bit is absent
-                    # from its path's signature is provably new; the
-                    # exact compare runs only on suspect lanes.
-                    hit = arena.take("bloom_hit", total)
-                    bloom.take(path_ids, out=hit, mode="clip")
-                    bit = arena.take("bloom_bit", total)
-                    self.vbits().take(cands, out=bit, mode="clip")
-                    np.bitwise_and(hit, bit, out=hit)
-                    if mask is None:
-                        sus = hit.nonzero()[0]
+            if plan.check_inj[step]:
+                # Bloom prefilter: a candidate whose bit is absent from
+                # its path's signature (row 0) is provably new; the
+                # exact compare runs only on suspect lanes.
+                hit = arena.take("bloom_hit", total)
+                table[0].take(path_ids, out=hit, mode="clip")
+                bit = arena.take("bloom_bit", total)
+                self.vbits().take(cands, out=bit, mode="clip")
+                np.bitwise_and(hit, bit, out=hit)
+                maybe = arena.take("bloom_maybe", total, _DTYPES["bool"])
+                np.not_equal(hit, 0, out=maybe)
+                if mask is not None:
+                    np.logical_and(maybe, mask, out=maybe)
+                sus = maybe.nonzero()[0]
+                k = sus.size
+                if k:
+                    sp = arena.take("sus_p", k)
+                    path_ids.take(sus, out=sp, mode="clip")
+                    sc = arena.take("sus_c", k)
+                    cands.take(sus, out=sc, mode="clip")
+                    # Whole-table compare: one gather of every ancestor
+                    # row + one broadcast equal + one OR reduction.
+                    # Constraint rows never match a live candidate on a
+                    # self-loop-free graph, so checking them too leaves
+                    # every result unchanged.
+                    eqm = self._inj_matrix(table, sp, sc)
+                    if count_only:
+                        # Surviving paths are injective, so a candidate
+                        # equals at most one ancestor: lanes-with-a-hit
+                        # == total hits.  Count-only lanes are never
+                        # extracted, so the mask is left as it is.
+                        rejected = int(np.count_nonzero(eqm))
                     else:
-                        maybe = arena.take(
-                            "bloom_maybe", total, _DTYPES["bool"]
-                        )
-                        np.not_equal(hit, 0, out=maybe)
-                        np.logical_and(maybe, mask, out=maybe)
-                        sus = maybe.nonzero()[0]
-                    k = sus.size
-                    if k:
-                        sp = arena.take("sus_p", k)
-                        path_ids.take(sus, out=sp, mode="clip")
-                        sc = arena.take("sus_c", k)
-                        cands.take(sus, out=sc, mode="clip")
-                        # Full (cols, k) matrix compare: one gather +
-                        # one broadcast equal + one ANY reduction —
-                        # constant numpy-call count per expansion
-                        # regardless of depth (per-column loops cost
-                        # more in call overhead than the whole suspect
-                        # set costs in element work).
-                        eqm = self._inj_matrix(anc, inj_cols, sp, sc)
-                        if mask is None and count_only:
-                            # Surviving paths are injective, so a
-                            # candidate equals at most one ancestor:
-                            # lanes-with-a-hit == total hits, and the
-                            # per-lane OR (only needed for extraction)
-                            # is skipped outright.
-                            rejected = int(np.count_nonzero(eqm))
-                        else:
-                            dup = eqm.any(axis=0)
-                            rejected = int(np.count_nonzero(dup))
-                            if rejected:
-                                mask = self._kill(
-                                    mask, sus, dup, total, count_only
-                                )
-                else:
-                    if mask is None:
-                        mask = arena.take("mask", total, _DTYPES["bool"])
-                        mask[:] = True
-                    src = arena.take("inj_src", total)
-                    dup_m = arena.take("dup", total, _DTYPES["bool"])
-                    eq = arena.take("eq", total, _DTYPES["bool"])
-                    first = True
-                    for col in inj_cols:
-                        anc[col].take(path_ids, out=src, mode="clip")
-                        if first:
-                            np.equal(src, cands, out=dup_m)
-                            first = False
-                        else:
-                            np.equal(src, cands, out=eq)
-                            np.logical_or(dup_m, eq, out=dup_m)
-                    np.logical_not(dup_m, out=dup_m)
-                    np.logical_and(mask, dup_m, out=mask)
+                        dup = np.logical_or.reduce(eqm, axis=0)
+                        rejected = int(np.count_nonzero(dup))
+                        if rejected:
+                            mask = self._kill(mask, sus, dup, total)
             # Charged for all ``step`` columns even when the self-loop
-            # analysis lets the host skip constraint columns: the
-            # modeled kernel still compares every ancestor.
+            # analysis lets the host skip the compare: the modeled
+            # kernel still compares every ancestor.
             instr += live2 * step
 
-        if mask is None or all_live_pre_inj:
-            # The only deaths were the ``rejected`` injectivity lanes
-            # (count-only pools may leave the mask unmaterialised).
-            results = total - rejected
-        else:
-            results = int(np.count_nonzero(mask))
+        # Suspects are live lanes, so injectivity killed exactly the
+        # ``rejected`` ones.
+        results = live2 - rejected
         if profile:
             t1 = _time.perf_counter()
             state.stats.record_stage("injectivity", t1 - t0)
@@ -852,29 +801,16 @@ class ColumnarEngine:
 
     # ------------------------------------------------------------------
     def _inj_matrix(
-        self,
-        anc: AncColumns,
-        inj_cols: tuple[int, ...],
-        sp: np.ndarray,
-        sc: np.ndarray,
+        self, table: CarryTable, sp: np.ndarray, sc: np.ndarray
     ) -> np.ndarray:
-        """``(cols, k)`` equality matrix: every checked ancestor column
-        gathered at the suspect paths ``sp``, compared against the
-        suspect candidates ``sc``.  Row order follows ``inj_cols``."""
-        rows = (
-            anc
-            if len(inj_cols) == len(anc)
-            else tuple(anc[c] for c in inj_cols)
-        )
-        arena = self.arena
-        num_rows = len(rows)
-        nf = rows[0].shape[0]
+        """``(step, k)`` equality matrix: every ancestor row of the
+        table gathered at the suspect paths ``sp``, compared against
+        the suspect candidates ``sc``."""
+        num_rows = table.shape[0] - 1
         k = sp.shape[0]
-        amat = arena.take("inj_amat", num_rows * nf)
-        np.concatenate(rows, out=amat)
-        sub = arena.take("inj_sub", num_rows * k).reshape(num_rows, k)
-        amat.reshape(num_rows, nf).take(sp, out=sub, mode="clip", axis=1)
-        eqm = arena.take(
+        sub = self.arena.take("inj_sub", num_rows * k).reshape(num_rows, k)
+        table[1:].take(sp, out=sub, mode="clip", axis=1)
+        eqm = self.arena.take(
             "inj_eqm", num_rows * k, _DTYPES["bool"]
         ).reshape(num_rows, k)
         np.equal(sub, sc, out=eqm)
@@ -886,23 +822,20 @@ class ColumnarEngine:
         sus: np.ndarray,
         dup: np.ndarray,
         total: int,
-        count_only: bool,
-    ) -> np.ndarray | None:
-        """Clear the duplicate suspect lanes (``sus[dup]``) in ``mask``.
-        A count-only all-live pool needs just the rejection count —
-        lanes are never extracted, so the mask stays unmaterialised."""
-        if mask is None and not count_only:
+    ) -> np.ndarray:
+        """Clear the duplicate suspect lanes (``sus[dup]``) in ``mask``,
+        materialising an all-live mask first."""
+        if mask is None:
             mask = self.arena.take("mask", total, _DTYPES["bool"])
             mask[:] = True
-        if mask is not None:
-            mask[sus.compress(dup)] = False
+        mask[sus.compress(dup)] = False
         return mask
 
     # ------------------------------------------------------------------
     def _apply_constraints(
         self,
         rest: Sequence[Fanout],
-        anc: AncColumns,
+        table: CarryTable,
         path_ids: np.ndarray,
         cands: np.ndarray,
         mask: np.ndarray,
@@ -916,7 +849,7 @@ class ColumnarEngine:
         bits = self._bitset()
         src = self.arena.take("probe_src", total)
         for kind, j, _starts, _counts, _total in rest:
-            anc[j].take(path_ids, out=src, mode="clip")
+            table[1 + j].take(path_ids, out=src, mode="clip")
             sources, targets = (
                 (src, cands) if kind == "fwd" else (cands, src)
             )

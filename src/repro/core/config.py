@@ -45,8 +45,9 @@ class CuTSConfig:
         modeled time and statistics are identical between the two.
     profile_expansion:
         Record per-stage wall-clock timings (anchor-gather / filter /
-        intersection / injectivity / bookkeeping / write-out) of every
-        fused expansion into ``SearchStats.stage_wall_s``.  Off by
+        intersection / injectivity / bookkeeping / write-out, plus the
+        executor's carry and unaccounted remainder) of every fused
+        expansion into ``SearchStats.stage_wall_s``.  Off by
         default — the reads cost a few ``perf_counter`` calls per
         expansion and the timings are diagnostic only (they never
         influence control flow).

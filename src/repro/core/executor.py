@@ -6,10 +6,14 @@ split to ship work.  :class:`FrontierExecutor` is that stack:
 ``match()``, the stream, the durable runner and the rank worker push
 :class:`FrontierItem` s and run it one fused expansion at a time with
 :meth:`FrontierExecutor.step`, acting (snapshot, spill, steal, ship)
-only between steps.  Items carry ancestor columns, Bloom signatures and
-fanout views forward; the peel bound is the one per-caller difference
-(DESIGN.md §17).  Host mechanism only: every path's expansions, their
-order and their modeled cost are those of the drivers it replaced.
+only between steps.  Each item carries one table forward (row 0 the
+Bloom signatures, rows ``1..step`` the ancestor columns) plus fanout
+views, so a chunk peel is one 2-D slice and a child's table one gather;
+a materialising run's leaf sink receives the completed rows as a
+``(n_steps, found)`` table in matching order, taken from the same
+table.  The peel bound is the one per-caller difference (DESIGN.md
+§17).  Host mechanism only: every path's expansions, their order and
+their modeled cost are those of the drivers it replaced.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 
 from ..gpusim.memory import DeviceOOMError
 from ..storage.trie import PathTrie, TrieLevel
-from .columnar import AncColumns, Fanout, slice_fanouts
+from .columnar import CarryTable, Fanout, slice_fanouts
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
     from .matcher import CuTSMatcher, _RunState
@@ -37,9 +41,10 @@ class FrontierItem:
     """One stack entry: expand ``frontier`` through query step ``step``.
 
     Invariant: ``trie.depth == step`` — ``frontier`` indexes the deepest
-    level.  ``words`` caches ``trie.total_storage_words``; ``anc``,
-    ``bloom`` and ``fanouts`` (dated by ``fan_epoch``) are carried
-    state, ``None`` until rebuilt from the trie.  ``tag`` is opaque to
+    level.  ``words`` caches ``trie.total_storage_words``; ``table``
+    (see :data:`~repro.core.columnar.CarryTable`) and ``fanouts`` (dated
+    by ``fan_epoch``) are carried state, ``None`` until rebuilt from the
+    trie.  ``tag`` is opaque to
     the executor and inherited by children (the rank worker's ledger
     provenance).  ``peel`` marks a ``match()``-mode remainder: the pool
     estimate of its whole frontier and the position its unpeeled rows
@@ -47,7 +52,7 @@ class FrontierItem:
     """
 
     __slots__ = (
-        "trie", "step", "frontier", "words", "anc", "bloom", "fanouts",
+        "trie", "step", "frontier", "words", "table", "fanouts",
         "fan_epoch", "tag", "peel", "piece", "__weakref__",
     )
 
@@ -69,8 +74,7 @@ class FrontierItem:
         self.step = step
         self.frontier = frontier
         self.words = trie.total_storage_words if words is None else words
-        self.anc: AncColumns | None = None
-        self.bloom: np.ndarray | None = None
+        self.table: CarryTable | None = None
         self.fanouts: tuple[Fanout, ...] | None = None
         self.fan_epoch = 0
         self.tag = tag
@@ -102,9 +106,7 @@ class FrontierItem:
         out.step = self.step
         out.frontier = self.frontier[lo:hi]
         out.words = self.words
-        anc = self.anc
-        out.anc = None if anc is None else tuple([c[lo:hi] for c in anc])
-        out.bloom = None if self.bloom is None else self.bloom[lo:hi]
+        out.table = None if self.table is None else self.table[:, lo:hi]
         if fanouts is None and self.fanouts is not None:
             fanouts = slice_fanouts(self.fanouts, lo, hi)
         out.fanouts = fanouts
@@ -115,10 +117,11 @@ class FrontierItem:
         return out
 
 
-LeafSink = Callable[[FrontierItem, int, PathTrie | None], None]
-"""``sink(item, found, leaf)``: ``item`` ended with ``found`` complete
-embeddings (0 for a dead end); ``leaf`` is its trie plus the matched
-level when the run materialises rows, else ``None``."""
+LeafSink = Callable[[FrontierItem, int, np.ndarray | None], None]
+"""``sink(item, found, rows)``: ``item`` ended with ``found`` complete
+embeddings (0 for a dead end); ``rows`` is their ``(n_steps, found)``
+table in matching order when the run materialises rows, else ``None``.
+The table is freshly owned by the sink."""
 
 SplitFn = Callable[[FrontierItem, int], tuple[FrontierItem, FrontierItem]]
 
@@ -163,15 +166,32 @@ class FrontierExecutor:
 
     def step(self) -> None:
         """Pop the top item and run the search up to and including its
-        next fused expansion, peeling on the way."""
+        next fused expansion, peeling on the way.  With
+        ``profile_expansion`` on, the step's wall not covered by a
+        labeled stage is recorded as ``unaccounted``, so a run's stage
+        labels sum to its stepped wall."""
+        stats = self.state.stats
+        if not self.state.profile:
+            self._step()
+            return
+        t0 = _time.perf_counter()
+        before = sum(stats.stage_wall_s.values())
+        self._step()
+        labeled = sum(stats.stage_wall_s.values()) - before
+        stats.record_stage("unaccounted", _time.perf_counter() - t0 - labeled)
+
+    def _step(self) -> None:
         state = self.state
         epochs = self.matcher.engine.fan_epochs
         item = self.stack.pop()
         while True:
             if item.step == self.num_steps:
                 # Already-complete paths (single-vertex queries).
-                leaf = item.trie if state.materialize else None
-                self.sink(item, int(item.frontier.size), leaf)
+                rows = (
+                    item.trie.columns_at(item.step - 1, item.frontier)
+                    if state.materialize else None
+                )
+                self.sink(item, int(item.frontier.size), rows)
                 return
             if item.peel is not None:
                 item = self._next_piece(item)
@@ -195,15 +215,15 @@ class FrontierExecutor:
                 fwd, bwd = state.order.constraints_at(item.step)
                 fans = self.matcher._constraint_fanouts(ancestors, fwd, bwd)
                 ref = (ancestors, fwd, bwd, fans)
-            pool = self.matcher._estimate_pool(item.frontier.size, fans)
-            if (
-                self.peel_chunk is None
-                and not self._fits(item, pool, 1.0)
-                and item.frontier.size > 1
-            ):
-                # Becomes a remainder: peel one probe chunk off it.
-                item.peel = (pool, 0)
-                continue
+            pool = 0
+            if self.peel_chunk is None:
+                # Only match()'s fit projection reads the pool estimate
+                # and the survival ratio it feeds.
+                pool = self.matcher._estimate_pool(item.frontier.size, fans)
+                if not self._fits(item, pool, 1.0) and item.frontier.size > 1:
+                    # Becomes a remainder: peel one probe chunk off it.
+                    item.peel = (pool, 0)
+                    continue
             self._expand(item, pool, ref)
             return
 
@@ -231,17 +251,20 @@ class FrontierExecutor:
         :attr:`~repro.core.columnar.ColumnarEngine.fan_epochs` is
         unchanged: an item that entered out of last-in-first-out order
         (shipped, adopted, reloaded) and built a table at the same step
-        has overwritten it."""
+        has overwritten it.  A missing carry table is rebuilt from the
+        trie once: the ancestor columns with their Bloom row above."""
         engine = self.matcher.engine
-        if item.anc is None:
-            item.anc = item.trie.columns_at(item.step - 1, item.frontier)
-        if item.bloom is None:
-            item.bloom = engine.bloom_of(item.anc)
+        t0 = _time.perf_counter() if self.state.profile else 0.0
+        if item.table is None:
+            anc = item.trie.columns_at(item.step - 1, item.frontier)
+            item.table = np.vstack((engine.bloom_of(anc), anc))
         assert self.state.plan is not None
         item.fanouts = engine.constraint_fanouts(
-            self.state.plan, item.anc, item.step
+            self.state.plan, item.table, item.step
         )
         item.fan_epoch = engine.fan_epochs[item.step]
+        if self.state.profile:
+            self.state.stats.record_stage("carry", _time.perf_counter() - t0)
 
     def _fits(self, item: FrontierItem, pool: int, fraction: float) -> bool:
         """Whether ``fraction`` of this frontier's pool fits.  Only
@@ -306,10 +329,10 @@ class FrontierExecutor:
         pa_local: np.ndarray | None = None
         ca: np.ndarray | None = None
         if ref is None:
-            assert state.plan is not None and item.anc is not None
+            assert state.plan is not None and item.table is not None
             # Leaf steps of a count-only run need just the survivor count.
             out = matcher.engine.extend(
-                state.plan, item.anc, step, state, item.fanouts, item.bloom,
+                state.plan, item.table, step, state, item.fanouts,
                 count_only=leaf and not state.materialize,
             )
             if isinstance(out, int):
@@ -360,13 +383,23 @@ class FrontierExecutor:
             self.sink(item, results, None)
             return
         assert pa_local is not None and ca is not None
+        if leaf:
+            # Completed rows, each written once: the surviving parents'
+            # ancestor rows gathered by pa_local, then the new column.
+            if ref is not None:
+                anc = ref[0].T
+            else:
+                assert item.table is not None
+                anc = item.table[1:]
+            rows = np.empty((step + 1, results), dtype=np.int64)
+            anc.take(pa_local, axis=1, out=rows[:step], mode="clip")
+            rows[step] = ca
+            self.sink(item, results, rows)
+            return
         # Parent indices are survivor compactions of this frontier.
         trie = PathTrie(
             levels=[*item.trie.levels, TrieLevel(pa=frontier[pa_local], ca=ca)]
         )
-        if leaf:
-            self.sink(item, results, trie)
-            return
         # Child frontier ids 0..results-1: the columnar engine's shared
         # read-only iota (every consumer slices or gathers, never writes).
         child = FrontierItem(
@@ -375,10 +408,10 @@ class FrontierExecutor:
             else np.arange(results, dtype=np.int64),
             tag=item.tag, words=words,
         )
-        if item.anc is not None and item.bloom is not None:
-            # Incremental ancestor carry: the surviving parents' columns
-            # and signatures gathered by pa_local plus the new column.
-            child.anc, child.bloom = matcher.engine.child_carry(
-                item.anc, item.bloom, pa_local, ca
-            )
+        if item.table is not None:
+            # Incremental carry: one gather of the parent's table.
+            t0 = _time.perf_counter() if state.profile else 0.0
+            child.table = matcher.engine.child_carry(item.table, pa_local, ca)
+            if state.profile:
+                state.stats.record_stage("carry", _time.perf_counter() - t0)
         self.stack.append(child)

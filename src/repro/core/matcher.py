@@ -252,11 +252,11 @@ class CuTSMatcher:
 
         count = 0
 
-        def sink(_item: FrontierItem, found: int, leaf: PathTrie | None) -> None:
+        def sink(_item: FrontierItem, found: int, rows: np.ndarray | None) -> None:
             nonlocal count
             count += found
-            if leaf is not None:
-                state.collect(leaf, np.arange(found, dtype=np.int64))
+            if rows is not None:
+                state.collect(rows)
 
         executor = FrontierExecutor(self, state, sink)
         roots = trie.num_paths(0)
@@ -268,19 +268,9 @@ class CuTSMatcher:
             executor.step()
         state.stats.record_governor(state.governor)
 
-        matches = state.collected_matrix()
-        if matches is not None:
-            # Columns are in matching order; permute to query-vertex order.
-            n_steps = order.num_steps
-            inv = np.empty(n_steps, dtype=np.int64)
-            inv[np.asarray(order.sequence, dtype=np.int64)] = np.arange(
-                n_steps, dtype=np.int64
-            )
-            matches = np.ascontiguousarray(matches[:, inv])
-
         return MatchResult(
             count=count,
-            matches=matches,
+            matches=state.collected_matrix(),
             time_ms=state.cost.time_ms,
             cost=state.cost,
             stats=state.stats,
@@ -408,8 +398,8 @@ class CuTSMatcher:
         if state.plan is not None:
             anc = trie.columns_at(trie.depth - 1, frontier)
             out = self.engine.extend(
-                state.plan, anc, step, state,
-                bloom=self.engine.bloom_of(anc),
+                state.plan, np.vstack((self.engine.bloom_of(anc), anc)),
+                step, state,
             )
             assert not isinstance(out, int)
             pa_local, ca = out
@@ -709,6 +699,7 @@ class _RunState:
         self.max_materialized: int | None = None
         self.governor: MemoryGovernor = MemoryGovernor()
         self.on_tick: Callable[["_RunState"], None] | None = None
+        # Completed rows as (n_steps, k) matching-order tables.
         self._collected: list[np.ndarray] = []
         self._collected_count = 0
 
@@ -719,8 +710,9 @@ class _RunState:
         if self.on_tick is not None:
             self.on_tick(self)
 
-    def collect(self, trie: PathTrie, indices: np.ndarray) -> None:
-        """Materialise completed paths (writes results to host)."""
+    def collect(self, rows: np.ndarray) -> None:
+        """Keep a leaf's completed rows (an ``(n_steps, k)`` table in
+        matching order), up to ``max_materialized`` in all."""
         if not self.materialize:
             return
         cap = self.max_materialized
@@ -728,14 +720,20 @@ class _RunState:
             room = cap - self._collected_count
             if room <= 0:
                 return
-            indices = indices[:room]
-        paths = trie.paths_at(trie.depth - 1, indices)
-        self._collected.append(paths)
-        self._collected_count += len(paths)
+            rows = rows[:, :room]
+        self._collected.append(rows)
+        self._collected_count += rows.shape[1]
 
     def collected_matrix(self) -> np.ndarray | None:
+        """Every kept row once, in query-vertex column order."""
         if not self.materialize:
             return None
-        if not self._collected:
-            return np.zeros((0, self.order.num_steps), dtype=np.int64)
-        return np.concatenate(self._collected, axis=0)
+        n_steps = self.order.num_steps
+        inv = np.argsort(self.order.sequence)  # query vertex -> step
+        out = np.empty((self._collected_count, n_steps), dtype=np.int64)
+        at = 0
+        for rows in self._collected:
+            k = rows.shape[1]
+            rows.take(inv, axis=0, out=out[at:at + k].T, mode="clip")
+            at += k
+        return out

@@ -56,9 +56,9 @@ class SearchStats:
     def record_stage(self, stage: str, seconds: float) -> None:
         """Accumulate wall-clock seconds spent in one expansion stage
         (anchor_gather / filter / intersection / injectivity /
-        bookkeeping / write_out).  Only
-        populated when ``CuTSConfig.profile_expansion`` is on; purely
-        diagnostic, never read by the engine."""
+        bookkeeping / write_out / carry / unaccounted).  Only populated
+        when ``CuTSConfig.profile_expansion`` is on; purely diagnostic,
+        never read by the engine."""
         self.stage_wall_s[stage] = self.stage_wall_s.get(stage, 0.0) + seconds
 
     def record_governor(self, governor: object) -> None:

@@ -8,12 +8,14 @@ set.  :func:`iter_matches` exposes that as a generator.
 
 It is a client of :class:`~repro.core.executor.FrontierExecutor` in its
 bounded mode: every popped frontier is cut at the governor's chunk size,
-so each expansion's leaf rows are at most one chunk's worth.  The
-generator runs the executor one expansion at a time and yields between
-steps.  Counts and rows (as a set) agree with
-:meth:`~repro.core.matcher.CuTSMatcher.match`; the expansion sequence
-is that of the durable and distributed paths, which peel at the same
-bound.
+so each expansion's leaf rows are at most one chunk's worth.  The leaf
+sink keeps each leaf's ``(n_steps, found)`` matching-order table; the
+generator runs the executor one expansion at a time and, between steps,
+writes every row once, permuted to query order, into fresh
+``batch_size`` buffers, yielding each as it fills.  Counts and rows (as
+a set) agree with :meth:`~repro.core.matcher.CuTSMatcher.match`; the
+expansion sequence is that of the durable and distributed paths, which
+peel at the same bound.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from typing import Iterator
 import numpy as np
 
 from ..graph.csr import CSRGraph
-from ..storage.trie import PathTrie
 from .executor import FrontierExecutor, FrontierItem
 from .matcher import CuTSMatcher
 
@@ -59,31 +60,16 @@ def iter_matches(
         raise ValueError("query graph must have at least one vertex")
     state = matcher.make_run_state(query, materialize=True)
     n_steps = state.order.num_steps
-    inv = np.empty(n_steps, dtype=np.int64)
-    inv[np.asarray(state.order.sequence, dtype=np.int64)] = np.arange(
-        n_steps, dtype=np.int64
-    )
+    inv = np.argsort(state.order.sequence)  # query vertex -> step
 
     if query.num_vertices > matcher.data.num_vertices:
         return
 
-    pending: list[np.ndarray] = []
-    pending_rows = 0
+    leaves: list[np.ndarray] = []
 
-    def sink(_item: FrontierItem, found: int, leaf: PathTrie | None) -> None:
-        nonlocal pending_rows
-        if leaf is not None:
-            pending.append(leaf.paths_at(leaf.depth - 1)[:, inv])
-            pending_rows += found
-
-    def flush(force: bool = False) -> Iterator[np.ndarray]:
-        nonlocal pending, pending_rows
-        while pending_rows >= batch_size or (force and pending_rows > 0):
-            stacked = np.concatenate(pending, axis=0)
-            out, rest = stacked[:batch_size], stacked[batch_size:]
-            pending = [rest] if rest.size else []
-            pending_rows = len(rest)
-            yield np.ascontiguousarray(out)
+    def sink(_item: FrontierItem, _found: int, rows: np.ndarray | None) -> None:
+        if rows is not None:
+            leaves.append(rows)
 
     executor = FrontierExecutor(
         matcher, state, sink, peel_chunk=matcher.config.chunk_size
@@ -94,7 +80,24 @@ def iter_matches(
         executor.stack.append(
             FrontierItem(trie, 1, np.arange(roots, dtype=np.int64))
         )
+    batch = np.empty((batch_size, n_steps), dtype=np.int64)
+    filled = 0
     while executor.stack:
         executor.step()
-        yield from flush()
-    yield from flush(force=True)
+        for rows in leaves:
+            done = 0
+            found = rows.shape[1]
+            while done < found:
+                k = min(batch_size - filled, found - done)
+                rows[:, done:done + k].take(
+                    inv, axis=0, out=batch[filled:filled + k].T, mode="clip"
+                )
+                filled += k
+                done += k
+                if filled == batch_size:
+                    yield batch
+                    batch = np.empty((batch_size, n_steps), dtype=np.int64)
+                    filled = 0
+        leaves.clear()
+    if filled:
+        yield batch[:filled]

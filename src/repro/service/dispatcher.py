@@ -139,7 +139,8 @@ class Dispatcher:
         self.incremental_matches = 0
         self.incremental_rejects = 0
         # Per-stage expansion wall totals (anchor_gather / filter /
-        # intersection / injectivity / bookkeeping / write_out), folded
+        # intersection / injectivity / bookkeeping / write_out / carry /
+        # unaccounted), folded
         # from every settled result's SearchStats.  Empty unless the
         # engine config has ``profile_expansion`` on.
         self.stage_wall_s: dict[str, float] = {}

@@ -151,24 +151,20 @@ class PathTrie:
             cur = self.levels[lv].pa[cur]
         return out
 
-    def ancestors_at(self, level: int, path_indices: np.ndarray) -> np.ndarray:
-        """Alias of :meth:`paths_at` restricted to explicit indices."""
-        return self.paths_at(level, path_indices)
-
     def columns_at(
         self, level: int, path_indices: np.ndarray | None = None
-    ) -> tuple[np.ndarray, ...]:
+    ) -> np.ndarray:
         """Ancestor *columns* of paths ending at ``level``.
 
         The columnar expansion engine keeps the frontier's materialised
-        prefix as one contiguous array per trie level (gathers along a
-        column are then unit-stride); this is :meth:`paths_at` transposed
-        at the storage level — the same upward PA walk, one gather per
-        level, writing each level into its own owned 1-D array.
+        prefix as one ``(level + 1, k)`` table, one contiguous row per
+        trie level (gathers along a row are then unit-stride); this is
+        :meth:`paths_at` transposed at the storage level — the same
+        upward PA walk, one gather per level, each written straight
+        into its row.
 
-        Returns a ``level + 1`` tuple; element ``lv`` holds the data
-        vertex matched at level ``lv`` for every requested path, in
-        request order.
+        Row ``lv`` holds the data vertex matched at level ``lv`` for
+        every requested path, in request order.
         """
         if level < 0 or level >= len(self.levels):
             raise IndexError(f"level {level} out of range (depth {self.depth})")
@@ -176,12 +172,12 @@ class PathTrie:
             idx = np.arange(self.levels[level].num_paths, dtype=np.int64)
         else:
             idx = np.asarray(path_indices, dtype=np.int64)
-        cols: list[np.ndarray] = [idx] * (level + 1)
+        out = np.empty((level + 1, len(idx)), dtype=np.int64)
         cur = idx
         for lv in range(level, -1, -1):
-            cols[lv] = self.levels[lv].ca[cur]
+            self.levels[lv].ca.take(cur, out=out[lv])
             cur = self.levels[lv].pa[cur]
-        return tuple(cols)
+        return out
 
     # ------------------------------------------------------------------
     # Sub-trie extraction (distributed work shipping)

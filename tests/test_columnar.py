@@ -11,6 +11,8 @@ tests pin the arena-reuse contract (steady-state expansion allocates
 nothing new).
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -249,19 +251,51 @@ def test_arena_views_alias_backing_buffer():
     assert arena.capacity_bytes >= 5000 * 8
 
 
+_STAGES = {
+    "anchor_gather", "filter", "intersection", "injectivity",
+    "bookkeeping", "write_out", "carry", "unaccounted",
+}
+
+
 def test_profile_expansion_stage_timers():
-    """profile_expansion populates the six per-stage wall counters in
+    """profile_expansion populates the eight per-stage wall counters in
     SearchStats without touching any modeled quantity."""
     data = mesh_graph(6, 6)
     plain = CuTSMatcher(data).match(chain_graph(5))
     cfg = CuTSConfig(profile_expansion=True)
     profiled = CuTSMatcher(data, cfg).match(chain_graph(5))
-    assert set(profiled.stats.stage_wall_s) == {
-        "anchor_gather", "filter", "intersection", "injectivity",
-        "bookkeeping", "write_out",
-    }
+    assert set(profiled.stats.stage_wall_s) == _STAGES
     assert all(v >= 0.0 for v in profiled.stats.stage_wall_s.values())
     assert plain.stats.stage_wall_s == {}
     assert profiled.count == plain.count
     assert profiled.time_ms == plain.time_ms
     assert profiled.cost.cycles == plain.cost.cycles
+
+
+def test_stage_timers_sum_to_the_stepped_wall():
+    """On a bounded run the labels cover every step: their sum is the
+    wall the executor's steps took, measured from outside."""
+    from repro.core.executor import FrontierExecutor, FrontierItem
+
+    matcher = CuTSMatcher(
+        mesh_graph(10, 10), CuTSConfig(profile_expansion=True, chunk_size=32)
+    )
+    state = matcher.make_run_state(chain_graph(6))
+    executor = FrontierExecutor(
+        matcher, state, lambda *_: None, peel_chunk=32
+    )
+    trie = matcher.initial_frontier(state)
+    executor.stack.append(
+        FrontierItem(trie, 1, np.arange(trie.num_paths(0), dtype=np.int64))
+    )
+    stepped = 0.0
+    while executor.stack:
+        t0 = time.perf_counter()
+        executor.step()
+        stepped += time.perf_counter() - t0
+    stages = state.stats.stage_wall_s
+    assert set(stages) == _STAGES
+    assert stages["carry"] > 0.0
+    labeled = sum(stages.values())
+    assert labeled <= stepped
+    assert labeled >= 0.8 * stepped

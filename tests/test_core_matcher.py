@@ -125,6 +125,9 @@ def test_max_materialized_caps_collection():
     r = CuTSMatcher(data, cfg).match(clique_graph(3), materialize=True)
     assert r.count == 120  # counting never capped
     assert len(r.matches) == 5
+    # The capped rows are the uncapped run's first rows, in order.
+    full = CuTSMatcher(data).match(clique_graph(3), materialize=True)
+    assert np.array_equal(r.matches, full.matches[:5])
 
 
 # ------------------------------------------------------------ chunking

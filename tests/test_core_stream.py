@@ -45,6 +45,34 @@ def test_stream_batch_size_respected():
     assert all(len(b) == 50 for b in batches[:-1])
 
 
+@pytest.mark.parametrize("engine", ["columnar", "reference"])
+@pytest.mark.parametrize(
+    "chunk_size, batch_size",
+    [(4096, 7), (2, 1000)],
+    ids=["one-leaf-many-batches", "many-leaves-one-batch"],
+)
+def test_stream_batches_at_every_leaf_size(engine, chunk_size, batch_size):
+    """One leaf spanning many batches, and many leaves filling one."""
+    data = mesh_graph(6, 6)
+    q = chain_graph(4)
+    config = CuTSConfig(engine=engine, chunk_size=chunk_size)
+    batches = list(
+        iter_matches(CuTSMatcher(data, config), q, batch_size=batch_size)
+    )
+    assert all(len(b) == batch_size for b in batches[:-1])
+    assert 0 < len(batches[-1]) <= batch_size
+    full = CuTSMatcher(data, config).match(q, materialize=True)
+    streamed = np.concatenate(batches)
+    assert sorted(map(tuple, streamed.tolist())) == sorted(
+        map(tuple, full.matches.tolist())
+    )
+    gen = iter_matches(CuTSMatcher(data, config), q, batch_size=batch_size)
+    head = [next(gen) for _ in range(min(3, len(batches)))]
+    gen.close()
+    for got, want in zip(head, batches):
+        assert np.array_equal(got, want)
+
+
 def test_stream_valid_embeddings():
     data = social_graph(60, 3, community_edges=80, seed=1)
     q = cycle_graph(4)

@@ -7,6 +7,8 @@ that carried state survives items that enter the stack out of
 last-in-first-out order.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.graph import (
     chain_graph,
     clique_graph,
     cycle_graph,
+    from_edges,
     from_undirected_edges,
     mesh_graph,
     random_graph,
@@ -144,3 +147,236 @@ def test_shipped_item_does_not_alias_a_held_remainder():
         while w.has_work():
             w.process_one_chunk()
     assert w0.count + w1.count == dfs_count(data, query)
+
+
+# ---------------------------------------------------------------- pinned
+# The modeled trace of every path, pinned to literals: counts, modeled
+# clocks, every CostModel counter and the search statistics of every run
+# state a path creates (in creation order), plus digests of the rows in
+# the order each path emits them.  The host mechanism may change freely;
+# none of these numbers may.
+
+_COST_FIELDS = (
+    "dram_read_words", "dram_write_words", "dram_read_transactions",
+    "dram_write_transactions", "shared_read_words", "shared_write_words",
+    "atomic_ops", "instructions", "idle_lane_cycles", "kernel_launches",
+    "cycles",
+)
+
+
+def _pin_digraph():
+    edges = np.random.default_rng(17).integers(0, 40, size=(200, 2))
+    return from_edges(edges, num_vertices=40)
+
+
+_PIN_CASES = {
+    "mesh": (lambda: mesh_graph(12, 12), lambda: chain_graph(6), 64),
+    "digraph": (
+        _pin_digraph,
+        lambda: from_edges([(0, 1), (1, 2), (2, 0), (2, 3)]),
+        16,
+    ),
+    "social": (
+        lambda: social_graph(70, 3, community_edges=100, seed=4),
+        lambda: cycle_graph(4),
+        16,
+    ),
+}
+
+
+def _digest(matrix):
+    rows = np.ascontiguousarray(matrix, dtype=np.int64)
+    return hashlib.sha256(rows.tobytes()).hexdigest()[:16]
+
+
+def _state_trace(state):
+    cost, stats = state.cost, state.stats
+    return (
+        tuple(getattr(cost, f) for f in _COST_FIELDS),
+        tuple(stats.paths_per_depth),
+        stats.chunks_processed,
+        stats.peak_frontier,
+    )
+
+
+def _pinned_traces(case, ckpt_dir, monkeypatch):
+    """``{path: (headline, *run state traces)}`` for one pinned case."""
+    make_data, make_query, chunk_size = _PIN_CASES[case]
+    data, query = make_data(), make_query()
+    config = CuTSConfig(chunk_size=chunk_size)
+    states = []
+    make_run_state = CuTSMatcher.make_run_state
+
+    def recording(self, *args, **kwargs):
+        states.append(make_run_state(self, *args, **kwargs))
+        return states[-1]
+
+    monkeypatch.setattr(CuTSMatcher, "make_run_state", recording)
+
+    def plain():
+        r = CuTSMatcher(data, config).match(query)
+        return r.count, r.time_ms
+
+    def materialized():
+        r = CuTSMatcher(data, config).match(query, materialize=True)
+        return r.count, r.time_ms, _digest(r.matches)
+
+    def stream():
+        batches = list(iter_matches(CuTSMatcher(data, config), query))
+        rows = np.concatenate(batches)
+        return len(rows), _digest(rows)
+
+    def durable():
+        r = CuTSMatcher(data, config).match(query, checkpoint_dir=ckpt_dir)
+        return r.count, r.time_ms
+
+    def distributed(ranks):
+        r = DistributedCuTS(data, ranks, config).match(query)
+        return (r.count, r.runtime_ms, r.per_rank_clock_ms,
+                r.chunks_processed, r.work_transfers, r.words_transferred)
+
+    paths = {
+        "plain": plain,
+        "materialized": materialized,
+        "stream": stream,
+        "durable": durable,
+        "distributed1": lambda: distributed(1),
+        "distributed2": lambda: distributed(2),
+    }
+    out = {}
+    for name, run in paths.items():
+        states.clear()
+        head = run()
+        out[name] = (head, *[_state_trace(s) for s in states])
+    return out
+
+
+# Captured from the commit before the carried ancestor table landed.
+_PINNED: dict = {
+    "digraph": {
+        "plain": (
+            (514, 0.005817445652173914),
+            ((2706, 1662, 525, 54, 902, 1724, 813, 6754, 1020, 4, 8028.075000000001),
+             (38, 186, 112, 514), 0, 514),
+        ),
+        "materialized": (
+            (514, 0.005817445652173914, "68d356b6b06a088f"),
+            ((2706, 1662, 525, 54, 902, 1724, 813, 6754, 1020, 4, 8028.075000000001),
+             (38, 186, 112, 514), 0, 514),
+        ),
+        "stream": (
+            (514, "68d356b6b06a088f"),
+            ((2706, 1662, 525, 66, 988, 1638, 813, 6668, 1122, 29, 58104.0),
+             (38, 186, 112, 514), 16, 97),
+        ),
+        "durable": (
+            (514, 0.042104347826086956),
+            ((2706, 1662, 525, 66, 988, 1638, 813, 6668, 1122, 29, 58104.0),
+             (38, 186, 112, 514), 16, 97),
+        ),
+        "distributed1": (
+            (514, 0.042104347826086956, (0.042104347826086956,), (28,), 0, 0),
+            ((2706, 1662, 525, 66, 988, 1638, 813, 6668, 1122, 29, 58104.0),
+             (38, 186, 112, 514), 16, 97),
+        ),
+        "distributed2": (
+            (514, 0.024681159420289856, (0.02177608695652174, 0.024681159420289856),
+             (14, 16), 0, 2),
+            ((1217, 672, 243, 28, 446, 691, 318, 2800, 565, 15, 30051.0),
+             (19, 87, 47, 183), 7, 76),
+            ((1569, 1028, 285, 39, 548, 941, 496, 3942, 563, 17, 34060.0),
+             (19, 99, 65, 331), 8, 85),
+        ),
+    },
+    "mesh": {
+        "plain": (
+            (27312, 0.009661884057971012),
+            ((125840, 87504, 33033, 2736, 62776, 62776, 43684, 468120, 3272, 6,
+              13333.399999999998),
+             (144, 528, 1448, 4040, 10352, 27312), 0, 27312),
+        ),
+        "materialized": (
+            (27312, 0.009661884057971012, "3c297ba97965c959"),
+            ((125840, 87504, 33033, 2736, 62776, 62776, 43684, 468120, 3272, 6,
+              13333.399999999998),
+             (144, 528, 1448, 4040, 10352, 27312), 0, 27312),
+        ),
+        "stream": (
+            (27312, "3c297ba97965c959"),
+            ((125840, 87504, 33033, 2890, 62776, 62776, 43684, 468120, 3272, 300,
+              601438.7249999999),
+             (144, 528, 1448, 4040, 10352, 27312), 291, 246),
+        ),
+        "durable": (
+            (27312, 0.4358251630434782),
+            ((125840, 87504, 33033, 2890, 62776, 62776, 43684, 468120, 3272, 300,
+              601438.7249999999),
+             (144, 528, 1448, 4040, 10352, 27312), 291, 246),
+        ),
+        "distributed1": (
+            (27312, 0.4358251630434782, (0.4358251630434782,), (299,), 0, 0),
+            ((125840, 87504, 33033, 2890, 62776, 62776, 43684, 468120, 3272, 300,
+              601438.7249999999),
+             (144, 528, 1448, 4040, 10352, 27312), 291, 246),
+        ),
+        "distributed2": (
+            (27312, 0.22081434782608694, (0.22081346014492753, 0.22081434782608694),
+             (151, 151), 0, 2),
+            ((63064, 43824, 16521, 1443, 31388, 31388, 21844, 234204, 1636, 152,
+              304722.575),
+             (72, 264, 724, 2020, 5176, 13656), 146, 239),
+            ((63064, 43824, 16521, 1445, 31388, 31388, 21844, 234204, 1636, 152,
+              304723.8),
+             (72, 264, 724, 2020, 5176, 13656), 146, 240),
+        ),
+    },
+    "social": {
+        "plain": (
+            (4096, 0.006547925724637682),
+            ((148624, 17022, 8905, 533, 108950, 39534, 8478, 221454, 15194, 4,
+              9036.1375),
+             (70, 446, 3934, 4096), 0, 4096),
+        ),
+        "materialized": (
+            (4096, 0.006547925724637682, "fc2eeeee13d2cf7c"),
+            ((148624, 17022, 8905, 533, 108950, 39534, 8478, 221454, 15194, 4,
+              9036.1375),
+             (70, 446, 3934, 4096), 0, 4096),
+        ),
+        "stream": (
+            (4096, "fc2eeeee13d2cf7c"),
+            ((148624, 17022, 10029, 680, 119166, 29318, 8478, 211238, 14890, 297,
+              596891.3125),
+             (70, 446, 3934, 4096), 295, 184),
+        ),
+        "durable": (
+            (4096, 0.4325299365942029),
+            ((148624, 17022, 10029, 680, 119166, 29318, 8478, 211238, 14890, 297,
+              596891.3125),
+             (70, 446, 3934, 4096), 295, 184),
+        ),
+        "distributed1": (
+            (4096, 0.4325299365942029, (0.4325299365942029,), (296,), 0, 0),
+            ((148624, 17022, 10029, 680, 119166, 29318, 8478, 211238, 14890, 297,
+              596891.3125),
+             (70, 446, 3934, 4096), 295, 184),
+        ),
+        "distributed2": (
+            (4096, 0.2584948645687237, (0.2584948645687237, 0.25847873553646566),
+             (149, 149), 2, 62),
+            ((82972, 9386, 5285, 362, 67452, 15380, 4660, 116318, 7196, 150,
+              301493.09375),
+             (35, 237, 1966, 2455), 149, 198),
+            ((65792, 7706, 4701, 319, 51851, 13801, 3820, 94923, 7871, 150,
+              301341.09375),
+             (35, 209, 1968, 1641), 145, 198),
+        ),
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PIN_CASES))
+def test_modeled_trace_is_pinned(case, tmp_path, monkeypatch):
+    traces = _pinned_traces(case, str(tmp_path / "ckpt"), monkeypatch)
+    for path, expected in _PINNED[case].items():
+        assert traces[path] == expected, path
