@@ -30,7 +30,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -53,6 +52,7 @@ from repro.service import (  # noqa: E402
     ClusterService,
     HashRing,
     JobFailed,
+    ServiceState,
 )
 
 GOODPUT_GATE = 0.70
@@ -71,27 +71,15 @@ QUERIES = [
 ]
 
 
-def journal_files(jobs_dir: str) -> list[str]:
-    """Committed records only — a SIGKILLed incarnation may leave a
-    ``.tmp-*`` file from an interrupted atomic write behind."""
-    return sorted(
-        name
-        for name in os.listdir(jobs_dir)
-        if name.startswith("job-") and name.endswith(".json")
-    )
-
-
 def journal_duplicates(state_dir: str) -> list[str]:
-    """Idempotency keys journaled more than once on any single rank."""
+    """Idempotency keys bound to more than one job id on any single
+    rank (each job's last record carries its key)."""
     dupes: list[str] = []
     for rank_dir in sorted(os.listdir(state_dir)):
-        jobs_dir = os.path.join(state_dir, rank_dir, "jobs")
-        if not os.path.isdir(jobs_dir):
-            continue
         seen: set[str] = set()
-        for name in journal_files(jobs_dir):
-            with open(os.path.join(jobs_dir, name)) as fh:
-                record = json.load(fh)
+        for record in ServiceState(
+            os.path.join(state_dir, rank_dir)
+        ).load_jobs():
             key = record.get("idempotency_key")
             if key is None:
                 continue

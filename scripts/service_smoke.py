@@ -41,8 +41,6 @@ Usage::
 from __future__ import annotations
 
 import argparse
-import glob
-import json
 import os
 import re
 import signal
@@ -63,7 +61,11 @@ from repro.graph import (  # noqa: E402
     random_graph,
     star_graph,
 )
-from repro.service import ServiceClient, ServiceError  # noqa: E402
+from repro.service import (  # noqa: E402
+    ServiceClient,
+    ServiceError,
+    ServiceState,
+)
 
 BOOT_TIMEOUT_S = 30.0
 TOTAL_REQUESTS = 50
@@ -302,19 +304,13 @@ def wait_for_running_journal(
     record *and* at least one of them is ``running`` — only then is a
     SIGKILL guaranteed to land mid-execution with nothing lost."""
     deadline = time.monotonic() + timeout_s
-    jobs_glob = os.path.join(state_dir, "jobs", "*.json")
+    state = ServiceState(state_dir)
     while time.monotonic() < deadline:
-        paths = glob.glob(jobs_glob)
-        running = False
-        for path in paths:
-            try:
-                with open(path, encoding="utf-8") as fh:
-                    running = running or (
-                        json.load(fh).get("state") == "running"
-                    )
-            except (OSError, json.JSONDecodeError):
-                running = running or False  # mid-replace; try again
-        if len(paths) >= expected_jobs and running:
+        # A frame the server is still appending reads as torn and is
+        # skipped; the next poll sees it whole.
+        records = state.load_jobs()
+        running = any(r.get("state") == "running" for r in records)
+        if len(records) >= expected_jobs and running:
             return True
         time.sleep(0.005)
     return False

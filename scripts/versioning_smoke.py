@@ -15,12 +15,12 @@ drives the full mutation surface through
   must return the archived pre-commit count, and ``/compare`` must
   report exactly ``head - base``;
 * **kill -9 mid-commit** — a hammer thread streams commits and the
-  server is SIGKILLed with one provably in flight; a torn half-record
-  is then appended to ``versions.jsonl`` (the mid-append crash the
-  commit order makes survivable).  The restarted server must recover a
-  head that is either the last acknowledged commit or the in-flight
-  one — never anything else — serve exact counts for it, count the
-  torn record, and accept new commits.
+  server is SIGKILLed with one provably in flight; a torn half-frame
+  is then appended to the state log ``state.jsonl`` (the mid-append
+  crash the commit order makes survivable).  The restarted server must
+  recover a head that is either the last acknowledged commit or the
+  in-flight one — never anything else — serve exact counts for it,
+  count the torn frame, and accept new commits.
 
 ``--ranks N --replication R`` (N > 1) serves the same interleaved load
 from a replicated cluster router, whose commits fan out to every
@@ -216,10 +216,10 @@ def run_crash_mid_commit(failures: list[str]) -> None:
         proc.wait(timeout=10)
     thread.join(timeout=10)
 
-    # The mid-append crash the commit order tolerates: a torn record
-    # after the last fsynced line, with the name map one step behind.
-    with open(os.path.join(state_dir, "versions.jsonl"), "a") as fh:
-        fh.write('{"name": "data", "fingerpr')
+    # The mid-append crash the commit order tolerates: a torn version
+    # frame after the last fsynced line.
+    with open(os.path.join(state_dir, "state.jsonl"), "a") as fh:
+        fh.write('0badf00d {"name":"data","fingerpr')
 
     proc, base_url = boot_server("--state-dir", state_dir)
     try:
@@ -245,8 +245,8 @@ def run_crash_mid_commit(failures: list[str]) -> None:
         metrics = client.metrics()
         if metrics["versioning"]["recovered_versions"] < 1:
             failures.append("no versions recovered from the journal")
-        if metrics["state"]["version_records_torn"] < 1:
-            failures.append("the torn journal record went uncounted")
+        if metrics["state"]["frames_torn"] < 1:
+            failures.append("the torn log frame went uncounted")
         # The recovered head accepts new commits and the chain advances.
         lineage.head = lineage.graphs[head_fp]
         lineage.head_fp = head_fp
@@ -263,7 +263,7 @@ def run_crash_mid_commit(failures: list[str]) -> None:
         print(
             f"crash recovery: {len(acked)} acked commits, head "
             f"{'in-flight' if head_fp == in_flight else 'last-acked'}, "
-            f"1 torn record tolerated, post-recovery commit landed"
+            f"1 torn frame tolerated, post-recovery commit landed"
         )
     finally:
         shutdown(proc)

@@ -35,14 +35,8 @@ def fsync_dir(dirname: str) -> None:
         os.close(fd)
 
 
-def atomic_write_bytes(path: str, data: bytes, *, sync_dir: bool = True) -> None:
-    """Durably replace ``path`` with ``data`` (all-or-nothing).
-
-    ``sync_dir=False`` skips the directory-entry fsync so a caller
-    writing a batch (e.g. the service journal's group commit) can issue
-    one :func:`fsync_dir` for the whole batch; the file contents are
-    still fsynced and the replace is still atomic.
-    """
+def atomic_write_bytes(path: str, data: bytes) -> None:
+    """Durably replace ``path`` with ``data`` (all-or-nothing)."""
     dirname = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(prefix=".tmp-", dir=dirname)
     try:
@@ -57,13 +51,10 @@ def atomic_write_bytes(path: str, data: bytes, *, sync_dir: bool = True) -> None
         except OSError:
             pass
         raise
-    if sync_dir:
-        fsync_dir(dirname)
+    fsync_dir(dirname)
 
 
-def atomic_write_json(
-    path: str, payload: dict[str, Any], *, sync_dir: bool = True
-) -> None:
+def atomic_write_json(path: str, payload: dict[str, Any]) -> None:
     """Durably replace ``path`` with ``payload`` as JSON."""
     data = json.dumps(payload, indent=2, sort_keys=True).encode("utf-8")
-    atomic_write_bytes(path, data, sync_dir=sync_dir)
+    atomic_write_bytes(path, data)

@@ -44,7 +44,6 @@ from ..core.result import MatchResult
 from ..core.stats import SearchStats
 from ..graph.csr import CSRGraph
 from ..storage.serialize import deserialize_trie, serialize_trie
-from ..storage.trie import PathTrie
 from .fingerprint import (
     check_fingerprints,
     config_fingerprint,
@@ -186,7 +185,7 @@ def run_durable(
     base_stats = SearchStats()
     count = 0
 
-    def sink(_item: FrontierItem, found: int, _leaf: PathTrie | None) -> None:
+    def sink(_item: FrontierItem, found: int, rows: np.ndarray | None) -> None:
         nonlocal count
         count += found
 

@@ -80,20 +80,6 @@ class CuTSConfig:
         Strided intervals submitted per worker (the work queue holds
         ``oversplit * workers`` intervals), so a fast worker steals the
         slack of a slow one — the load-balance margin of §4.2.
-    ack_timeout_ms:
-        Grace period past the modeled round trip before a sender
-        retransmits an unacknowledged work envelope (distributed
-        reliability layer).
-    retry_backoff:
-        Multiplier applied to the retransmit interval after each
-        attempt (exponential backoff).
-    max_retries:
-        Retransmissions allowed before the sender abandons a shipment,
-        requeues the work locally, and releases its claim on the target.
-    heartbeat_interval_ms:
-        Simulated-time spacing of rank liveness heartbeats.
-    heartbeat_timeout_ms:
-        Silence past which a rank is declared crashed and recovery runs.
     memory_budget_mb:
         Soft host-memory budget (MiB) for live PA/CA allocations,
         enforced by :class:`~repro.core.governor.MemoryGovernor`: under
@@ -116,9 +102,6 @@ class CuTSConfig:
         Matching service (:mod:`repro.service`): bound on the scheduler
         queue.  A submit past this depth is **rejected with a reason**
         (admission control), never silently dropped.
-    service_batch_max:
-        Maximum requests the service dispatcher coalesces into one
-        batched same-graph matcher pass.
     service_cache_bytes:
         Byte budget of the service's LRU result+plan cache; entries are
         evicted least-recently-used past it, and the live cache bytes
@@ -174,17 +157,11 @@ class CuTSConfig:
     neighborhood_filter: bool = False
     workers: int = 1
     oversplit: int = 4
-    ack_timeout_ms: float = 50.0
-    retry_backoff: float = 2.0
-    max_retries: int = 6
-    heartbeat_interval_ms: float = 25.0
-    heartbeat_timeout_ms: float = 100.0
     memory_budget_mb: int = 0
     checkpoint_every: int = 64
     lease_timeout_s: float = 30.0
     lease_retries: int = 2
     service_queue_depth: int = 64
-    service_batch_max: int = 16
     service_cache_bytes: int = 32 * 1024 * 1024
     service_max_query_vertices: int = 0
     service_request_timeout_s: float = 30.0
@@ -220,18 +197,6 @@ class CuTSConfig:
             raise ValueError("workers must be >= 1")
         if self.oversplit < 1:
             raise ValueError("oversplit must be >= 1")
-        if self.ack_timeout_ms <= 0:
-            raise ValueError("ack_timeout_ms must be positive")
-        if self.retry_backoff < 1.0:
-            raise ValueError("retry_backoff must be >= 1")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be positive")
-        if self.heartbeat_timeout_ms < self.heartbeat_interval_ms:
-            raise ValueError(
-                "heartbeat_timeout_ms must be >= heartbeat_interval_ms"
-            )
         if self.memory_budget_mb < 0:
             raise ValueError("memory_budget_mb must be >= 0 (0 = unlimited)")
         if self.checkpoint_every < 1:
@@ -242,8 +207,6 @@ class CuTSConfig:
             raise ValueError("lease_retries must be non-negative")
         if self.service_queue_depth < 1:
             raise ValueError("service_queue_depth must be >= 1")
-        if self.service_batch_max < 1:
-            raise ValueError("service_batch_max must be >= 1")
         if self.service_cache_bytes < 0:
             raise ValueError("service_cache_bytes must be >= 0 (0 = no cache)")
         if self.service_max_query_vertices < 0:

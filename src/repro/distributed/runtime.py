@@ -18,11 +18,11 @@ idealized seed protocol):
 * every ``work`` message is a sequence-numbered
   :class:`~repro.distributed.protocol.WorkEnvelope`; receivers ack and
   deduplicate by ``(src, seq)``, senders keep an in-flight ledger and
-  retransmit with exponential backoff after ``ack_timeout_ms``; when the
+  retransmit with exponential backoff after ``ACK_TIMEOUT_MS``; when the
   retry budget runs out the sender requeues the work locally and the
   claim on the free rank is released instead of leaking;
-* ranks heartbeat every ``heartbeat_interval_ms``; a rank silent for
-  ``heartbeat_timeout_ms`` is declared crashed, its unacked shipments
+* ranks heartbeat every ``HEARTBEAT_INTERVAL_MS``; a rank silent for
+  ``HEARTBEAT_TIMEOUT_MS`` is declared crashed, its unacked shipments
   are requeued from the sender ledgers, and every root interval it
   touched is re-executed from scratch on the detecting rank (per-interval
   accounting lives in :class:`~repro.distributed.protocol.StrideLedger`),
@@ -61,6 +61,19 @@ from .protocol import (
 from .worker import RankWorker
 
 __all__ = ["DistributedResult", "DistributedCuTS"]
+
+ACK_TIMEOUT_MS = 50.0
+"""Grace period past the modeled round trip before a sender retransmits
+an unacknowledged work envelope."""
+RETRY_BACKOFF = 2.0
+"""Multiplier on the retransmit interval after each attempt."""
+MAX_RETRIES = 6
+"""Retransmissions before a sender abandons a shipment, requeues the
+work locally and releases its claim on the target."""
+HEARTBEAT_INTERVAL_MS = 25.0
+"""Simulated-time spacing of rank liveness heartbeats."""
+HEARTBEAT_TIMEOUT_MS = 100.0
+"""Silence past which a rank is declared crashed and recovery runs."""
 
 
 @dataclass(frozen=True)
@@ -240,7 +253,7 @@ class DistributedCuTS:
         self._dead: set[int] = set()
         self._failed: set[int] = set()
         self._requeued_chunks = 0
-        self._next_hb = [self.config.heartbeat_interval_ms] * self.num_ranks
+        self._next_hb = [HEARTBEAT_INTERVAL_MS] * self.num_ranks
         workers = [
             RankWorker(
                 rank=r,
@@ -426,9 +439,7 @@ class DistributedCuTS:
     def _maybe_heartbeat(self, w: RankWorker, comm: SimComm) -> None:
         if w.clock_ms >= self._next_hb[w.rank]:
             comm.broadcast(w.rank, MsgType.HEARTBEAT, None, 0, w.clock_ms)
-            self._next_hb[w.rank] = (
-                w.clock_ms + self.config.heartbeat_interval_ms
-            )
+            self._next_hb[w.rank] = w.clock_ms + HEARTBEAT_INTERVAL_MS
 
     def _service_shipments(
         self,
@@ -445,7 +456,7 @@ class DistributedCuTS:
             if ship.next_retry_ms > w.clock_ms:
                 continue
             src, seq = ship.key
-            if ship.attempts >= self.config.max_retries:
+            if ship.attempts >= MAX_RETRIES:
                 # Retry budget exhausted.  Unless the receiver provably
                 # integrated the envelope (only the acks were lost), take
                 # the work back and free the claimed rank for others.
@@ -464,7 +475,7 @@ class DistributedCuTS:
             )
             ship.attempts += 1
             ship.next_retry_ms = w.clock_ms + ship.retry_interval_ms * (
-                self.config.retry_backoff ** ship.attempts
+                RETRY_BACKOFF ** ship.attempts
             )
             tracker.retransmissions += 1
 
@@ -481,7 +492,7 @@ class DistributedCuTS:
 
         The heartbeat sender is modeled as a background thread that beats
         until the crash instant, so a rank is suspected exactly when the
-        observer's clock passes ``crash_time + heartbeat_timeout_ms``
+        observer's clock passes ``crash_time + HEARTBEAT_TIMEOUT_MS``
         (deep in a long chunk a rank still beats — no false positives).
         """
         if self._injector is None:
@@ -490,7 +501,7 @@ class DistributedCuTS:
             if r in self._failed:
                 continue
             crash = self._injector.crash_time(r)
-            if crash is None or w.clock_ms - crash <= self.config.heartbeat_timeout_ms:
+            if crash is None or w.clock_ms - crash <= HEARTBEAT_TIMEOUT_MS:
                 continue
             self._recover(r, w, workers, comm, tracker, registry, ledger)
 
@@ -609,7 +620,7 @@ class DistributedCuTS:
             interval = (
                 self.network.transfer_ms(words)
                 + self.network.transfer_ms(0)
-                + self.config.ack_timeout_ms
+                + ACK_TIMEOUT_MS
             )
             tracker.register(
                 Shipment(

@@ -196,7 +196,9 @@ class RankWorker:
             self.ledger.add_pending(prov.key, prov.gen, 1)
         return head, tail
 
-    def _sink(self, item: WorkItem, found: int, _leaf: PathTrie | None) -> None:
+    def _sink(
+        self, item: WorkItem, found: int, rows: np.ndarray | None
+    ) -> None:
         """An item ended with ``found`` embeddings (0 = dead end)."""
         self.count += found
         prov = _provenance(item)

@@ -69,17 +69,10 @@ COUNT_IRRELEVANT_FIELDS = frozenset(
         "profile_expansion",
         "workers",
         "oversplit",
-        # Distributed reliability timing.
-        "ack_timeout_ms",
-        "retry_backoff",
-        "max_retries",
-        "heartbeat_interval_ms",
-        "heartbeat_timeout_ms",
         # Serving knobs: queue shape and cache budget never reach the
         # enumerator (admission rejects whole requests, it does not
         # truncate results).
         "service_queue_depth",
-        "service_batch_max",
         "service_cache_bytes",
         "service_max_query_vertices",
         "service_request_timeout_s",

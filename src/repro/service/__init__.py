@@ -21,8 +21,9 @@ many queries; this package is that argument applied at serving scale:
   charged against the memory governor, explicitly invalidated on graph
   re-registration.
 
-Resilience (DESIGN.md §12): :class:`ServiceState` journals graphs and
-job transitions durably so ``--state-dir`` restarts recover them;
+Resilience (DESIGN.md §12): :class:`ServiceState` keeps graphs in a
+content-addressed store and names, versions and job transitions in one
+append-only log, so ``--state-dir`` restarts recover them;
 :class:`ServiceFaultPlan` / :class:`ServiceFaultInjector` inject
 deterministic faults end-to-end for chaos testing; the client heals
 itself with :class:`RetryPolicy` backoff, idempotency keys, and a

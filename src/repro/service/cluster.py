@@ -882,7 +882,7 @@ class ClusterService(FrontDoor):
             job.state = FAILED
             job.error = str(exc)
         job.finished_at = time.time()
-        job.done.set()
+        self._settle(job)
 
     def _route(self, job: Job) -> None:
         """Run ``job`` on its shard's replicas and settle its result.

@@ -20,8 +20,8 @@ possible point, before any matcher runs.  Pending requests can also be
 **cancelled**; cancellation wins the race against dispatch the same way.
 
 Batch pops are graph-affine: the head request is taken together with
-every queued request for the *same* data graph (up to
-``service_batch_max``), which is what lets the dispatcher turn a burst
+every queued request for the *same* data graph (up to the service's
+``BATCH_MAX``), which is what lets the dispatcher turn a burst
 of same-graph traffic into one batched matcher pass.  Requests for
 other graphs are pushed back untouched, preserving their order.
 """

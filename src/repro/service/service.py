@@ -23,10 +23,15 @@ and the same count of healthy ticks exits the mode.
 
 Resilience (see DESIGN.md §12):
 
-* ``state_dir`` makes the service crash-recoverable: graphs and job
-  transitions are journaled durably (:mod:`repro.service.state`) and a
-  restart re-registers graphs, re-enqueues pending jobs, restores
-  terminal ones, and marks formerly-running jobs ``retryable``.
+* ``state_dir`` makes the service crash-recoverable: graphs, names,
+  versions and job transitions go to one durable log
+  (:mod:`repro.service.state`) and a restart re-registers graphs,
+  re-enqueues pending jobs, restores retained terminal ones, and marks
+  formerly-running jobs ``retryable``.
+* The job table keeps every pending and running job and the
+  :data:`~repro.service.state.RETAINED_JOBS` most recently settled
+  ones.  An evicted id answers ``KeyError`` (HTTP 404), and an evicted
+  idempotency key runs again.
 * ``idempotency_key`` on :meth:`submit` deduplicates client retries:
   a key already bound to a live or completed job returns that job's id
   instead of executing again — retries can never double-count.
@@ -43,7 +48,9 @@ import signal
 import threading
 import time
 from abc import ABC, abstractmethod
+from collections import OrderedDict
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..analysis.sanitizer import make_rlock
 from ..core.config import CuTSConfig
@@ -70,7 +77,14 @@ from .dispatcher import Dispatcher
 from .faults import ServiceFaultInjector, ServiceFaultPlan
 from .registry import GraphRegistry, VersionCommit
 from .scheduler import AdmissionError, Request, Scheduler
-from .state import ServiceState, graph_from_record, graph_record
+from .state import (
+    DROPPED,
+    RETAINED_JOBS,
+    LogState,
+    ServiceState,
+    graph_from_record,
+    graph_record,
+)
 
 __all__ = [
     "DeadlineExpired",
@@ -91,6 +105,16 @@ RETRYABLE = "retryable"
 
 # Journal states that are settled (no further transitions).
 _TERMINAL = frozenset({DONE, FAILED, EXPIRED, CANCELLED, RETRYABLE})
+
+BATCH_MAX = 16
+"""Most requests the dispatch loop hands the dispatcher as one batched
+same-graph matcher pass."""
+
+# The request fields a job record carries beside its query graph.
+_RECORD_FIELDS = (
+    "job_id", "graph_fp", "query_fp", "materialize", "time_limit_ms",
+    "priority", "part", "num_parts",
+)
 
 
 class DeadlineExpired(RuntimeError):
@@ -175,12 +199,19 @@ class Job:
 class FrontDoor(ABC):
     """The public surface both serving backends share.
 
-    Validation, job ids, idempotency dedupe and ``submit`` ... ``compare``
-    are written once, here.  A backend resolves graphs
-    (:meth:`_graph_key`) and runs admitted jobs (:meth:`_start`):
+    Validation, job ids, idempotency dedupe, job retention and
+    ``submit`` ... ``compare`` are written once, here.  A backend
+    resolves graphs (:meth:`_graph_key`), runs admitted jobs
+    (:meth:`_start`) and settles them (:meth:`_settle`):
     :class:`MatchingService` queues them on its scheduler, and
     :class:`~repro.service.cluster.ClusterService` routes them to the
     replicas of the graph's shard.
+
+    Retention: the table keeps every pending and running job and the
+    :data:`~repro.service.state.RETAINED_JOBS` most recently settled
+    ones.  Evicting a job drops its idempotency binding and any query
+    shape no retained job uses, so an evicted id answers ``KeyError``
+    and an evicted idempotency key runs again.  Ids are never reused.
     """
 
     _JOB_PREFIX = "job"
@@ -191,6 +222,13 @@ class FrontDoor(ABC):
         self._jobs_lock = make_rlock("FrontDoor._jobs_lock")
         self._job_seq = 0
         self._idempotency: dict[str, str] = {}
+        # Settled jobs, oldest-settled first: the eviction order.
+        self._settled: OrderedDict[str, Job] = OrderedDict()
+        # Query index: query_fp -> (query graph, retained jobs using
+        # it).  Cache promotion needs the query *shape* (its diameter
+        # and root set) to prove an entry unaffected by a delta; a
+        # cache key alone cannot reconstruct it.
+        self._queries: dict[str, tuple[CSRGraph, int]] = {}
 
     def __enter__(self) -> "FrontDoor":
         return self
@@ -331,18 +369,47 @@ class FrontDoor(ABC):
             deadline_ms=deadline_ms,
         )
         with self._jobs_lock:
-            self._jobs[job_id] = job
-            if idempotency_key is not None:
-                self._idempotency[idempotency_key] = job_id
+            self._track(job)
         try:
             self._start(job)
         except AdmissionError:
             with self._jobs_lock:
-                self._jobs.pop(job_id, None)
-                if idempotency_key is not None:
-                    self._idempotency.pop(idempotency_key, None)
+                self._forget(job)
             raise
         return job_id
+
+    def _track(self, job: Job) -> None:
+        """Add ``job`` to the table.  Caller holds ``_jobs_lock``."""
+        self._jobs[job.id] = job
+        if job.idempotency_key is not None and job.state != RETRYABLE:
+            self._idempotency[job.idempotency_key] = job.id
+        fp = job.request.query_fp
+        query, uses = self._queries.get(fp, (job.request.query, 0))
+        self._queries[fp] = (query, uses + 1)
+
+    def _forget(self, job: Job) -> None:
+        """Drop ``job``, its idempotency binding, and its query shape
+        once no retained job uses it.  Caller holds ``_jobs_lock``."""
+        del self._jobs[job.id]
+        key = job.idempotency_key
+        if key is not None and self._idempotency.get(key) == job.id:
+            del self._idempotency[key]
+        fp = job.request.query_fp
+        query, uses = self._queries[fp]
+        if uses > 1:
+            self._queries[fp] = (query, uses - 1)
+        else:
+            del self._queries[fp]
+
+    def _settle(self, job: Job) -> None:
+        """Wake ``job``'s waiters, and evict the oldest-settled job once
+        more than :data:`RETAINED_JOBS` are settled."""
+        with self._jobs_lock:
+            if self._jobs.get(job.id) is job:
+                self._settled[job.id] = job
+                while len(self._settled) > RETAINED_JOBS:
+                    self._forget(self._settled.popitem(last=False)[1])
+        job.done.set()
 
     def job(self, job_id: str) -> Job:
         with self._jobs_lock:
@@ -360,8 +427,11 @@ class FrontDoor(ABC):
     def result(self, job_id: str, timeout: float | None = None) -> MatchResult:
         """The job's :class:`MatchResult`, raising typed errors for the
         unhappy terminal states."""
-        job = self.wait(job_id, timeout=timeout)
-        if not job.done.is_set():
+        return self._outcome(self.job(job_id), timeout)
+
+    def _outcome(self, job: Job, timeout: float | None) -> MatchResult:
+        job_id = job.id
+        if not job.done.wait(timeout=timeout):
             raise TimeoutError(f"job {job_id} still {job.state}")
         if job.state == DONE:
             if job.result is None:
@@ -432,16 +502,20 @@ class FrontDoor(ABC):
         hand its dispatcher one graph-affine batch and the engine run
         it as a single batched pool pass.
         """
-        job_ids = [
-            self.submit(
-                graph,
-                query,
-                materialize=materialize,
-                time_limit_ms=time_limit_ms,
+        # Hold the jobs themselves: a batch larger than RETAINED_JOBS
+        # may see its first jobs evicted before their turn comes.
+        jobs = [
+            self.job(
+                self.submit(
+                    graph,
+                    query,
+                    materialize=materialize,
+                    time_limit_ms=time_limit_ms,
+                )
             )
             for query in queries
         ]
-        return [self.result(job_id, timeout=timeout) for job_id in job_ids]
+        return [self._outcome(job, timeout) for job in jobs]
 
     def compare(
         self,
@@ -499,7 +573,7 @@ class MatchingService(FrontDoor):
         want to inspect queued state before dispatch pass ``False`` and
         call :meth:`start` themselves.
     state_dir:
-        Directory for the durable job journal + graph manifest
+        Directory for the durable state log and graph store
         (:class:`~repro.service.state.ServiceState`).  ``None``
         (default) serves purely in memory.  An existing state dir is
         recovered before the dispatch thread starts.
@@ -553,15 +627,8 @@ class MatchingService(FrontDoor):
             faults=self.faults,
         )
         super().__init__()
-        # Query index: query_fp -> query graph, fed by every submit.
-        # Cache promotion needs the query *shape* (its diameter and
-        # root set) to prove an entry unaffected by a delta; a cache
-        # key alone cannot reconstruct it.  Queries are tiny, and the
-        # index only ever holds shapes this service has actually seen.
-        self._queries: dict[str, CSRGraph] = {}
         self.version_commits = 0
         self.recovered_versions = 0
-        self.version_records_malformed = 0
         self._degraded = False
         self._killed = False
         self._pressure_strikes = 0
@@ -575,24 +642,26 @@ class MatchingService(FrontDoor):
         self.started_at = time.time()
         self.state: ServiceState | None = None
         self.journal_errors = 0
-        self._journal_q: queue.Queue[tuple[str, object]] | None = None
+        # Job records, flush events, and None to stop the writer.
+        self._journal_q: queue.Queue[
+            dict[str, Any] | threading.Event | None
+        ] | None = None
         self._journal_thread: threading.Thread | None = None
         if state_dir is not None:
             self.state = ServiceState(state_dir)
-            self.state.check_manifest(self.config_fp)
-            # Journal writes (up to 3 fsync'd records per job) ride a
-            # dedicated writer thread so they never sit on the request
-            # path; the FIFO queue preserves per-job transition order,
-            # which is what makes a crash unable to roll a job back
-            # past a completed result, and the writer group-commits
-            # each drain so bursts coalesce into fewer syscalls.
             self._journal_q = queue.Queue()
+            self._recover(self.state.open(self.config_fp))
+            # Job records (up to 3 per job) ride a dedicated writer
+            # thread so they never sit on the request path; the FIFO
+            # queue preserves per-job transition order, which is what
+            # makes a crash unable to roll a job back past a completed
+            # result, and the writer appends each drain as one batch.
+            # It starts after recovery, which reads the log's live state.
             self._journal_thread = threading.Thread(
                 target=self._journal_loop, name="service-journal",
                 daemon=True,
             )
             self._journal_thread.start()
-            self._recover()
         if start:
             self.start()
 
@@ -608,29 +677,27 @@ class MatchingService(FrontDoor):
             self._thread.start()
 
     def close(self) -> None:
-        """Stop dispatching, fail queued jobs, release every engine."""
-        if self._killed:
-            # A killed service must not settle anything.  Its writer
-            # only finishes the batch it held when the kill landed (a
-            # restart follows the death, it never races it); then the
-            # engines are released.
-            if self._journal_thread is not None:
-                self._journal_thread.join(timeout=10.0)
-            self.registry.close()
-            return
-        self._stop.set()
-        for request in self.scheduler.close():
-            self._finish_failure(request, "shutdown", state=FAILED)
-        if self._thread is not None:
-            self._thread.join(timeout=10.0)
-            self._thread = None
-        if self._journal_thread is not None and self._journal_q is not None:
-            drained = threading.Event()
-            self._journal_q.put(("stop", drained))
-            drained.wait(timeout=10.0)
+        """Stop dispatching, fail queued jobs, release every engine.
+
+        A killed service settles nothing: its writer only finishes the
+        batch it held when the kill landed (a restart follows the
+        death, it never races it), then the engines are released.
+        """
+        if not self._killed:
+            self._stop.set()
+            for request in self.scheduler.close():
+                self._finish_failure(request, "shutdown", state=FAILED)
+            if self._thread is not None:
+                self._thread.join(timeout=10.0)
+                self._thread = None
+            if self._journal_q is not None:
+                self._journal_q.put(None)  # stop after the last batch
+        if self._journal_thread is not None:
             self._journal_thread.join(timeout=10.0)
             self._journal_thread = None
         self.registry.close()
+        if self.state is not None:
+            self.state.close()
 
     def kill(self) -> None:
         """Abandon the service abruptly — the in-process analogue of a
@@ -656,7 +723,7 @@ class MatchingService(FrontDoor):
             # enqueued after this marker is lost, like an unflushed
             # buffer at SIGKILL (the _killed guard means nothing new
             # is enqueued anyway).
-            self._journal_q.put(("stop", threading.Event()))
+            self._journal_q.put(None)
 
     @property
     def killed(self) -> bool:
@@ -674,119 +741,78 @@ class MatchingService(FrontDoor):
         if self._journal_q is None:
             return
         flushed = threading.Event()
-        self._journal_q.put(("flush", flushed))
+        self._journal_q.put(flushed)
         flushed.wait(timeout)
 
     # ------------------------------------------------------------------
     # Crash recovery
     # ------------------------------------------------------------------
-    def _recover(self) -> None:
-        """Rebuild registry + job table from the state dir (runs before
-        the dispatch thread starts, so nothing races it)."""
+    def _recover(self, log: LogState) -> None:
+        """Rebuild registry + job table from the replayed log (runs
+        before the dispatch thread starts, so nothing races it)."""
         assert self.state is not None
         graphs = self.state.load_graphs()
-        named: set[str] = set()
-        # Version lineage first: for every mutated name the journal
-        # decides the head — the latest record whose child graph made
-        # it to disk (the journal outranks the name map, see
-        # :mod:`repro.service.state`) — and retained ancestors come
-        # back retired, still addressable for ``as_of`` time travel.
-        chains, malformed = recover_chains(
-            self.state.load_versions(), set(graphs)
-        )
-        self.version_records_malformed += malformed
-        versioned: set[str] = set()
+        # Version chains first, so retained ancestors come back
+        # retired and still addressable for ``as_of`` time travel.  The
+        # log's order already decided each name's head, and opening it
+        # kept only the chains that end at one.
+        chains, _ = recover_chains(log.versions, set(graphs))
         for name, chain in chains.items():
-            head_version = chain[-1]
             for version in chain:
-                graph = graphs.get(version.fingerprint)
-                if graph is None:
-                    continue
                 self.registry.adopt_version(
-                    graph,
+                    graphs[version.fingerprint],
                     name,
                     parent_fp=version.parent,
                     lineage_depth=version.depth,
-                    head=version is head_version,
+                    head=version is chain[-1],
                     delta=version.delta,
                 )
-                versioned.add(version.fingerprint)
                 self.recovered_versions += 1
-            named.add(head_version.fingerprint)
-        # Then the name map, in its saved order, so each remaining
-        # handle comes back under the same primary name it had before
-        # the crash (later names for the same content become aliases,
-        # as they were).  Names the journal already decided are
-        # skipped: a crash between the lineage record and the map
-        # rewrite leaves the map one commit stale, and replaying it
-        # here would roll the head back.
-        for name, fp in self.state.load_names().items():
-            if name in chains:
-                continue
-            graph = graphs.get(fp)
-            if graph is not None:
-                self.registry.register(graph, name)
-                named.add(fp)
+        # Then the name map, in its saved order, so each handle comes
+        # back under the primary name it had (later names for the same
+        # content become aliases, as they were).
+        for name, fp in log.names.items():
+            if fp in graphs:
+                self.registry.register(graphs[fp], name)
         for fp, graph in graphs.items():
-            if fp not in named and fp not in versioned:
-                self.registry.register(graph)
-        if chains:
-            # Heal the name map so the next incarnation starts in sync.
-            self.state.save_names(self.registry.names())
+            if self.registry.by_fingerprint(fp) is None:
+                # Content no name holds, e.g. replaced under its name:
+                # under its own name it would take that name back.
+                self.registry.register(graph, fp[:12])
         self._recharge()
-        for record in self.state.load_jobs():
+        with self._jobs_lock:
+            # The sequence counter's discipline is _jobs_lock
+            # everywhere else; keeping it here keeps the invariant
+            # machine-checkable (RP009).
+            self._job_seq = log.job_seq
+        for record in log.job_records():
             self._recover_job(record)
 
-    def _recover_job(self, record: dict[str, object]) -> None:
-        assert self.state is not None
-        job_id = str(record["job_id"])
+    def _recover_job(self, record: dict[str, Any]) -> None:
         try:
-            seq = int(job_id.rsplit("-", 1)[-1])
-        except ValueError:
-            seq = 0
-        with self._jobs_lock:
-            # Recovery runs before the dispatch thread starts, but the
-            # sequence counter's discipline is _jobs_lock everywhere
-            # else; keeping it here costs nothing and keeps the
-            # invariant machine-checkable (RP009).
-            self._job_seq = max(self._job_seq, seq)
-        try:
-            query = graph_from_record(record["query"])  # type: ignore[arg-type]
-        except Exception:
-            return  # a torn legacy record: skip rather than crash boot
-        limit = record.get("time_limit_ms")
-        part = record.get("part")
-        request = Request(
-            job_id=job_id,
-            graph_fp=str(record["graph_fp"]),
-            query=query,
-            query_fp=str(record["query_fp"]),
-            materialize=bool(record.get("materialize", False)),
-            time_limit_ms=float(limit) if limit is not None else None,
-            priority=int(record.get("priority", 0)),  # type: ignore[arg-type]
-            part=int(part) if part is not None else None,  # type: ignore[arg-type]
-            num_parts=int(record.get("num_parts", 1)),  # type: ignore[arg-type]
-        )
-        raw_key = record.get("idempotency_key")
+            request = Request(
+                query=graph_from_record(record["query"]),
+                **{k: record[k] for k in _RECORD_FIELDS if k in record},
+            )
+        except (KeyError, TypeError, ValueError):
+            return  # a malformed record: skip rather than crash boot
         job = Job(
-            id=job_id,
+            id=request.job_id,
             request=request,
-            idempotency_key=str(raw_key) if raw_key is not None else None,
+            idempotency_key=record.get("idempotency_key"),
         )
-        state = str(record["state"])
+        state = record["state"]
         if state == PENDING:
             # Journaled but never dispatched: run it now, original id.
             # (Its deadline, if any, was relative to the dead process's
-            # clock and is dropped.)
+            # clock and is dropped.)  The dispatch thread has not
+            # started, so nothing pops it before it is tracked.
             try:
                 self.scheduler.submit(request)
                 self.recovered_pending += 1
             except AdmissionError as exc:
                 job.state = RETRYABLE
                 job.error = f"recovery re-enqueue rejected: {exc}"
-                job.finished_at = time.time()
-                job.done.set()
-                self._journal(job, RETRYABLE)
         elif state == RUNNING:
             # In flight when the process died.  The engine pass died
             # with it and nothing was journaled as completed, so a
@@ -796,33 +822,26 @@ class MatchingService(FrontDoor):
                 "service crashed while this job was running; "
                 "resubmit to retry"
             )
-            job.finished_at = time.time()
-            job.done.set()
             self.recovered_retryable += 1
-            self._journal(job, RETRYABLE)
         elif state in _TERMINAL:
             job.state = state
-            err = record.get("error")
-            job.error = str(err) if err is not None else None
-            raw_finished = record.get("finished_at")
-            job.finished_at = (
-                float(raw_finished)  # type: ignore[arg-type]
-                if raw_finished is not None
-                else time.time()
-            )
+            job.error = record.get("error")
+            job.finished_at = record.get("finished_at") or time.time()
             payload = record.get("result")
             if isinstance(payload, dict) and verify_payload(payload):
                 job.result = result_from_payload(payload, self.config)
                 job.cached = True
-            job.done.set()
             self.recovered_terminal += 1
         else:
             return
         with self._jobs_lock:
-            self._jobs[job_id] = job
-            self._queries.setdefault(request.query_fp, query)
-            if job.idempotency_key is not None and job.state != RETRYABLE:
-                self._idempotency[job.idempotency_key] = job_id
+            self._track(job)
+        if job.state == PENDING:
+            return
+        if job.finished_at is None:  # settled by this recovery
+            job.finished_at = time.time()
+            self._journal(job, RETRYABLE)
+        self._settle(job)
 
     # ------------------------------------------------------------------
     # Graph management
@@ -890,10 +909,11 @@ class MatchingService(FrontDoor):
 
         The registry builds the child by non-mutating overlay splice
         (live matches on the parent are never torn), durability follows
-        the commit order of :mod:`repro.service.state` (graph bytes →
-        lineage record → name map), and the result cache carries
-        provably-unaffected entries over to the child fingerprint
-        (:meth:`LRUBytesCache.promote` under the dirty-ball predicate).
+        the commit order of :mod:`repro.service.state` (graph bytes,
+        then the lineage record that also moves the name), and the
+        result cache carries provably-unaffected entries over to the
+        child fingerprint (:meth:`LRUBytesCache.promote` under the
+        dirty-ball predicate).
         A request that reduces to a no-op (all inserts present, all
         deletes absent) changes nothing and says so.
         """
@@ -927,10 +947,9 @@ class MatchingService(FrontDoor):
         self.version_commits += 1
         if self.state is not None:
             # Commit order (see repro.service.state): child graph
-            # bytes, then the lineage record, then the name map.  A
-            # crash between any two steps leaves a journal prefix that
-            # recovery reads as either "commit happened" or "never
-            # happened" — nothing in between.
+            # bytes, then the lineage record, which also moves the
+            # name.  A crash between the two leaves an orphan graph
+            # and the head at the parent: the commit never happened.
             self.state.save_graph(commit.child.graph, commit.child.fingerprint)
             self.state.append_version(
                 version_record(
@@ -944,7 +963,6 @@ class MatchingService(FrontDoor):
                     )
                 )
             )
-            self.state.save_names(self.registry.names())
         promoted, retained = self._promote_caches(commit)
         for fp in commit.pruned:
             self._invalidate_graph(fp)
@@ -1008,7 +1026,8 @@ class MatchingService(FrontDoor):
 
     def _query_for(self, query_fp: str) -> CSRGraph | None:
         with self._jobs_lock:
-            return self._queries.get(query_fp)
+            entry = self._queries.get(query_fp)
+        return None if entry is None else entry[0]
 
     def versions(self, key: str) -> list[dict[str, object]]:
         """The retained version chain of ``key``'s graph, oldest first
@@ -1030,9 +1049,6 @@ class MatchingService(FrontDoor):
         return self.registry.resolve(graph).fingerprint
 
     def _start(self, job: Job) -> None:
-        request = job.request
-        with self._jobs_lock:
-            self._queries.setdefault(request.query_fp, request.query)
         if self._degraded:
             self._serve_degraded(job)
             return
@@ -1044,10 +1060,9 @@ class MatchingService(FrontDoor):
         # result.
         self._journal(job, PENDING)
         try:
-            self.scheduler.submit(request)
+            self.scheduler.submit(job.request)
         except AdmissionError:
-            if self._journal_q is not None:
-                self._journal_q.put(("forget", job.id))
+            self._journal(job, DROPPED)
             raise
 
     def _serve_degraded(self, job: Job) -> None:
@@ -1075,7 +1090,7 @@ class MatchingService(FrontDoor):
         job.cached = True
         job.finished_at = time.time()
         self._journal(job, DONE, result_payload=payload)
-        job.done.set()
+        self._settle(job)
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-pending job (returns whether it was pending)."""
@@ -1116,7 +1131,6 @@ class MatchingService(FrontDoor):
                 "commits": self.version_commits,
                 "registry_commits": self.registry.commits,
                 "recovered_versions": self.recovered_versions,
-                "version_records_malformed": self.version_records_malformed,
             },
         }
         if self.state is not None:
@@ -1167,27 +1181,19 @@ class MatchingService(FrontDoor):
         if self.state is None or self._killed:
             return
         request = job.request
-        record: dict[str, object] = {
-            "format": 1,
-            "job_id": job.id,
-            "state": state,
-            "graph_fp": request.graph_fp,
-            "query_fp": request.query_fp,
-            "query": graph_record(request.query),
-            "materialize": request.materialize,
-            "time_limit_ms": request.time_limit_ms,
-            "priority": request.priority,
-            "part": request.part,
-            "num_parts": request.num_parts,
-            "idempotency_key": job.idempotency_key,
-            "error": job.error,
-            "submitted_at": job.submitted_at,
-            "finished_at": job.finished_at,
-        }
+        record = {k: getattr(request, k) for k in _RECORD_FIELDS}
+        record.update(
+            state=state,
+            query=graph_record(request.query),
+            idempotency_key=job.idempotency_key,
+            error=job.error,
+            submitted_at=job.submitted_at,
+            finished_at=job.finished_at,
+        )
         if result_payload is not None:
             record["result"] = result_payload
         assert self._journal_q is not None
-        self._journal_q.put(("write", record))
+        self._journal_q.put(record)
 
     _GATHER_S = 0.0015
 
@@ -1196,14 +1202,12 @@ class MatchingService(FrontDoor):
 
         Drains the queue in bursts: after the first op arrives it waits
         a hair (``_GATHER_S``) so a job's pending -> running burst lands
-        in the same drain, then coalesces to the *newest* record per
-        job (the journal is a whole-record replace, so intermediate
-        states carry no information) and writes the batch with a single
-        directory fsync.  Per-job order is still queue order, so a
-        crash can truncate history but never roll a job back past a
-        completed result.  Coalescing roughly halves the writer's
-        syscall traffic, which is what keeps the journal's p50 cost on
-        a GIL-bound engine inside the benchmark gate.
+        in the same drain, keeps the *newest* record per job (replay
+        keeps the last record per job, so intermediate states carry no
+        information) and appends the batch with one write and one
+        fsync.  Per-job order is still queue order, so a crash can
+        truncate history but never roll a job back past a completed
+        result.
         """
         assert self.state is not None and self._journal_q is not None
         while True:
@@ -1214,39 +1218,21 @@ class MatchingService(FrontDoor):
                     ops.append(self._journal_q.get_nowait())
                 except queue.Empty:  # repro: ignore[RP008] — drain done
                     break
-            writes: dict[str, dict[str, object]] = {}
-            forgets: list[str] = []
-            events: list[threading.Event] = []
-            stop: threading.Event | None = None
-            for op, payload in ops:
-                if op == "write":
-                    record = payload  # type: ignore[assignment]
-                    writes[str(record["job_id"])] = record  # type: ignore[index]
-                elif op == "forget":
-                    writes.pop(str(payload), None)
-                    forgets.append(str(payload))
-                elif op == "flush":
-                    events.append(payload)  # type: ignore[arg-type]
-                else:  # "stop"
-                    stop = payload  # type: ignore[assignment]
+            writes = {op["job_id"]: op for op in ops if isinstance(op, dict)}
             try:
                 if writes:
                     self.state.record_jobs(list(writes.values()))
-                for job_id in forgets:
-                    self.state.forget_job(job_id)
             except OSError:
                 # A full/broken disk must not kill the writer: the
                 # service keeps serving, the journal just goes stale
                 # (and the metric below says so).
                 self.journal_errors += 1
-            # flush/stop waiters release only after the batch is on
-            # disk — everything enqueued before them has been applied.
-            for event in events:
-                event.set()
-            for _ in ops:
-                self._journal_q.task_done()
-            if stop is not None:
-                stop.set()
+            # Flush waiters release only after the batch is on disk —
+            # everything enqueued before them has been applied.
+            for op in ops:
+                if isinstance(op, threading.Event):
+                    op.set()
+            if None in ops:
                 return
 
     def _observe_pressure(self) -> None:
@@ -1280,7 +1266,7 @@ class MatchingService(FrontDoor):
         job.error = message
         job.finished_at = time.time()
         self._journal(job, state)
-        job.done.set()
+        self._settle(job)
 
     def _settle_outcomes(self, outcomes: list[object]) -> None:
         if self._killed:
@@ -1323,13 +1309,13 @@ class MatchingService(FrontDoor):
             # the *tail* of a job's history, never reorder it, and an
             # idempotent retry after such a crash re-executes cleanly.
             self._journal(job, job.state, result_payload=payload)
-            job.done.set()
+            self._settle(job)
 
     def _loop(self) -> None:
         while not self._stop.is_set():
             self._observe_pressure()
             batch, dead = self.scheduler.pop_batch(
-                self.config.service_batch_max, timeout=self._POLL_S
+                BATCH_MAX, timeout=self._POLL_S
             )
             for request in dead:
                 if request.cancelled.is_set():

@@ -3,18 +3,19 @@
 Every mutation of a named graph appends one :class:`GraphVersion` link:
 the parent fingerprint, the normalised delta (or ``None`` for a
 whole-graph replacement), and the content fingerprint of the child.
-The service journals these links (`versions.jsonl` in the state dir) in
-a strict order — child graph bytes first, then the lineage record, then
-the name map — so a crash at any point leaves a recoverable prefix:
+The service writes these links as ``version`` records of its state log
+(:mod:`repro.service.state`), after the child graph's bytes, and a
+version record is also the name move — so a crash at any point leaves
+a recoverable prefix:
 
 * crash after the graph write: an orphan graph, no record — the head
   stays the parent (the commit never happened);
-* crash after the record: the journal names the child and its graph is
-  on disk — recovery advances the head to the child even though the
-  name map still says the parent (the commit happened).
+* crash after the record: the log names the child and its graph is on
+  disk — replay moves the name to the child (the commit happened).
 
-:func:`recover_chains` implements exactly that rule, purely, so the
-crash-consistency argument is unit-testable without a filesystem.
+:func:`recover_chains` rebuilds the retained chains from those records,
+purely, so the crash-consistency argument is unit-testable without a
+filesystem.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ phase.  Afterward three invariants must hold exactly:
 
 from __future__ import annotations
 
-import json
 import os
 import random
 import time
@@ -43,32 +42,17 @@ PHASES = ("pre-dispatch", "mid-shard", "post-commit-pre-reply")
 SEEDS = (3, 17)
 
 
-def journal_files(jobs_dir: str) -> list[str]:
-    """Committed journal records only — a SIGKILLed incarnation may
-    leave a ``.tmp-*`` file from an interrupted atomic write behind,
-    which is exactly the torn state the tmp+rename protocol exists to
-    make ignorable."""
-    return sorted(
-        name
-        for name in os.listdir(jobs_dir)
-        if name.startswith("job-") and name.endswith(".json")
-    )
-
-
 def journal_keys_by_rank(state_dir: str) -> dict[str, list[str]]:
-    """Idempotency keys journaled per rank (duplicates preserved)."""
+    """Idempotency keys journaled per rank, one per job record (a key
+    bound to two job ids shows up twice)."""
     out: dict[str, list[str]] = {}
     for rank_dir in sorted(os.listdir(state_dir)):
-        jobs_dir = os.path.join(state_dir, rank_dir, "jobs")
-        keys: list[str] = []
-        if os.path.isdir(jobs_dir):
-            for name in journal_files(jobs_dir):
-                with open(os.path.join(jobs_dir, name)) as fh:
-                    record = json.load(fh)
-                key = record.get("idempotency_key")
-                if key is not None:
-                    keys.append(str(key))
-        out[rank_dir] = keys
+        records = ServiceState(os.path.join(state_dir, rank_dir)).load_jobs()
+        out[rank_dir] = [
+            str(record["idempotency_key"])
+            for record in records
+            if record.get("idempotency_key") is not None
+        ]
     return out
 
 
@@ -131,19 +115,17 @@ def test_primary_kill_at_phase_preserves_exactly_once(
         victim = killed[0]
         cluster.restart_rank(victim)
         rank_service = cluster.ranks[victim].service
-        jobs_dir = os.path.join(state_dir, f"rank-{victim}", "jobs")
+        rank_service.flush_journal()
+        rank_state = ServiceState(os.path.join(state_dir, f"rank-{victim}"))
         committed: dict[str, str] = {}
-        if os.path.isdir(jobs_dir):
-            for name in journal_files(jobs_dir):
-                with open(os.path.join(jobs_dir, name)) as fh:
-                    record = json.load(fh)
-                if record.get("state") == "done" and record.get(
-                    "idempotency_key"
-                ) in keys:
-                    committed[str(record["idempotency_key"])] = str(
-                        record["job_id"]
-                    )
-        files_before = journal_files(jobs_dir)
+        for record in rank_state.load_jobs():
+            if record.get("state") == "done" and record.get(
+                "idempotency_key"
+            ) in keys:
+                committed[str(record["idempotency_key"])] = str(
+                    record["job_id"]
+                )
+        jobs_before = sorted(r["job_id"] for r in rank_state.load_jobs())
         for i, key in enumerate(keys):
             if key in committed:
                 replay_id = rank_service.submit(
@@ -151,7 +133,9 @@ def test_primary_kill_at_phase_preserves_exactly_once(
                 )
                 assert replay_id == committed[key]
         rank_service.flush_journal()
-        assert journal_files(jobs_dir) == files_before
+        assert sorted(
+            r["job_id"] for r in rank_state.load_jobs()
+        ) == jobs_before
     finally:
         cluster.close()
 
