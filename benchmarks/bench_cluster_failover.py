@@ -47,10 +47,14 @@ import time
 import pytest
 
 from repro.core import CuTSMatcher
-from repro.core.config import CuTSConfig
 from repro.graph import chain_graph, cycle_graph, mesh_graph, star_graph
 from repro.hostinfo import cpu_report
-from repro.service import ClusterService, HashRing, MatchingService
+from repro.service import (
+    ClusterService,
+    HashRing,
+    MatchingService,
+    ServiceConfig,
+)
 
 from conftest import bench_scale
 
@@ -81,16 +85,17 @@ def _p95(samples: list[float]) -> float:
 
 def run_routing_overhead(scale: float, requests: int) -> dict:
     data, queries = cluster_workload(scale)
-    config = CuTSConfig(service_cache_bytes=0)
-    oracle = [CuTSMatcher(data, config).match(q).count for q in queries]
+    no_cache = ServiceConfig(cache_bytes=0)
+    oracle = [CuTSMatcher(data).match(q).count for q in queries]
     pairs = max(requests, 2) * 2
     single_lat: list[float] = []
     routed_lat: list[float] = []
     mismatches = 0
     with (
-        MatchingService(config, workers=1) as single,
+        MatchingService(service_config=no_cache, workers=1) as single,
         ClusterService(
-            config, ranks=RANKS, replication=REPLICATION, workers=1
+            service_config=no_cache, ranks=RANKS, replication=REPLICATION,
+            workers=1,
         ) as cluster,
     ):
         fp_single = single.register_graph(data)
@@ -133,14 +138,14 @@ def run_routing_overhead(scale: float, requests: int) -> dict:
 
 def run_failover_latency(scale: float, cycles: int) -> dict:
     data, queries = cluster_workload(scale)
-    config = CuTSConfig(service_cache_bytes=0)
-    oracle = [CuTSMatcher(data, config).match(q).count for q in queries]
+    no_cache = ServiceConfig(cache_bytes=0)
+    oracle = [CuTSMatcher(data).match(q).count for q in queries]
     healthy_lat: list[float] = []
     failover_lat: list[float] = []
     mismatches = 0
     with tempfile.TemporaryDirectory(prefix="bench-cluster-") as base:
         with ClusterService(
-            config,
+            service_config=no_cache,
             ranks=RANKS,
             replication=REPLICATION,
             workers=1,

@@ -90,7 +90,7 @@ def run_durability(scale: float, repeats: int = 3) -> dict:
     budget_mb = max(1, int(free_peak * BUDGET_FRACTION / 2**20))
     budget_bytes = budget_mb * 2**20
     squeezed = CuTSMatcher(
-        data, CuTSConfig(memory_budget_mb=budget_mb)
+        data, CuTSConfig(), memory_budget_mb=budget_mb
     ).match(query)
     budget = {
         "budget_mb": budget_mb,

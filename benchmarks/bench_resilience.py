@@ -44,10 +44,9 @@ import time
 import pytest
 
 from repro.core import CuTSMatcher
-from repro.core.config import CuTSConfig
 from repro.graph import chain_graph, cycle_graph, mesh_graph, star_graph
 from repro.hostinfo import cpu_report
-from repro.service import JobFailed, MatchingService
+from repro.service import JobFailed, MatchingService, ServiceConfig
 from repro.service.faults import ServiceFaultPlan
 
 from conftest import bench_scale
@@ -89,7 +88,7 @@ def _timed_match(service, fp: str, query) -> float:
 
 def run_journal_overhead(scale: float, requests: int) -> dict:
     data, queries = resilience_workload(scale)
-    config = CuTSConfig(service_cache_bytes=0)
+    no_cache = ServiceConfig(cache_bytes=0)
     # Paired design: both services stay alive for the whole measurement
     # and each iteration issues one request to each, back to back, so
     # machine-load drift (which moves the baseline by far more than a
@@ -101,9 +100,9 @@ def run_journal_overhead(scale: float, requests: int) -> dict:
     on_lat: list[float] = []
     with tempfile.TemporaryDirectory(prefix="bench-state-") as base:
         with (
-            MatchingService(config) as plain,
+            MatchingService(service_config=no_cache) as plain,
             MatchingService(
-                config, state_dir=os.path.join(base, "state")
+                service_config=no_cache, state_dir=os.path.join(base, "state")
             ) as journaled,
         ):
             fp_off = plain.register_graph(data)
@@ -137,15 +136,15 @@ def run_journal_overhead(scale: float, requests: int) -> dict:
 
 def run_goodput(scale: float, requests: int) -> dict:
     data, queries = resilience_workload(scale)
-    config = CuTSConfig(service_cache_bytes=0)
-    oracle = [
-        CuTSMatcher(data, config).match(q).count for q in queries
-    ]
+    no_cache = ServiceConfig(cache_bytes=0)
+    oracle = [CuTSMatcher(data).match(q).count for q in queries]
     good = 0
     mismatches = 0
     retried_ok = 0
     retried_bad = 0
-    with MatchingService(config, faults=FAULT_SCHEDULE) as service:
+    with MatchingService(
+        service_config=no_cache, faults=FAULT_SCHEDULE
+    ) as service:
         fp = service.register_graph(data)
         for i in range(requests):
             query = queries[i % len(queries)]

@@ -40,7 +40,7 @@ def main() -> None:
     print(f"(total embeddings if fully enumerated: {total:,})\n")
 
     # --- profiling: the per-kernel trace -------------------------------
-    traced = CuTSMatcher(data, CuTSConfig(trace_kernels=True))
+    traced = CuTSMatcher(data, trace_kernels=True)
     result = traced.match(query)
     print("kernel trace:")
     print(format_trace_report(result.cost.trace))

@@ -38,7 +38,6 @@ import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from repro.core.config import CuTSConfig  # noqa: E402
 from repro.core.matcher import CuTSMatcher  # noqa: E402
 from repro.graph import (  # noqa: E402
     chain_graph,
@@ -52,6 +51,7 @@ from repro.service import (  # noqa: E402
     ClusterService,
     HashRing,
     JobFailed,
+    ServiceConfig,
     ServiceState,
 )
 
@@ -90,13 +90,9 @@ def journal_duplicates(state_dir: str) -> list[str]:
 
 
 def run_chaos(args) -> int:
-    config = CuTSConfig(
-        service_cache_bytes=0,
-        service_heal_after_ticks=2,
-        service_route_timeout_s=30.0,
-    )
+    service_config = ServiceConfig(cache_bytes=0, route_timeout_s=30.0)
     oracle = {
-        (g_name, q.name): CuTSMatcher(data, config).match(q).count
+        (g_name, q.name): CuTSMatcher(data).match(q).count
         for g_name, data in DATA_GRAPHS.items()
         for q in QUERIES
     }
@@ -108,7 +104,7 @@ def run_chaos(args) -> int:
     with tempfile.TemporaryDirectory(prefix="cluster-chaos-") as base:
         state_dir = os.path.join(base, "state")
         with ClusterService(
-            config,
+            service_config=service_config,
             ranks=args.ranks,
             replication=args.replication,
             workers=args.workers,

@@ -1,19 +1,22 @@
 """RP005 — config drift.
 
-``CuTSConfig`` is the single tunables surface: every experiment,
-benchmark, and CLI run goes through it.  Drift shows up two ways, and
-both have bitten engines like this one silently: a field nobody reads
-(so "tuning" it is a no-op and ablations lie), or a CLI flag that parses
-but never reaches a field (so the flag is theater).  This rule closes
-the loop statically.
+Two config types are the tunables surface: ``CuTSConfig``
+(``core/config.py``, the fingerprinted engine choices) and
+``ServiceConfig`` (``service/config.py``, the serving knobs).  Every
+experiment, benchmark, CLI run and server goes through them.  Drift
+shows up two ways, and both have bitten engines like this one
+silently: a field nobody reads (so "tuning" it is a no-op and ablations
+lie), or a CLI flag that parses but never reaches a field (so the flag
+is theater).  This rule closes the loop statically.
 
 Flagged:
 
-* a ``CuTSConfig`` field never referenced (attribute access or keyword
-  argument) outside ``core/config.py``;
+* a field of either config type never referenced (attribute access or
+  keyword argument) outside its own module;
 * an ``argparse`` flag whose destination is never read back off the
-  parsed namespace in the CLI module;
-* a ``CuTSConfig(...)`` call passing a keyword that names no field.
+  parsed namespace in its module (``cli.py`` and ``service/http.py``);
+* a ``CuTSConfig(...)`` or ``ServiceConfig(...)`` call passing a
+  keyword that names no field.
 """
 
 from __future__ import annotations
@@ -26,13 +29,16 @@ from ..diagnostics import Diagnostic
 from ..engine import Project, SourceModule
 from ..registry import register
 
-CONFIG_CLASS = "CuTSConfig"
+CONFIGS = (("core/config.py", "CuTSConfig"), ("service/config.py", "ServiceConfig"))
+"""(logical module suffix, dataclass name) of each config type."""
+CLI_MODULES = ("cli.py", "service/http.py")
+"""Modules whose ``argparse`` flags must each be read back."""
 
 
-def _config_fields(module: SourceModule) -> dict[str, int] | None:
+def _config_fields(module: SourceModule, cls: str) -> dict[str, int] | None:
     """Annotated fields of the config dataclass (name -> line)."""
     for node in ast.walk(module.tree):
-        if isinstance(node, ast.ClassDef) and node.name == CONFIG_CLASS:
+        if isinstance(node, ast.ClassDef) and node.name == cls:
             fields: dict[str, int] = {}
             for stmt in node.body:
                 if isinstance(stmt, ast.AnnAssign) and isinstance(
@@ -104,45 +110,48 @@ class ConfigDriftChecker(Checker):
     rule = "RP005"
     name = "config-drift"
     description = (
-        "every CuTSConfig field is read somewhere real, every CLI flag "
-        "reaches a live destination, no unknown config kwargs"
+        "every CuTSConfig and ServiceConfig field is read somewhere "
+        "real, every CLI flag reaches a live destination, no unknown "
+        "config kwargs"
     )
 
     def check_project(self, project: Project) -> Iterable[Diagnostic]:
-        config_module = project.find("core/config.py")
-        if config_module is None:
-            return
-        fields = _config_fields(config_module)
-        if fields is None:
-            return
-
-        used: set[str] = set()
-        for module in project.modules:
-            if module is config_module:
+        schemas: dict[str, set[str]] = {}
+        for suffix, cls in CONFIGS:
+            config_module = project.find(suffix)
+            if config_module is None:
                 continue
-            used |= _referenced_names(module)
-        for name, line in sorted(fields.items()):
-            if name not in used:
-                yield Diagnostic(
-                    path=config_module.rel,
-                    line=line,
-                    col=1,
-                    rule=self.rule,
-                    message=(
-                        f"CuTSConfig.{name} is dead: no module outside "
-                        f"config.py reads or sets it"
-                    ),
-                )
+            fields = _config_fields(config_module, cls)
+            if fields is None:
+                continue
+            schemas[cls] = set(fields)
+            used: set[str] = set()
+            for module in project.modules:
+                if module is not config_module:
+                    used |= _referenced_names(module)
+            for name, line in sorted(fields.items()):
+                if name not in used:
+                    yield Diagnostic(
+                        path=config_module.rel,
+                        line=line,
+                        col=1,
+                        rule=self.rule,
+                        message=(
+                            f"{cls}.{name} is dead: no module outside "
+                            f"{suffix} reads or sets it"
+                        ),
+                    )
 
-        yield from self._check_unknown_kwargs(project, set(fields))
+        yield from self._check_unknown_kwargs(project, schemas)
 
-        cli_module = project.find("cli.py")
-        if cli_module is not None:
-            yield from self._check_cli(cli_module)
+        for suffix in CLI_MODULES:
+            cli_module = project.find(suffix)
+            if cli_module is not None:
+                yield from self._check_cli(cli_module)
 
     # ------------------------------------------------------------------
     def _check_unknown_kwargs(
-        self, project: Project, fields: set[str]
+        self, project: Project, schemas: dict[str, set[str]]
     ) -> Iterable[Diagnostic]:
         for module in project.modules:
             for node in ast.walk(module.tree):
@@ -156,14 +165,15 @@ class ConfigDriftChecker(Checker):
                     if isinstance(func, ast.Attribute)
                     else None
                 )
-                if callee != CONFIG_CLASS:
+                fields = schemas.get(callee or "")
+                if fields is None:
                     continue
                 for kw in node.keywords:
                     if kw.arg is not None and kw.arg not in fields:
                         yield self.diag(
                             module,
                             kw.value,
-                            f"unknown CuTSConfig kwarg '{kw.arg}': flag "
+                            f"unknown {callee} kwarg '{kw.arg}': flag "
                             f"or call site drifted from the config schema",
                         )
 

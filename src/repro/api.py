@@ -106,7 +106,7 @@ def subgraph_isomorphism_search(
     *,
     materialize: bool = False,
     time_limit_ms: float | None = None,
-    workers: int | str | None = None,
+    workers: int | str = 1,
 ) -> MatchResult:
     """Find all embeddings of ``query`` in ``data`` (paper Definition 4).
 
@@ -116,7 +116,7 @@ def subgraph_isomorphism_search(
     queries is combinatorial by design).
 
     ``workers`` selects the multi-core engine (``"auto"`` or ``0`` uses
-    every CPU; ``None`` defers to ``config.workers``): each
+    every CPU; ``1``, the default, runs in process): each
     connected-component match is sharded over worker processes via
     :class:`~repro.parallel.ParallelMatcher` with exact, bit-identical
     counts.
@@ -124,9 +124,7 @@ def subgraph_isomorphism_search(
     config = config or CuTSConfig()
     if query.num_vertices == 0:
         raise ValueError("query graph must have at least one vertex")
-    workers = resolve_workers(
-        config.workers if workers is None else workers
-    )
+    workers = resolve_workers(workers)
 
     if is_weakly_connected(data):
         data_parts: list[tuple[CSRGraph, np.ndarray]] = [
@@ -172,7 +170,7 @@ def match_many(
     *,
     materialize: bool = False,
     time_limit_ms: float | None = None,
-    workers: int | str | None = None,
+    workers: int | str = 1,
 ) -> list[MatchResult]:
     """Match a whole batch of queries against one data graph.
 
@@ -228,7 +226,7 @@ def count_embeddings(
     query: CSRGraph,
     config: CuTSConfig | None = None,
     *,
-    workers: int | str | None = None,
+    workers: int | str = 1,
 ) -> int:
     """Shorthand for the embedding count (``workers`` as in
     :func:`subgraph_isomorphism_search`)."""
@@ -241,7 +239,7 @@ def count_automorphisms(
     query: CSRGraph,
     config: CuTSConfig | None = None,
     *,
-    workers: int | str | None = None,
+    workers: int | str = 1,
 ) -> int:
     """Automorphism count of a graph (embeddings of it into itself).
 
@@ -259,7 +257,7 @@ def count_occurrences(
     query: CSRGraph,
     config: CuTSConfig | None = None,
     *,
-    workers: int | str | None = None,
+    workers: int | str = 1,
 ) -> int:
     """Number of distinct subgraphs of ``data`` isomorphic to ``query``
     (embeddings divided by the query's automorphism count) — the quantity

@@ -114,7 +114,7 @@ def run_durable(
     query: CSRGraph,
     *,
     checkpoint_dir: str,
-    checkpoint_every: int | None = None,
+    checkpoint_every: int = 64,
     resume: bool = False,
     part: int = 0,
     num_parts: int = 1,
@@ -132,8 +132,7 @@ def run_durable(
         A directory that already holds a job can only be reopened with
         ``resume=True`` (and matching fingerprints).
     checkpoint_every:
-        Snapshot cadence in fused expansions; defaults to
-        ``matcher.config.checkpoint_every``.
+        Snapshot cadence in fused expansions.
     resume:
         Continue from the newest committed snapshot.  A job whose
         manifest is already marked complete returns its stored result
@@ -150,12 +149,7 @@ def run_durable(
         raise ValueError("query graph must have at least one vertex")
     if not 0 <= part < num_parts:
         raise ValueError("need 0 <= part < num_parts")
-    every = (
-        matcher.config.checkpoint_every
-        if checkpoint_every is None
-        else int(checkpoint_every)
-    )
-    if every < 1:
+    if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
 
     store = CheckpointStore(checkpoint_dir)
@@ -310,7 +304,7 @@ def run_durable(
         state.governor.observe_words(mem_words)
         if pushed and pushed[-1].step > top.step:
             spill_pressure()
-        if expansions % every == 0 and (stack or spilled):
+        if expansions % checkpoint_every == 0 and (stack or spilled):
             take_snapshot()
 
     final_stats = SearchStats.from_json(base_stats.to_json())

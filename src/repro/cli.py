@@ -132,10 +132,8 @@ def _cmd_match(args: argparse.Namespace) -> int:
         chunk_size=args.chunk_size,
         ordering=args.ordering,
         intersection=args.intersection,
-        workers=workers,
-        memory_budget_mb=args.memory_budget_mb,
-        checkpoint_every=args.checkpoint_every,
     )
+    budget_mb = args.memory_budget_mb
     print(f"data : {data}")
     print(f"query: {query}")
     if args.ranks > 1 and workers > 1:
@@ -145,7 +143,9 @@ def _cmd_match(args: argparse.Namespace) -> int:
         )
     if workers > 1:
         t0 = time.perf_counter()
-        with ParallelMatcher(data, cfg, workers=workers) as matcher:
+        with ParallelMatcher(
+            data, cfg, workers=workers, memory_budget_mb=budget_mb
+        ) as matcher:
             r = matcher.match(
                 query,
                 time_limit_ms=args.time_limit_ms,
@@ -164,9 +164,12 @@ def _cmd_match(args: argparse.Namespace) -> int:
         return 0
     if args.ranks > 1:
         plan = _build_fault_plan(args)
-        res = DistributedCuTS(data, args.ranks, cfg, fault_plan=plan).match(
+        res = DistributedCuTS(
+            data, args.ranks, cfg, fault_plan=plan, memory_budget_mb=budget_mb
+        ).match(
             query,
             checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
             resume=args.resume,
         )
         print(f"matches      : {res.count:,}")
@@ -179,10 +182,11 @@ def _cmd_match(args: argparse.Namespace) -> int:
             print(f"ranks failed : {res.ranks_failed}")
             print(f"recovered    : {res.recovered_chunks}")
     else:
-        r = CuTSMatcher(data, cfg).match(
+        r = CuTSMatcher(data, cfg, memory_budget_mb=budget_mb).match(
             query,
             time_limit_ms=args.time_limit_ms,
             checkpoint_dir=args.checkpoint_dir,
+            checkpoint_every=args.checkpoint_every,
             resume=args.resume,
         )
         print(f"matches      : {r.count:,}")

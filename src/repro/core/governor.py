@@ -71,14 +71,6 @@ class MemoryGovernor:
             raise ValueError("high_water must be in [soft_fraction, 1]")
 
     # ------------------------------------------------------------------
-    @classmethod
-    def from_config(cls, config: "object") -> "MemoryGovernor":
-        """Build a governor from ``CuTSConfig.memory_budget_mb``
-        (``0`` = unlimited)."""
-        budget_mb = int(getattr(config, "memory_budget_mb", 0))
-        budget = budget_mb * 1024 * 1024 if budget_mb > 0 else None
-        return cls(budget_bytes=budget)
-
     @property
     def budget_words(self) -> int | None:
         """The budget expressed in trie words (``None`` = unlimited)."""

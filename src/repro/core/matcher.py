@@ -70,7 +70,20 @@ class CuTSMatcher:
         The data graph (resident in simulated device memory for the
         lifetime of the matcher).
     config:
-        Engine tunables; defaults follow the paper.
+        Engine choices; defaults follow the paper.
+    memory_budget_mb:
+        Soft host budget (MiB) for each run's live PA/CA allocations
+        (:class:`~repro.core.governor.MemoryGovernor`): under pressure
+        the BFS chunk size halves toward pure DFS and durable runs spill
+        completed chunks.  ``0`` (default) = unlimited; counts never
+        change.
+    trace_kernels:
+        Retain a per-launch kernel trace on each run's cost model
+        (:mod:`repro.gpusim.trace`).
+    profile_expansion:
+        Record per-stage wall-clock timings of every fused expansion
+        into ``SearchStats.stage_wall_s`` (diagnostic only; they never
+        influence control flow).
 
     Raises
     ------
@@ -80,9 +93,22 @@ class CuTSMatcher:
 
     _POOL_WORKSPACE_LIMIT = 8_000_000
 
-    def __init__(self, data: CSRGraph, config: CuTSConfig | None = None) -> None:
+    def __init__(
+        self,
+        data: CSRGraph,
+        config: CuTSConfig | None = None,
+        *,
+        memory_budget_mb: int = 0,
+        trace_kernels: bool = False,
+        profile_expansion: bool = False,
+    ) -> None:
+        if memory_budget_mb < 0:
+            raise ValueError("memory_budget_mb must be >= 0 (0 = unlimited)")
         self.data = data
         self.config = config or CuTSConfig()
+        self.memory_budget_mb = memory_budget_mb
+        self.trace_kernels = trace_kernels
+        self.profile_expansion = profile_expansion
         self.memory = DeviceMemory(self.config.device)
         self.memory.alloc("data_graph", graph_device_words(data))
         # "two big arrays whose size equals half of the free space
@@ -122,7 +148,7 @@ class CuTSMatcher:
         part: int = 0,
         num_parts: int = 1,
         checkpoint_dir: str | None = None,
-        checkpoint_every: int | None = None,
+        checkpoint_every: int = 64,
         resume: bool = False,
         root_filter: np.ndarray | None = None,
         base_result: "MatchResult | int | None" = None,
@@ -158,8 +184,8 @@ class CuTSMatcher:
             count.  Checkpointed runs are count-only (``materialize``
             must stay ``False``) and ignore the time/wall limits.
         checkpoint_every:
-            Snapshot cadence in fused expansions (default:
-            ``config.checkpoint_every``).  Only with ``checkpoint_dir``.
+            Snapshot cadence in fused expansions.  Only with
+            ``checkpoint_dir``.
         resume:
             Continue the job already in ``checkpoint_dir`` (fingerprints
             of config/data/query must match the manifest).
@@ -305,7 +331,7 @@ class CuTSMatcher:
         )
         order = build_order(query, self.config.ordering)
         run_cost = CostModel(self.config.device)
-        if self.config.trace_kernels:
+        if self.trace_kernels:
             run_cost.enable_trace()
         state = _RunState(
             query=query,
@@ -317,7 +343,7 @@ class CuTSMatcher:
             time_limit_ms=time_limit_ms,
         )
         state.max_materialized = self.config.max_materialized
-        state.governor = MemoryGovernor.from_config(self.config)
+        state.governor = MemoryGovernor(self.memory_budget_mb * 1024 * 1024 or None)
         state.on_tick = self.on_tick
         self._arm_engine(state, query, order)
         return state
@@ -332,7 +358,7 @@ class CuTSMatcher:
         """
         if self.config.engine == "columnar":
             state.plan = self.engine.plan_for(query, order)
-        state.profile = self.config.profile_expansion
+        state.profile = self.profile_expansion
 
     def initial_frontier(
         self,

@@ -121,8 +121,7 @@ class DistributedCuTS:
     num_ranks:
         Cluster size (the paper evaluates 1, 2 and 4 V100 nodes).
     config:
-        Per-rank engine configuration (including the ack/retry and
-        heartbeat knobs of the reliability layer).
+        Per-rank engine configuration.
     network:
         Interconnect cost model.
     fault_plan:
@@ -131,6 +130,9 @@ class DistributedCuTS:
         When ``False``, run the seed's idealized protocol with no acks,
         heartbeats, or ledgers — kept for the overhead benchmark and as
         an escape hatch on a substrate known to be lossless.
+    memory_budget_mb:
+        Each rank engine's memory budget (see
+        :class:`~repro.core.matcher.CuTSMatcher`).
     """
 
     def __init__(
@@ -144,6 +146,7 @@ class DistributedCuTS:
         steal_order: str = "shallow",
         fault_plan: FaultPlan | None = None,
         reliable: bool = True,
+        memory_budget_mb: int = 0,
     ) -> None:
         if num_ranks <= 0:
             raise ValueError("num_ranks must be positive")
@@ -157,6 +160,7 @@ class DistributedCuTS:
         self.steal_order = steal_order
         self.fault_plan = fault_plan
         self.reliable = reliable
+        self.memory_budget_mb = memory_budget_mb
 
     def _fingerprints(self, query: CSRGraph) -> dict[str, str]:
         return {
@@ -174,13 +178,14 @@ class DistributedCuTS:
         *,
         max_events: int = 10_000_000,
         checkpoint_dir: str | None = None,
+        checkpoint_every: int = 64,
         resume: bool = False,
     ) -> DistributedResult:
         """Run the distributed search to completion.
 
         With ``checkpoint_dir``, the :class:`StrideLedger`'s committed
         intervals — the exact, crash-immune portion of the count — are
-        snapshotted every ``config.checkpoint_every`` event-loop
+        snapshotted every ``checkpoint_every`` event-loop
         iterations (and before the ``max_events`` safety valve trips).
         ``resume=True`` preloads those intervals and re-executes only
         the uncommitted gaps of each rank's root partition, reaching the
@@ -190,6 +195,8 @@ class DistributedCuTS:
             raise ValueError("query graph must have at least one vertex")
         if resume and checkpoint_dir is None:
             raise ValueError("resume=True requires checkpoint_dir")
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         store: CheckpointStore | None = None
         preloaded: list[tuple[int, int, int, int]] = []
         next_seq = 0
@@ -264,6 +271,7 @@ class DistributedCuTS:
                 steal_order=self.steal_order,
                 slowdown=injector.slowdown(r) if injector else 1.0,
                 ledger=ledger,
+                memory_budget_mb=self.memory_budget_mb,
             )
             for r in range(self.num_ranks)
         ]
@@ -313,7 +321,7 @@ class DistributedCuTS:
             if actor is None:
                 break
             events += 1
-            if store is not None and events % self.config.checkpoint_every == 0:
+            if store is not None and events % checkpoint_every == 0:
                 snapshot()
             w, wake_time = actor
             w.clock_ms = max(w.clock_ms, wake_time)

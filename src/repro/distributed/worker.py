@@ -88,7 +88,8 @@ class RankWorker:
     ``"deep"`` (small, nearly-finished chunks; kept for the ablation).
     ``slowdown`` is a straggler factor (>= 1) applied to every compute
     advance; ``ledger`` wires the worker into the runtime's per-interval
-    accounting (``None`` keeps the seed's untracked behaviour).
+    accounting (``None`` keeps the seed's untracked behaviour);
+    ``memory_budget_mb`` is the rank engine's memory budget.
     """
 
     rank: int
@@ -105,6 +106,7 @@ class RankWorker:
     chunks_sent: int = 0
     slowdown: float = 1.0
     ledger: StrideLedger | None = None
+    memory_budget_mb: int = 0
     executor: FrontierExecutor = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
@@ -114,7 +116,9 @@ class RankWorker:
             raise ValueError("steal_order must be 'shallow' or 'deep'")
         if self.slowdown < 1.0:
             raise ValueError("slowdown must be >= 1")
-        self.matcher = CuTSMatcher(self.data, self.config)
+        self.matcher = CuTSMatcher(
+            self.data, self.config, memory_budget_mb=self.memory_budget_mb
+        )
         self.state = self.matcher.make_run_state(self.query)
         self.executor = FrontierExecutor(
             self.matcher, self.state, self._sink,

@@ -1,9 +1,9 @@
 """Content fingerprints shared by the checkpoint store and the service.
 
 A fingerprint names a *job input* by content, not by path or identity:
-the SHA-256 of the CSR arrays for a graph, the SHA-256 of the
-count-relevant config fields for a config.  Two subsystems key on them
-and must agree bit-for-bit:
+the SHA-256 of the CSR arrays for a graph, the SHA-256 of every
+:class:`~repro.core.config.CuTSConfig` field for a config.  Two
+subsystems key on them and must agree bit-for-bit:
 
 * **durable jobs** (:mod:`repro.checkpoint`) stamp every manifest with
   the fingerprints of the inputs the snapshot was taken under, and
@@ -30,7 +30,6 @@ from .graph.csr import CSRGraph
 
 __all__ = [
     "CheckpointMismatchError",
-    "COUNT_IRRELEVANT_FIELDS",
     "check_fingerprints",
     "config_fingerprint",
     "graph_fingerprint",
@@ -55,59 +54,15 @@ def graph_fingerprint(graph: CSRGraph) -> str:
     return h.hexdigest()
 
 
-COUNT_IRRELEVANT_FIELDS = frozenset(
-    {
-        # Durability knobs: cadence and budget cannot change what is
-        # enumerated, only how often progress is persisted.
-        "memory_budget_mb",
-        "checkpoint_every",
-        "lease_timeout_s",
-        "lease_retries",
-        # Execution-engine shape: sharding is exact by construction;
-        # kernel traces and stage timers are diagnostics only.
-        "trace_kernels",
-        "profile_expansion",
-        "workers",
-        "oversplit",
-        # Serving knobs: queue shape and cache budget never reach the
-        # enumerator (admission rejects whole requests, it does not
-        # truncate results).
-        "service_queue_depth",
-        "service_cache_bytes",
-        "service_max_query_vertices",
-        "service_request_timeout_s",
-        "service_max_body_bytes",
-        "service_degraded_after",
-        # Cluster timing: routing decides *where* a query runs, never
-        # what it enumerates (replicas execute the same engine under
-        # the same count-relevant config).
-        "service_route_timeout_s",
-        "service_heal_after_ticks",
-        # Versioning: retention depth decides which *versions* remain
-        # addressable, never what any one version enumerates.
-        "versioning_max_versions",
-    }
-)
-"""Config fields excluded from :func:`config_fingerprint`.
-
-Everything listed here is provably count-invariant: changing it between
-runs must not invalidate a checkpoint or miss a cache, because it cannot
-change *what* is enumerated.
-"""
-
-
 def config_fingerprint(config: CuTSConfig) -> str:
-    """SHA-256 over the count-relevant config fields.
+    """SHA-256 over every :class:`CuTSConfig` field, in field order.
 
-    Fields in :data:`COUNT_IRRELEVANT_FIELDS` are excluded; everything
-    else participates, so any config change that could alter counts
-    yields a different fingerprint (and therefore a cache miss / resume
-    refusal rather than a stale answer).
+    The config holds only the choices that decide what is enumerated,
+    so any config change yields a different fingerprint (and therefore
+    a cache miss / resume refusal rather than a stale answer).
     """
     h = hashlib.sha256()
     for f in dataclasses.fields(config):
-        if f.name in COUNT_IRRELEVANT_FIELDS:
-            continue
         value = getattr(config, f.name)
         h.update(f"{f.name}={value!r};".encode("utf-8"))
     return h.hexdigest()

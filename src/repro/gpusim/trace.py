@@ -1,8 +1,9 @@
 """Kernel-trace analysis: the Nsight per-kernel timeline view.
 
 Enable tracing on a cost model (``cost.enable_trace()``, or
-``CuTSConfig(trace_kernels=True)`` on the engine) and every simulated
-launch is retained as a :class:`~repro.gpusim.kernel.KernelLaunch`.
+``CuTSMatcher(data, trace_kernels=True)`` on the engine) and every
+simulated launch is retained as a
+:class:`~repro.gpusim.kernel.KernelLaunch`.
 This module aggregates a trace into the reports a profiler would show:
 per-kernel-name totals, the hottest launches, and the
 compute-vs-memory-bound split.

@@ -73,10 +73,14 @@ def resolve_workers(workers: int | str | None) -> int:
 _WORKER: dict = {}
 
 
-def _worker_init(meta: SharedCSRMeta, config: CuTSConfig) -> None:
+def _worker_init(
+    meta: SharedCSRMeta, config: CuTSConfig, memory_budget_mb: int
+) -> None:
     shared = SharedCSR.attach(meta)
     _WORKER["shared"] = shared
-    _WORKER["matcher"] = CuTSMatcher(shared.graph, config)
+    _WORKER["matcher"] = CuTSMatcher(
+        shared.graph, config, memory_budget_mb=memory_budget_mb
+    )
 
 
 def _worker_pid() -> int:
@@ -131,6 +135,12 @@ def _run_interval(
 
 
 _HEARTBEAT_MIN_INTERVAL_S = 0.05
+LEASE_TIMEOUT_S = 30.0
+"""Worker watchdog: heartbeat silence past which a shard lease is
+considered lost and the shard is re-leased to another worker."""
+LEASE_RETRIES = 2
+"""Re-leases per shard (beyond the first lease) before the engine gives
+up with :class:`ShardLeaseError`."""
 
 
 def _touch(path: str) -> None:
@@ -154,13 +164,16 @@ class ParallelMatcher:
     data:
         The data graph; copied **once** into shared memory.
     config:
-        Engine tunables, shipped to every worker at pool start.
-        ``config.workers`` / ``config.oversplit`` supply the defaults
-        for the two keyword overrides.
+        Engine choices, shipped to every worker at pool start.
     workers:
-        Worker processes (``None`` → ``config.workers``).
+        Worker processes (``"auto"``/``0`` → every CPU).
     oversplit:
-        Intervals submitted per worker (``None`` → ``config.oversplit``).
+        Strided intervals submitted per worker (the work queue holds
+        ``oversplit * workers`` intervals), so a fast worker steals the
+        slack of a slow one — the load-balance margin of §4.2.
+    memory_budget_mb:
+        Each worker engine's memory budget (see
+        :class:`~repro.core.matcher.CuTSMatcher`).
     mp_context:
         ``multiprocessing`` start method.  Defaults to ``fork`` where
         available (cheapest start; the segment is attached either way)
@@ -172,20 +185,20 @@ class ParallelMatcher:
         data: CSRGraph,
         config: CuTSConfig | None = None,
         *,
-        workers: int | None = None,
-        oversplit: int | None = None,
+        workers: int | str = 1,
+        oversplit: int = 4,
+        memory_budget_mb: int = 0,
         mp_context: str | None = None,
     ) -> None:
+        if oversplit < 1:
+            raise ValueError("oversplit must be >= 1")
+        if memory_budget_mb < 0:
+            raise ValueError("memory_budget_mb must be >= 0 (0 = unlimited)")
         self.data = data
         self.config = config or CuTSConfig()
-        self.workers = resolve_workers(
-            workers if workers is not None else self.config.workers
-        )
-        self.oversplit = (
-            oversplit if oversplit is not None else self.config.oversplit
-        )
-        if self.oversplit < 1:
-            raise ValueError("oversplit must be >= 1")
+        self.workers = resolve_workers(workers)
+        self.oversplit = oversplit
+        self.memory_budget_mb = memory_budget_mb
         if mp_context is None:
             methods = multiprocessing.get_all_start_methods()
             mp_context = "fork" if "fork" in methods else None
@@ -219,7 +232,7 @@ class ParallelMatcher:
             max_workers=self.workers,
             mp_context=ctx,
             initializer=_worker_init,
-            initargs=(shared.meta, self.config),
+            initargs=(shared.meta, self.config, self.memory_budget_mb),
         )
 
     def _ensure_pool(self) -> ProcessPoolExecutor:
@@ -318,10 +331,10 @@ class ParallelMatcher:
         stamped by a heartbeat file the worker touches per expansion.  A
         SIGKILLed worker breaks the pool — the pool is rebuilt and every
         incomplete shard re-leased; a *hung* worker (heartbeat silent
-        past ``config.lease_timeout_s``) gets its shard duplicated onto
+        past :data:`LEASE_TIMEOUT_S`) gets its shard duplicated onto
         a live worker, with the first completion winning (shards merge
         exactly once — see :attr:`MatchResult.shards`).  Each shard is
-        re-leased at most ``config.lease_retries`` times before
+        re-leased at most :data:`LEASE_RETRIES` times before
         :class:`ShardLeaseError` is raised.
 
         With ``checkpoint_dir``, completed shards are persisted
@@ -503,9 +516,9 @@ class ParallelMatcher:
         persists completed shards under their part index.
         """
         pool = self._ensure_pool()
-        timeout_s = self.config.lease_timeout_s
+        timeout_s = LEASE_TIMEOUT_S
         poll_s = max(0.02, min(0.5, timeout_s / 4.0))
-        max_leases = 1 + self.config.lease_retries
+        max_leases = 1 + LEASE_RETRIES
         all_keys = [
             (j, part)
             for j, (_, num_parts) in enumerate(jobs)
@@ -530,8 +543,7 @@ class ParallelMatcher:
             if leases[key] > max_leases:
                 raise ShardLeaseError(
                     f"shard {part}/{num_parts} of job {j} failed "
-                    f"{max_leases} leases "
-                    f"(lease_retries={self.config.lease_retries})"
+                    f"{max_leases} leases"
                 )
             delay = float(self._test_part_delays.get(part, 0.0)) if j == 0 else 0.0
             # A re-leased shard must not replay the injected hang.
@@ -613,14 +625,12 @@ def parallel_match(
     query: CSRGraph,
     config: CuTSConfig | None = None,
     *,
-    workers: int | str | None = None,
+    workers: int | str = "auto",
     materialize: bool = False,
     time_limit_ms: float | None = None,
 ) -> MatchResult:
     """One-shot helper: build a :class:`ParallelMatcher`, match, clean up."""
-    with ParallelMatcher(
-        data, config, workers=resolve_workers(workers)
-    ) as matcher:
+    with ParallelMatcher(data, config, workers=workers) as matcher:
         return matcher.match(
             query, materialize=materialize, time_limit_ms=time_limit_ms
         )

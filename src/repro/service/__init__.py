@@ -17,7 +17,7 @@ many queries; this package is that argument applied at serving scale:
   <repro.parallel.ParallelMatcher.match_many>` pool pass, results
   demultiplexed per request;
 * :class:`LRUBytesCache` — result + plan cache keyed by
-  ``(graph fp, query fp, count-relevant config fp)``, byte-budgeted,
+  ``(graph fp, query fp, config fp)``, byte-budgeted,
   charged against the memory governor, explicitly invalidated on graph
   re-registration.
 
@@ -49,9 +49,10 @@ below-quorum shards shed load with machine-readable 503s until a
 replacement replica catches up.
 
 Faces: :class:`FrontDoor`, the one surface :class:`MatchingService` and
-:class:`ClusterService` share; ``python -m repro.serve`` (stdlib HTTP,
-:mod:`repro.service.http`; ``--ranks N`` serves a router), and
-:class:`ServiceClient` (:mod:`repro.service.client`).
+:class:`ClusterService` share, each sized by one :class:`ServiceConfig`;
+``python -m repro.serve`` (stdlib HTTP, :mod:`repro.service.http`;
+``--ranks N`` serves a router), and :class:`ServiceClient`
+(:mod:`repro.service.client`).
 """
 
 from .cache import LRUBytesCache
@@ -62,6 +63,7 @@ from .client import (
     ServiceClient,
     ServiceError,
 )
+from .config import ServiceConfig
 from .dispatcher import Dispatcher
 from .faults import (
     InjectedEngineFault,
@@ -104,6 +106,7 @@ __all__ = [
     "RetryPolicy",
     "Scheduler",
     "ServiceClient",
+    "ServiceConfig",
     "ServiceError",
     "ServiceFaultInjector",
     "ServiceFaultPlan",

@@ -53,7 +53,7 @@ replicas reachable is below quorum; the router sheds those requests
 through the scheduler's rejection machinery (reason
 ``shard-unavailable``, HTTP 503 + ``Retry-After``) instead of queueing
 doomed work.  A supervisor thread restarts a crashed rank after
-``service_heal_after_ticks`` ticks and re-admits it to the ring **only
+:data:`HEAL_AFTER_TICKS` ticks and re-admits it to the ring **only
 after** it has caught up — brought every shard it will serve to its
 head version from the router's content-addressed catalog; the ring
 rebuild then returns the shard to full R-way replication.
@@ -68,6 +68,7 @@ oracle.
 from __future__ import annotations
 
 import bisect
+import functools
 import hashlib
 import threading
 import time
@@ -83,6 +84,7 @@ from ..fingerprint import graph_fingerprint
 from ..gpusim.cost import CostModel
 from ..graph.csr import CSRGraph
 from ..versioning.delta import EdgeDelta
+from .config import ServiceConfig
 from .faults import ServiceFaultInjector, ServiceFaultPlan
 from .registry import VersionConflictError
 from .scheduler import AdmissionError, Scheduler
@@ -112,6 +114,12 @@ RECOVERING = "recovering"
 
 # Protocol phases at which the router hands control to a test hook.
 PHASES = ("pre-dispatch", "mid-shard", "post-commit-pre-reply")
+
+HEAL_AFTER_TICKS = 2
+"""Supervisor ticks a rank must stay crashed before the cluster restarts
+it from its durable state dir; the restarted replica is re-admitted to
+the ring only after it has caught up from the content-addressed graph
+store."""
 
 
 class RankUnavailable(RuntimeError):
@@ -191,22 +199,22 @@ class ClusterRank:
         self,
         rank_id: int,
         config: CuTSConfig,
+        service_config: ServiceConfig,
         *,
-        workers: int | str | None = 1,
+        workers: int | str = 1,
         state_dir: str | None = None,
         faults: ServiceFaultPlan | None = None,
     ) -> None:
         self.rank_id = rank_id
-        self.config = config
-        self.workers = workers
-        self.state_dir = state_dir
-        self.faults = faults
+        # Every incarnation boots with the same settings and state dir.
+        self._boot = functools.partial(
+            MatchingService, config, service_config=service_config,
+            workers=workers, state_dir=state_dir, faults=faults,
+        )
         self.state = LIVE
         self.generation = 0
         self.crashes = 0
-        self.service = MatchingService(
-            config, workers=workers, state_dir=state_dir, faults=faults
-        )
+        self.service = self._boot()
 
     def crash(self) -> None:
         """SIGKILL this replica: mark it dead first (routes start
@@ -223,10 +231,7 @@ class ClusterRank:
         has finished catch-up and calls :meth:`admit`."""
         self.state = RECOVERING
         self.service.close()  # the dead incarnation's last writes land first
-        self.service = MatchingService(
-            self.config, workers=self.workers,
-            state_dir=self.state_dir, faults=self.faults,
-        )
+        self.service = self._boot()
         self.generation += 1
 
     def admit(self) -> None:
@@ -272,6 +277,8 @@ class ClusterService(FrontDoor):
 
     It serves the same :class:`~repro.service.service.FrontDoor`
     surface as a single rank, so the HTTP face serves either one.
+    Every rank runs under the same ``config``, ``service_config`` and
+    ``workers`` a :class:`MatchingService` takes.
     ``replication`` is clamped to ``ranks``.  ``state_dir`` gives each
     rank its own durable subdir (``rank-<i>``).  ``auto_heal=False``
     disables the supervisor so tests can drive crash/restart phases by
@@ -286,9 +293,10 @@ class ClusterService(FrontDoor):
         self,
         config: CuTSConfig | None = None,
         *,
+        service_config: ServiceConfig | None = None,
         ranks: int = 1,
         replication: int = 2,
-        workers: int | str | None = None,
+        workers: int | str = 1,
         state_dir: str | None = None,
         faults: ServiceFaultPlan | ServiceFaultInjector | None = None,
         start: bool = True,
@@ -296,6 +304,7 @@ class ClusterService(FrontDoor):
     ) -> None:
         super().__init__()
         self.config = config or CuTSConfig()
+        self.service_config = service_config or ServiceConfig()
         if ranks < 1:
             raise ValueError("a cluster needs at least one rank")
         self.replication = max(1, min(replication, ranks))
@@ -317,10 +326,8 @@ class ClusterService(FrontDoor):
             if state_dir is not None:
                 sub = f"{state_dir}/rank-{rank_id}"
             self.ranks[rank_id] = ClusterRank(
-                rank_id, self.config,
-                workers=1 if workers is None else workers,
-                state_dir=sub,
-                faults=rank_plan,
+                rank_id, self.config, self.service_config,
+                workers=workers, state_dir=sub, faults=rank_plan,
             )
         # _lock guards membership-derived state (ring, catalog, names,
         # in-flight commits, partitions); _jobs_lock guards the job
@@ -338,7 +345,7 @@ class ClusterService(FrontDoor):
         # The front door reuses the scheduler's rejection machinery so
         # shard-unavailable sheds are minted and counted the same way
         # degraded-mode rejections are.
-        self._front = Scheduler(max_depth=self.config.service_queue_depth)
+        self._front = Scheduler(max_depth=self.service_config.queue_depth)
         self.phase_hook: Callable[[str, int, str], None] | None = None
         self.routes = 0
         self.failovers = 0
@@ -446,7 +453,7 @@ class ClusterService(FrontDoor):
 
     def _supervise(self) -> None:
         """Heal loop: a rank that stays crashed for
-        ``service_heal_after_ticks`` consecutive ticks is restarted
+        :data:`HEAL_AFTER_TICKS` consecutive ticks is restarted
         and re-admitted once caught up."""
         while not self._stop.wait(self._SUPERVISE_POLL_S):
             if not self.auto_heal:
@@ -457,7 +464,7 @@ class ClusterService(FrontDoor):
                     continue
                 strikes = self._heal_strikes.get(rank_id, 0) + 1
                 self._heal_strikes[rank_id] = strikes
-                if strikes < self.config.service_heal_after_ticks:
+                if strikes < HEAL_AFTER_TICKS:
                     continue
                 self._heal_strikes[rank_id] = 0
                 try:
@@ -812,7 +819,7 @@ class ClusterService(FrontDoor):
             f"{self.quorum}); retry after recovery",
             retry_after=max(
                 1.0,
-                self.config.service_heal_after_ticks * self._SUPERVISE_POLL_S,
+                HEAL_AFTER_TICKS * self._SUPERVISE_POLL_S,
             ),
         )
 
@@ -1092,7 +1099,7 @@ class ClusterService(FrontDoor):
         (crash/partition/timeout) and :class:`JobFailed` when the
         replica answered with a failure."""
         rank = self.ranks[attempt.rank_id]
-        deadline = time.monotonic() + self.config.service_route_timeout_s
+        deadline = time.monotonic() + self.service_config.route_timeout_s
         try:
             rank_job = rank.service.job(attempt.rank_job_id)
         except KeyError as exc:
@@ -1118,7 +1125,7 @@ class ClusterService(FrontDoor):
                 raise RankUnavailable(
                     attempt.rank_id,
                     f"rank {attempt.rank_id} exceeded the route timeout "
-                    f"({self.config.service_route_timeout_s}s)",
+                    f"({self.service_config.route_timeout_s}s)",
                 )
         self._phase("post-commit-pre-reply", attempt.rank_id, job.id)
         with self._lock:

@@ -142,7 +142,7 @@ class Dispatcher:
         # intersection / injectivity / bookkeeping / write_out / carry /
         # unaccounted), folded
         # from every settled result's SearchStats.  Empty unless the
-        # engine config has ``profile_expansion`` on.
+        # engines run with ``profile_expansion`` on.
         self.stage_wall_s: dict[str, float] = {}
 
     # ------------------------------------------------------------------

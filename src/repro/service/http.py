@@ -45,11 +45,12 @@ Endpoints
 Malformed input is a 400 (an unknown ``/match`` field, a non-number,
 an argument the service refuses), an unknown graph or version a 404.
 
-Resilience guardrails (config-driven): each connection carries a socket
-timeout of ``service_request_timeout_s`` so a stalled peer cannot pin a
-handler thread forever (a mid-body stall gets 408 and the connection is
-closed), and request bodies above ``service_max_body_bytes`` are
-refused with 413 *before* any bytes are read.  ``deadline_ms`` may also
+Resilience guardrails (the backend's
+:class:`~repro.service.config.ServiceConfig`): each connection carries
+a socket timeout of ``request_timeout_s`` so a stalled peer cannot pin
+a handler thread forever (a mid-body stall gets 408 and the connection
+is closed), and request bodies above ``max_body_bytes`` are refused
+with 413 *before* any bytes are read.  ``deadline_ms`` may also
 arrive as an ``X-Deadline-Ms`` header — proxies can attach deadlines
 without rewriting bodies — and propagates through the scheduler into
 the engine's cooperative wall-clock limit.
@@ -76,7 +77,6 @@ from typing import Any
 
 import numpy as np
 
-from ..core.config import CuTSConfig
 from ..graph.build import from_edges
 from ..graph.csr import CSRGraph, GraphFormatError
 from ..graph.generators import (
@@ -90,6 +90,7 @@ from ..graph.generators import (
 )
 from ..versioning.delta import DeltaError
 from .cluster import ClusterService
+from .config import ServiceConfig
 from .faults import ServiceFaultPlan
 from .registry import VersionConflictError
 from .scheduler import AdmissionError
@@ -134,7 +135,7 @@ class BadRequest(ValueError):
 
 
 class PayloadTooLarge(ValueError):
-    """A declared request body above ``service_max_body_bytes``."""
+    """A declared request body above ``ServiceConfig.max_body_bytes``."""
 
 
 def _pattern_graph(spec: str) -> CSRGraph:
@@ -252,7 +253,7 @@ class _Handler(BaseHTTPRequestHandler):
         if length > cap:
             raise PayloadTooLarge(
                 f"request body declares {length} bytes; "
-                f"service_max_body_bytes is {cap}"
+                f"max_body_bytes is {cap}"
             )
         raw = self.rfile.read(length) if length else b"{}"
         try:
@@ -331,7 +332,7 @@ class _Handler(BaseHTTPRequestHandler):
                 headers={"Retry-After": f"{retry_after:g}"},
             )
         except TimeoutError:
-            # The peer stalled mid-body past service_request_timeout_s.
+            # The peer stalled mid-body past request_timeout_s.
             try:
                 self._send_json(
                     408, {"error": "timed out reading request body"}
@@ -504,8 +505,8 @@ class ServiceHTTPServer(ThreadingHTTPServer):
         super().__init__(address, _Handler)
         self.service = service
         self.verbose = verbose
-        self.request_timeout_s = service.config.service_request_timeout_s
-        self.max_body_bytes = service.config.service_max_body_bytes
+        self.request_timeout_s = service.service_config.request_timeout_s
+        self.max_body_bytes = service.service_config.max_body_bytes
 
 
 def serve(
@@ -532,8 +533,9 @@ def main(argv: list[str] | None = None) -> int:
         help="TCP port (0 = pick an ephemeral port and print it)",
     )
     parser.add_argument(
-        "--workers", default=None, metavar="N|auto",
-        help="worker processes per graph engine (default: config)",
+        "--workers", default="1", metavar="N|auto",
+        help="worker processes per graph engine ('auto' = all CPUs; "
+        "default 1 = in-process engines)",
     )
     parser.add_argument(
         "--ranks", type=int, default=1, metavar="N",
@@ -545,31 +547,34 @@ def main(argv: list[str] | None = None) -> int:
         help="replicas per graph shard (clamped to --ranks; default: 2)",
     )
     parser.add_argument(
-        "--route-timeout-s", type=float, default=None, metavar="S",
+        "--route-timeout-s", type=float, default=ServiceConfig.route_timeout_s,
+        metavar="S",
         help="per-attempt routing timeout before the cluster fails "
         "over to the next replica",
     )
     parser.add_argument(
-        "--queue-depth", type=int, default=None, metavar="N",
+        "--queue-depth", type=int, default=ServiceConfig.queue_depth, metavar="N",
         help="admission bound on queued requests",
     )
     parser.add_argument(
-        "--cache-bytes", type=int, default=None, metavar="B",
+        "--cache-bytes", type=int, default=ServiceConfig.cache_bytes, metavar="B",
         help="result/plan cache budget in bytes",
     )
     parser.add_argument(
-        "--max-query-vertices", type=int, default=None, metavar="N",
+        "--max-query-vertices", type=int, default=ServiceConfig.max_query_vertices,
+        metavar="N",
         help="reject queries larger than N vertices (admission control)",
     )
     parser.add_argument(
-        "--memory-budget-mb", type=int, default=None, metavar="MB",
+        "--memory-budget-mb", type=int, default=ServiceConfig.memory_budget_mb,
+        metavar="MB",
         help="governor budget; admission rejects past it",
     )
     parser.add_argument(
-        "--max-versions", type=int, default=None, metavar="N",
+        "--max-versions", type=int, default=ServiceConfig.max_versions, metavar="N",
         help="retained versions per mutable graph (as_of targets); "
         "commits past this depth prune the oldest version "
-        "(default: config versioning_max_versions)",
+        "(default: %(default)s)",
     )
     parser.add_argument(
         "--preload", action="append", default=[], metavar="SPEC",
@@ -591,34 +596,27 @@ def main(argv: list[str] | None = None) -> int:
         "default: $REPRO_SERVICE_FAULTS",
     )
     parser.add_argument(
-        "--request-timeout-s", type=float, default=None, metavar="S",
+        "--request-timeout-s", type=float, default=ServiceConfig.request_timeout_s,
+        metavar="S",
         help="per-connection socket timeout",
     )
     parser.add_argument(
-        "--max-body-bytes", type=int, default=None, metavar="B",
+        "--max-body-bytes", type=int, default=ServiceConfig.max_body_bytes, metavar="B",
         help="reject request bodies above B bytes with 413",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 
-    overrides: dict[str, Any] = {}
-    if args.queue_depth is not None:
-        overrides["service_queue_depth"] = args.queue_depth
-    if args.cache_bytes is not None:
-        overrides["service_cache_bytes"] = args.cache_bytes
-    if args.max_query_vertices is not None:
-        overrides["service_max_query_vertices"] = args.max_query_vertices
-    if args.memory_budget_mb is not None:
-        overrides["memory_budget_mb"] = args.memory_budget_mb
-    if args.request_timeout_s is not None:
-        overrides["service_request_timeout_s"] = args.request_timeout_s
-    if args.max_body_bytes is not None:
-        overrides["service_max_body_bytes"] = args.max_body_bytes
-    if args.route_timeout_s is not None:
-        overrides["service_route_timeout_s"] = args.route_timeout_s
-    if args.max_versions is not None:
-        overrides["versioning_max_versions"] = args.max_versions
-    config = CuTSConfig(**overrides)
+    service_config = ServiceConfig(
+        queue_depth=args.queue_depth,
+        cache_bytes=args.cache_bytes,
+        max_query_vertices=args.max_query_vertices,
+        memory_budget_mb=args.memory_budget_mb,
+        request_timeout_s=args.request_timeout_s,
+        max_body_bytes=args.max_body_bytes,
+        route_timeout_s=args.route_timeout_s,
+        max_versions=args.max_versions,
+    )
 
     plan = (
         ServiceFaultPlan.from_spec(args.faults)
@@ -629,7 +627,7 @@ def main(argv: list[str] | None = None) -> int:
     service: FrontDoor
     if args.ranks > 1:
         service = ClusterService(
-            config,
+            service_config=service_config,
             ranks=args.ranks,
             replication=args.replication,
             workers=args.workers,
@@ -638,7 +636,7 @@ def main(argv: list[str] | None = None) -> int:
         )
     else:
         service = MatchingService(
-            config,
+            service_config=service_config,
             workers=args.workers,
             state_dir=args.state_dir,
             faults=faults,

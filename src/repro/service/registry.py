@@ -15,16 +15,18 @@ Handles are keyed two ways: by **fingerprint** (content SHA-256 via
 :func:`repro.fingerprint.graph_fingerprint` — the same function the
 checkpoint store keys on) and by **name**.  Registering the same
 content twice is idempotent.  Re-registering a *name* with different
-content replaces the handle, closes the old engine, and fires
-``on_replace(old_fingerprint)`` so the service can invalidate that
-graph's cache entries — the one channel through which a stale answer
-could otherwise alias a live name.
+content releases the old handle and its unnamed retired versions,
+closes their engines, and fires ``on_replace(old_fingerprint)`` for
+each so the service can invalidate their cache entries and stored
+bytes — the one channel through which a stale answer could otherwise
+alias a live name.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Callable
 
 from ..analysis.sanitizer import make_rlock
@@ -35,6 +37,7 @@ from ..graph.csr import CSRGraph
 from ..parallel.matcher import ParallelMatcher
 from ..storage.overlay import spliced_graph
 from ..versioning.delta import EdgeDelta
+from .config import ServiceConfig
 
 __all__ = [
     "GraphHandle",
@@ -97,12 +100,14 @@ class GraphHandle:
         generation: int,
         parent_fp: str | None = None,
         lineage_depth: int = 0,
+        memory_budget_mb: int = 0,
     ) -> None:
         self.graph = graph
         self.name = name
         self.fingerprint = fingerprint
         self.config = config
         self.workers = workers
+        self.memory_budget_mb = memory_budget_mb
         self.generation = generation
         # Version lineage: fingerprint of the version this one was
         # committed from (None for a root), this version's depth in its
@@ -124,18 +129,17 @@ class GraphHandle:
     # ------------------------------------------------------------------
     def matcher(self) -> CuTSMatcher | ParallelMatcher:
         """The handle's persistent engine, built on first use."""
+        if self.workers <= 1:
+            return self.fallback_matcher()
         with self._lock:
             if self._closed:
                 raise ValueError(f"graph handle {self.name!r} is closed")
-            if self.workers > 1:
-                if self._parallel is None:
-                    self._parallel = ParallelMatcher(
-                        self.graph, self.config, workers=self.workers
-                    )
-                return self._parallel
-            if self._serial is None:
-                self._serial = CuTSMatcher(self.graph, self.config)
-            return self._serial
+            if self._parallel is None:
+                self._parallel = ParallelMatcher(
+                    self.graph, self.config, workers=self.workers,
+                    memory_budget_mb=self.memory_budget_mb,
+                )
+            return self._parallel
 
     def fallback_matcher(self) -> CuTSMatcher:
         """A persistent in-process serial engine for this graph,
@@ -147,7 +151,10 @@ class GraphHandle:
             if self._closed:
                 raise ValueError(f"graph handle {self.name!r} is closed")
             if self._serial is None:
-                self._serial = CuTSMatcher(self.graph, self.config)
+                self._serial = CuTSMatcher(
+                    self.graph, self.config,
+                    memory_budget_mb=self.memory_budget_mb,
+                )
             return self._serial
 
     def live_worker_pids(self) -> list[int]:
@@ -243,11 +250,15 @@ class GraphRegistry:
         self,
         config: CuTSConfig,
         *,
+        service_config: ServiceConfig | None = None,
         workers: int = 1,
         on_replace: Callable[[str], None] | None = None,
     ) -> None:
+        sc = service_config or ServiceConfig()
         self.config = config
         self.workers = workers
+        self.max_versions = sc.max_versions
+        self.memory_budget_mb = sc.memory_budget_mb
         self._on_replace = on_replace
         self._lock = make_rlock("GraphRegistry._lock")
         self._by_name: dict[str, GraphHandle] = {}
@@ -261,56 +272,66 @@ class GraphRegistry:
     def register(self, graph: CSRGraph, name: str | None = None) -> GraphHandle:
         """Register ``graph`` (idempotent for identical content).
 
-        Reusing a name for *different* content replaces the old handle
-        (closing its engine) and fires ``on_replace`` with the old
-        fingerprint so dependent caches invalidate.
+        Reusing a name for *different* content releases the old head
+        and the retired versions behind it up to the first one another
+        name holds (closing their engines), fires ``on_replace`` with
+        each released fingerprint so dependent caches invalidate, and
+        starts a fresh chain at the new content.
         """
         if graph.num_vertices == 0:
             raise ValueError("cannot register an empty data graph")
         fp = graph_fingerprint(graph)
         name = name or graph.name or fp[:12]
-        replaced_fp: str | None = None
-        to_close: GraphHandle | None = None
+        released: list[GraphHandle] = []
         with self._lock:
             existing = self._by_name.get(name)
             if existing is not None and existing.fingerprint == fp:
                 return existing
             same_content = self._by_fp.get(fp)
             if existing is not None:
-                # Name reuse with different content: the old entry (and
-                # everything cached under it) must die with it.  The
-                # replacement is recorded as a *lineage link* with no
-                # delta — a full replacement is the degenerate commit
-                # whose dirty ball is the whole graph, which is exactly
-                # why every cache entry under the old fingerprint goes.
+                chain = self._chain_locked(existing)
                 self._unlink(existing)
-                to_close = existing
-                replaced_fp = existing.fingerprint
+                named = set(map(id, self._by_name.values()))
+                released = [existing] + list(
+                    takewhile(lambda h: id(h) not in named, chain[1:])
+                )
+                for stale in released[1:]:
+                    self._by_fp.pop(stale.fingerprint, None)
                 self.replaced += 1
-            if same_content is not None and replaced_fp is None:
+            if same_content is not None and same_content not in released:
                 # Same bytes under a second name: alias, don't reload.
                 self._by_name[name] = same_content
                 handle = same_content
             else:
-                self._generation += 1
-                handle = GraphHandle(
-                    graph, name, fp, self.config, self.workers,
-                    self._generation,
-                    parent_fp=replaced_fp,
-                    lineage_depth=(
-                        0 if to_close is None else to_close.lineage_depth + 1
-                    ),
-                )
+                handle = self._add_locked(graph, name, fp, None, 0)
                 self._by_name[name] = handle
-                self._by_fp[fp] = handle
-                self.registered += 1
-        # The dead engine shuts down only after the lock is released:
-        # its pool shutdown blocks, and registrations of *other* graphs
+        # The dead engines shut down only after the lock is released:
+        # a pool shutdown blocks, and registrations of *other* graphs
         # must not queue behind it (RP010).
-        if to_close is not None:
-            to_close.close()
-        if replaced_fp is not None and self._on_replace is not None:
-            self._on_replace(replaced_fp)
+        for stale in released:
+            stale.close()
+            if self._on_replace is not None:
+                self._on_replace(stale.fingerprint)
+        return handle
+
+    def _add_locked(
+        self,
+        graph: CSRGraph,
+        name: str,
+        fp: str,
+        parent_fp: str | None,
+        lineage_depth: int,
+    ) -> GraphHandle:
+        """A new handle, keyed by fingerprint.  Caller holds ``_lock``."""
+        self._generation += 1
+        handle = GraphHandle(
+            graph, name, fp, self.config, self.workers, self._generation,
+            parent_fp=parent_fp,
+            lineage_depth=lineage_depth,
+            memory_budget_mb=self.memory_budget_mb,
+        )
+        self._by_fp[fp] = handle
+        self.registered += 1
         return handle
 
     def _unlink(self, handle: GraphHandle) -> None:
@@ -340,7 +361,7 @@ class GraphRegistry:
         arrays are never written — live matches against it cannot be
         torn), and the name advances to the child.  The parent handle
         stays registered (retired) for ``as_of`` time travel until the
-        retention policy (``config.versioning_max_versions``) prunes
+        retention policy (``ServiceConfig.max_versions``) prunes
         it.  A concurrent commit that advanced the head first raises
         :class:`VersionConflictError`.
         """
@@ -369,24 +390,18 @@ class GraphRegistry:
                 # handle resumes as head.
                 child.relink(head.fingerprint, depth, delta)
             else:
-                self._generation += 1
-                child = GraphHandle(
-                    child_graph, name, fp, self.config, self.workers,
-                    self._generation,
-                    parent_fp=head.fingerprint,
-                    lineage_depth=depth,
+                child = self._add_locked(
+                    child_graph, name, fp, head.fingerprint, depth
                 )
                 child.commit_delta = delta
-                self._by_fp[fp] = child
-                self.registered += 1
             self._by_name[name] = child
             self.commits += 1
-            # Retention: keep at most versioning_max_versions links of
-            # this chain registered; older ones are pruned unless some
-            # other *name* still aliases them.
+            # Retention: keep at most max_versions links of this chain
+            # registered; older ones are pruned unless some other
+            # *name* still aliases them.
             chain = self._chain_locked(child)
             named = set(map(id, self._by_name.values()))
-            for stale in chain[self.config.versioning_max_versions:]:
+            for stale in chain[self.max_versions:]:
                 if id(stale) not in named:
                     self._by_fp.pop(stale.fingerprint, None)
                     to_prune.append(stale)
@@ -448,15 +463,9 @@ class GraphRegistry:
         with self._lock:
             handle = self._by_fp.get(fp)
             if handle is None:
-                self._generation += 1
-                handle = GraphHandle(
-                    graph, name, fp, self.config, self.workers,
-                    self._generation,
-                    parent_fp=parent_fp,
-                    lineage_depth=lineage_depth,
+                handle = self._add_locked(
+                    graph, name, fp, parent_fp, lineage_depth
                 )
-                self._by_fp[fp] = handle
-                self.registered += 1
             handle.commit_delta = delta
             if head:
                 self._by_name[name] = handle

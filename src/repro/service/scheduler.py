@@ -5,9 +5,9 @@ early and legibly, not a queue that grows until the host dies.  Three
 admission rules run synchronously at submit, each rejecting with a
 machine-readable reason (never a silent drop):
 
-* ``queue-full`` — the bounded queue is at ``service_queue_depth``;
+* ``queue-full`` — the bounded queue is at ``ServiceConfig.queue_depth``;
 * ``oversized-query`` — the query exceeds
-  ``service_max_query_vertices`` (when set);
+  ``ServiceConfig.max_query_vertices`` (when set);
 * ``memory-budget`` — the :class:`~repro.core.governor.MemoryGovernor`
   reports pressure at or past its budget (registered graphs plus live
   cache bytes already fill it).

@@ -12,14 +12,14 @@ scheduler's ordering guarantees stay trivially true.
 
 Memory accounting: registered graph bytes plus live cache bytes are
 charged to one :class:`~repro.core.governor.MemoryGovernor` (built from
-``config.memory_budget_mb``).  When that budget is exhausted, admission
-rejects new work with ``memory-budget`` — the serving-side analogue of
-the engine's degrade-don't-die rule.  Under *sustained* pressure at the
-governor's high-water mark (``service_degraded_after`` consecutive
-dispatch ticks) the service drops into **degraded read-only mode**:
-verified cache hits for count-only queries are still served, everything
-else is rejected with reason ``degraded`` (HTTP 503 + ``Retry-After``),
-and the same count of healthy ticks exits the mode.
+``ServiceConfig.memory_budget_mb``).  When that budget is exhausted,
+admission rejects new work with ``memory-budget`` — the serving-side
+analogue of the engine's degrade-don't-die rule.  Under *sustained*
+pressure at the governor's high-water mark (:data:`DEGRADED_AFTER`
+consecutive dispatch ticks) the service drops into **degraded read-only
+mode**: verified cache hits for count-only queries are still served,
+everything else is rejected with reason ``degraded`` (HTTP 503 +
+``Retry-After``), and the same count of healthy ticks exits the mode.
 
 Resilience (see DESIGN.md §12):
 
@@ -73,6 +73,7 @@ from ..versioning.lineage import (
     version_record,
 )
 from .cache import CacheKey, LRUBytesCache
+from .config import ServiceConfig
 from .dispatcher import Dispatcher
 from .faults import ServiceFaultInjector, ServiceFaultPlan
 from .registry import GraphRegistry, VersionCommit
@@ -109,6 +110,11 @@ _TERMINAL = frozenset({DONE, FAILED, EXPIRED, CANCELLED, RETRYABLE})
 BATCH_MAX = 16
 """Most requests the dispatch loop hands the dispatcher as one batched
 same-graph matcher pass."""
+DEGRADED_AFTER = 3
+"""Consecutive dispatch ticks at or above the governor's high-water
+pressure before the service enters degraded read-only mode; the same
+count of healthy ticks exits it.  Hysteresis keeps one transient spike
+from flapping the mode."""
 
 # The request fields a job record carries beside its query graph.
 _RECORD_FIELDS = (
@@ -216,6 +222,7 @@ class FrontDoor(ABC):
 
     _JOB_PREFIX = "job"
     config: CuTSConfig
+    service_config: ServiceConfig
 
     def __init__(self) -> None:
         self._jobs: dict[str, Job] = {}
@@ -561,13 +568,15 @@ class MatchingService(FrontDoor):
     Parameters
     ----------
     config:
-        Engine + serving tunables.  ``service_*`` fields size the queue,
-        the batch window, and the cache; ``memory_budget_mb`` funds the
-        governor that admission control consults.
+        Engine choices every graph engine runs under (fingerprinted).
+    service_config:
+        Serving knobs: queue and query-size admission, cache budget,
+        version retention and the memory budget that funds the
+        governor admission control consults.
     workers:
-        Worker processes per graph engine (``None`` → ``config.workers``;
-        ``"auto"``/``0`` → every CPU).  ``1`` serves with persistent
-        in-process matchers.
+        Worker processes per graph engine (``"auto"``/``0`` → every
+        CPU).  ``1`` (default) serves with persistent in-process
+        matchers.
     start:
         Start the dispatch thread immediately (default).  Tests that
         want to inspect queued state before dispatch pass ``False`` and
@@ -589,37 +598,37 @@ class MatchingService(FrontDoor):
         self,
         config: CuTSConfig | None = None,
         *,
-        workers: int | str | None = None,
+        service_config: ServiceConfig | None = None,
+        workers: int | str = 1,
         start: bool = True,
         state_dir: str | None = None,
         faults: ServiceFaultPlan | ServiceFaultInjector | None = None,
     ) -> None:
         self.config = config or CuTSConfig()
-        self.workers = resolve_workers(
-            self.config.workers if workers is None else workers
-        )
+        self.service_config = sc = service_config or ServiceConfig()
+        self.workers = resolve_workers(workers)
         self.config_fp = config_fingerprint(self.config)
         if isinstance(faults, ServiceFaultPlan):
             faults = ServiceFaultInjector(faults)
         self.faults = faults
-        self.governor = MemoryGovernor.from_config(self.config)
+        self.governor = MemoryGovernor(sc.memory_budget_mb * 1024 * 1024 or None)
         self.result_cache = LRUBytesCache(
-            self.config.service_cache_bytes,
-            on_bytes=lambda _total: self._recharge(),
+            sc.cache_bytes, on_bytes=lambda _total: self._recharge()
         )
         # Plans are tiny; an eighth of the budget is already generous.
         self.plan_cache = LRUBytesCache(
-            max(4096, self.config.service_cache_bytes // 8),
+            max(4096, sc.cache_bytes // 8),
             on_bytes=lambda _total: self._recharge(),
         )
         self.registry = GraphRegistry(
             self.config,
+            service_config=sc,
             workers=self.workers,
             on_replace=self._invalidate_graph,
         )
         self.scheduler = Scheduler(
-            max_depth=self.config.service_queue_depth,
-            max_query_vertices=self.config.service_max_query_vertices,
+            max_depth=sc.queue_depth,
+            max_query_vertices=sc.max_query_vertices,
             governor=self.governor,
         )
         self.dispatcher = Dispatcher(
@@ -774,11 +783,9 @@ class MatchingService(FrontDoor):
         for name, fp in log.names.items():
             if fp in graphs:
                 self.registry.register(graphs[fp], name)
-        for fp, graph in graphs.items():
-            if self.registry.by_fingerprint(fp) is None:
-                # Content no name holds, e.g. replaced under its name:
-                # under its own name it would take that name back.
-                self.registry.register(graph, fp[:12])
+        # Stored content no name or retained chain reaches (bytes a
+        # replacement released before a crash could delete them) goes.
+        self._release_unreachable()
         self._recharge()
         with self._jobs_lock:
             # The sequence counter's discipline is _jobs_lock
@@ -862,21 +869,29 @@ class MatchingService(FrontDoor):
     def _register(self, graph: CSRGraph, name: str | None = None) -> str:
         handle = self.registry.register(graph, name)
         if self.state is not None:
+            # The new bytes and the name move land before the bytes a
+            # replacement released are deleted, so a crash in between
+            # leaves an orphan, never a name without its graph.
             self.state.save_graph(graph, handle.fingerprint)
             self.state.save_names(self.registry.names())
+            self._release_unreachable()
         self._recharge()
         return handle.fingerprint
 
+    def _release_unreachable(self) -> None:
+        """Delete stored graphs the registry no longer holds.  The store
+        is listed first: a handle enters the registry before its bytes
+        are saved, so a graph saved meanwhile is still held."""
+        assert self.state is not None
+        stored = self.state.stored_fingerprints()
+        for fp in stored - {h.fingerprint for h in self.registry.handles()}:
+            self.state.forget_graph(fp)
+
     def unregister_graph(self, key: str) -> bool:
-        try:
-            fp = self.registry.resolve(key).fingerprint
-        except KeyError:
-            fp = None
         removed = self.registry.unregister(key)
         if removed and self.state is not None:
-            if fp is not None and self.registry.by_fingerprint(fp) is None:
-                self.state.forget_graph(fp)
             self.state.save_names(self.registry.names())
+            self._release_unreachable()
         self._recharge()
         return removed
 
@@ -1240,17 +1255,16 @@ class MatchingService(FrontDoor):
         degraded-mode hysteresis (and the OOM fault schedule)."""
         if self.faults is not None:
             self.governor.forced_pressure = self.faults.tick_oom()
-        window = self.config.service_degraded_after
         if self.governor.pressure >= self.governor.high_water:
             self._pressure_strikes += 1
             self._healthy_strikes = 0
-            if not self._degraded and self._pressure_strikes >= window:
+            if not self._degraded and self._pressure_strikes >= DEGRADED_AFTER:
                 self._degraded = True
                 self.degraded_entries += 1
         else:
             self._healthy_strikes += 1
             self._pressure_strikes = 0
-            if self._degraded and self._healthy_strikes >= window:
+            if self._degraded and self._healthy_strikes >= DEGRADED_AFTER:
                 self._degraded = False
 
     def _finish_failure(

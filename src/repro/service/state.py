@@ -221,7 +221,7 @@ class ServiceState:
         """Read the log in order, retention applied."""
         log = LogState()
         if os.path.exists(self.path):
-            available = self._available()
+            available = self.stored_fingerprints()
             with open(self.path, "rb") as fh:
                 for frame in fh:
                     try:
@@ -240,7 +240,9 @@ class ServiceState:
         """Rewrite the log as its live state.  Caller holds ``_lock``."""
         log = self._log
         log.retain()
-        chains, malformed = recover_chains(log.versions, self._available())
+        chains, malformed = recover_chains(
+            log.versions, self.stored_fingerprints()
+        )
         self.frames_torn += malformed
         log.versions = [
             version_record(version)
@@ -308,7 +310,7 @@ class ServiceState:
     def _graph_path(self, fingerprint: str) -> str:
         return os.path.join(self.graphs_dir, f"{fingerprint}.npz")
 
-    def _available(self) -> set[str]:
+    def stored_fingerprints(self) -> set[str]:
         """Fingerprints of the graphs on disk."""
         return {f[:-4] for f in os.listdir(self.graphs_dir) if f.endswith(".npz")}
 
@@ -342,7 +344,7 @@ class ServiceState:
     def load_graphs(self) -> dict[str, CSRGraph]:
         """Every persisted graph, keyed by stored fingerprint."""
         graphs: dict[str, CSRGraph] = {}
-        for fp in sorted(self._available()):
+        for fp in sorted(self.stored_fingerprints()):
             with np.load(self._graph_path(fp), allow_pickle=False) as npz:
                 labels = npz["labels"] if "labels" in npz.files else None
                 graphs[fp] = CSRGraph(

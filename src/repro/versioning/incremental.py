@@ -178,6 +178,9 @@ def incremental_match(
         old_matcher = CuTSMatcher(
             parent_graph_of(matcher.data, delta),  # type: ignore[attr-defined]
             matcher.config,  # type: ignore[attr-defined]
+            memory_budget_mb=matcher.memory_budget_mb,  # type: ignore[attr-defined]
+            trace_kernels=matcher.trace_kernels,  # type: ignore[attr-defined]
+            profile_expansion=matcher.profile_expansion,  # type: ignore[attr-defined]
         )
     old_share = old_matcher.match(  # type: ignore[attr-defined]
         query, root_filter=ball, wall_limit_s=wall_limit_s

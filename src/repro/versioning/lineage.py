@@ -93,8 +93,11 @@ def recover_chains(
     graph exists** (records whose graph write was lost — impossible
     under the commit order, but tolerated — are skipped, as are pruned
     versions); the chain then extends backwards through parents that
-    are still available.  Returns the chains (each oldest → head) plus
-    the number of malformed records skipped.
+    are still available.  A parent with no record of its own is the
+    chain's registered root (registration moves a name with a ``names``
+    record, not a ``version`` one) and ends the chain as a root link.
+    Returns the chains (each oldest → head) plus the number of
+    malformed records skipped.
     """
     by_name: dict[str, list[GraphVersion]] = {}
     by_fp: dict[str, GraphVersion] = {}
@@ -119,8 +122,10 @@ def recover_chains(
         seen = {head.fingerprint}
         cursor = head
         while cursor.parent is not None and cursor.parent in available:
-            parent = by_fp.get(cursor.parent)
-            if parent is None or parent.fingerprint in seen:
+            parent = by_fp.get(cursor.parent) or GraphVersion(
+                name, cursor.parent, None, max(0, cursor.depth - 1), KIND_ROOT
+            )
+            if parent.fingerprint in seen:
                 break
             chain.append(parent)
             seen.add(parent.fingerprint)

@@ -8,7 +8,7 @@ from .core.config import CuTSConfig
 def build_parser():
     parser = argparse.ArgumentParser()
     parser.add_argument("--chunk-size", type=int, default=512)
-    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--dead-flag", type=int, default=0)      # line 12
     parser.add_argument("--renamed", dest="also_dead", type=int)  # line 13
     return parser
@@ -18,7 +18,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     config = CuTSConfig(
         chunk_size=args.chunk_size,
-        workers=args.workers,
+        seed=args.seed,
         typo_knob=3,                                              # line 22
     )
     return config

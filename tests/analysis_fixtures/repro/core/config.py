@@ -6,5 +6,5 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class CuTSConfig:
     chunk_size: int = 512
-    workers: int = 1
+    seed: int = 0
     phantom_knob: float = 0.5  # line 10: seeded violation, read nowhere

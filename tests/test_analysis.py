@@ -54,6 +54,9 @@ EXPECTED = {
     ("RP005", "repro/cli.py", 12),
     ("RP005", "repro/cli.py", 13),
     ("RP005", "repro/cli.py", 22),
+    ("RP005", "repro/service/config.py", 9),
+    ("RP005", "repro/service/http.py", 12),
+    ("RP005", "repro/service/http.py", 16),
     ("RP006", "repro/checkpoint/bad_io.py", 8),
     ("RP006", "repro/checkpoint/bad_io.py", 10),
     ("RP006", "repro/checkpoint/bad_io.py", 12),
@@ -162,6 +165,8 @@ def test_clean_fixture_code_is_not_flagged(fixture_report):
         ("repro/distributed/runtime.py", 21),  # broadcast arm
         ("repro/cli.py", 10),  # live flag
         ("repro/cli.py", 11),
+        ("repro/service/http.py", 11),  # live serve flag
+        ("repro/service/http.py", 15),  # known ServiceConfig kwarg
         ("repro/checkpoint/bad_io.py", 18),  # read-mode opens
         ("repro/checkpoint/bad_io.py", 20),
         ("repro/checkpoint/bad_io.py", 22),

@@ -12,7 +12,6 @@ from repro.checkpoint import (
     atomic_write_bytes,
     atomic_write_json,
     check_fingerprints,
-    config_fingerprint,
     graph_fingerprint,
     run_durable,
 )
@@ -136,17 +135,48 @@ def test_graph_fingerprint_distinguishes_graphs():
     assert graph_fingerprint(a) != graph_fingerprint(b)
 
 
-def test_config_fingerprint_tracks_count_relevant_fields_only():
-    base = config_fingerprint(CuTSConfig())
-    # Count-relevant knob: changes the fingerprint.
-    assert config_fingerprint(CuTSConfig(chunk_size=64)) != base
-    # Count-irrelevant durability/runtime knobs: fingerprint unchanged,
-    # so a resume may alter them freely.
-    assert config_fingerprint(CuTSConfig(memory_budget_mb=64)) == base
-    assert config_fingerprint(CuTSConfig(checkpoint_every=7)) == base
-    assert config_fingerprint(CuTSConfig(lease_timeout_s=1.0)) == base
-    assert config_fingerprint(CuTSConfig(lease_retries=9)) == base
-    assert config_fingerprint(CuTSConfig(workers=8)) == base
+class _Killed(Exception):
+    """Stands in for a crash in the middle of a durable run."""
+
+
+def _abandon_durable_run(matcher, query, directory, *, every, after):
+    """Start a durable run at cadence ``every`` and kill it at the
+    ``after``-th expansion, leaving its last snapshot behind."""
+    ticks = 0
+
+    def tick(_state):
+        nonlocal ticks
+        ticks += 1
+        if ticks == after:
+            raise _Killed
+
+    matcher.on_tick = tick
+    try:
+        with pytest.raises(_Killed):
+            matcher.match(query, checkpoint_dir=directory, checkpoint_every=every)
+    finally:
+        matcher.on_tick = None
+    assert CheckpointStore(directory).load_latest_snapshot() is not None
+
+
+def test_resume_may_change_cadence_and_budget(tmp_path):
+    # Neither knob is fingerprinted, so neither blocks a resume.
+    data, query = social_graph(120, 3, seed=3), clique_graph(3)
+    cfg = CuTSConfig(chunk_size=16)
+    expected = CuTSMatcher(data, cfg).count(query)
+    for name, resumer, every in (
+        ("cadence", CuTSMatcher(data, cfg), 16),
+        ("budget", CuTSMatcher(data, cfg, memory_budget_mb=1), 4),
+    ):
+        directory = str(tmp_path / name)
+        _abandon_durable_run(
+            CuTSMatcher(data, cfg), query, directory, every=4, after=20
+        )
+        resumed = resumer.match(
+            query, checkpoint_dir=directory, checkpoint_every=every,
+            resume=True,
+        )
+        assert resumed.count == expected, name
 
 
 def test_check_fingerprints_raises_on_mismatch():

@@ -17,6 +17,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
+import repro.service.cluster as cluster_module
 from tests.conftest import oracle_count
 from repro.core.config import CuTSConfig
 from repro.core.matcher import CuTSMatcher
@@ -26,8 +27,10 @@ from repro.service import (
     ClusterService,
     HashRing,
     JobFailed,
+    MatchingService,
     RetryPolicy,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
 )
 from repro.service.faults import ServiceFaultInjector, ServiceFaultPlan
@@ -47,6 +50,18 @@ def make_cluster(tmp_path=None, **kw) -> ClusterService:
     return ClusterService(
         CuTSConfig(), state_dir=state_dir, **kw
     )
+
+
+@pytest.mark.parametrize("workers", [None, 2])
+def test_ranks_run_the_worker_count_a_single_service_runs(workers):
+    kwargs = {} if workers is None else {"workers": workers}
+    with MatchingService(start=False, **kwargs) as single:
+        cluster = ClusterService(ranks=1, start=False, **kwargs)
+        try:
+            assert cluster.ranks[0].service.workers == single.workers
+            assert single.workers == (workers or 1)
+        finally:
+            cluster.close()
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +179,7 @@ class TestRouting:
         # Every engine pass stalls 400 ms; the route gives up at 50 ms,
         # so each attempt is revoked before its late reply can land.
         cluster = ClusterService(
-            CuTSConfig(service_route_timeout_s=0.05),
+            service_config=ServiceConfig(route_timeout_s=0.05),
             ranks=1,
             replication=1,
             faults=ServiceFaultPlan(
@@ -282,7 +297,6 @@ class TestQuorumAndHealing:
     ):
         data, query = mesh_and_query
         cluster = ClusterService(
-            CuTSConfig(service_heal_after_ticks=2),
             ranks=2,
             replication=2,
             state_dir=str(tmp_path / "heal"),
@@ -354,12 +368,14 @@ class TestTopologyFaults:
         assert fate == "slow"
         assert seconds == pytest.approx(0.025)
 
-    def test_injected_crashes_never_change_counts(self, mesh_and_query):
+    def test_injected_crashes_never_change_counts(
+        self, mesh_and_query, monkeypatch
+    ):
         data, query = mesh_and_query
         expected = oracle_count(data, query)
         plan = ServiceFaultPlan(seed=11, rank_crash_prob=0.2)
+        monkeypatch.setattr(cluster_module, "HEAL_AFTER_TICKS", 1)
         cluster = ClusterService(
-            CuTSConfig(service_heal_after_ticks=1),
             ranks=3,
             replication=2,
             faults=plan,

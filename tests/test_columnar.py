@@ -43,13 +43,13 @@ COST_FIELDS = (
 )
 
 
-def both_engines(data, query, materialize=True, **cfg_kwargs):
+def both_engines(data, query, materialize=True, memory_budget_mb=0,
+                 **cfg_kwargs):
     out = {}
     for engine in ("reference", "columnar"):
         cfg = CuTSConfig(engine=engine, **cfg_kwargs)
-        out[engine] = CuTSMatcher(data, cfg).match(
-            query, materialize=materialize
-        )
+        matcher = CuTSMatcher(data, cfg, memory_budget_mb=memory_budget_mb)
+        out[engine] = matcher.match(query, materialize=materialize)
     return out["reference"], out["columnar"]
 
 
@@ -262,8 +262,7 @@ def test_profile_expansion_stage_timers():
     SearchStats without touching any modeled quantity."""
     data = mesh_graph(6, 6)
     plain = CuTSMatcher(data).match(chain_graph(5))
-    cfg = CuTSConfig(profile_expansion=True)
-    profiled = CuTSMatcher(data, cfg).match(chain_graph(5))
+    profiled = CuTSMatcher(data, profile_expansion=True).match(chain_graph(5))
     assert set(profiled.stats.stage_wall_s) == _STAGES
     assert all(v >= 0.0 for v in profiled.stats.stage_wall_s.values())
     assert plain.stats.stage_wall_s == {}
@@ -278,7 +277,7 @@ def test_stage_timers_sum_to_the_stepped_wall():
     from repro.core.executor import FrontierExecutor, FrontierItem
 
     matcher = CuTSMatcher(
-        mesh_graph(10, 10), CuTSConfig(profile_expansion=True, chunk_size=32)
+        mesh_graph(10, 10), CuTSConfig(chunk_size=32), profile_expansion=True
     )
     state = matcher.make_run_state(chain_graph(6))
     executor = FrontierExecutor(

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import repro.parallel.matcher as parallel_matcher
 from repro.checkpoint import CheckpointStore
 from repro.core import CuTSConfig, CuTSMatcher
 from repro.core.result import MatchResult
@@ -250,8 +251,9 @@ def test_parallel_resume_with_different_worker_count(tmp_path, baseline_count):
 # ---------------------------------------------------------------------------
 
 
-def test_hung_worker_is_releaseed_and_merged_once(baseline_count):
-    cfg = CuTSConfig(chunk_size=64, lease_timeout_s=0.25, lease_retries=2)
+def test_hung_worker_is_releaseed_and_merged_once(baseline_count, monkeypatch):
+    monkeypatch.setattr(parallel_matcher, "LEASE_TIMEOUT_S", 0.25)
+    cfg = CuTSConfig(chunk_size=64)
     with ParallelMatcher(_data(), cfg, workers=2, oversplit=2) as pm:
         # Shard 0's first lease stalls far past the lease timeout; the
         # watchdog must duplicate it onto a live worker and take the
@@ -262,8 +264,9 @@ def test_hung_worker_is_releaseed_and_merged_once(baseline_count):
     assert result.shards == tuple(range(len(result.shards)))
 
 
-def test_sigkilled_worker_pool_is_rebuilt(baseline_count):
-    cfg = CuTSConfig(chunk_size=64, lease_timeout_s=5.0, lease_retries=2)
+def test_sigkilled_worker_pool_is_rebuilt(baseline_count, monkeypatch):
+    monkeypatch.setattr(parallel_matcher, "LEASE_TIMEOUT_S", 5.0)
+    cfg = CuTSConfig(chunk_size=64)
     with ParallelMatcher(_data(), cfg, workers=2, oversplit=2) as pm:
         pm._test_part_delays = {0: 1.0}  # hold the run open for the kill
         pool = pm._ensure_pool()
@@ -286,8 +289,10 @@ def test_sigkilled_worker_pool_is_rebuilt(baseline_count):
     assert outcome["result"].count == baseline_count
 
 
-def test_lease_budget_exhaustion_raises():
-    cfg = CuTSConfig(chunk_size=64, lease_timeout_s=0.15, lease_retries=0)
+def test_lease_budget_exhaustion_raises(monkeypatch):
+    monkeypatch.setattr(parallel_matcher, "LEASE_TIMEOUT_S", 0.15)
+    monkeypatch.setattr(parallel_matcher, "LEASE_RETRIES", 0)
+    cfg = CuTSConfig(chunk_size=64)
     with ParallelMatcher(_data(), cfg, workers=1, oversplit=1) as pm:
         pm._test_part_delays = {0: 2.0}
         with pytest.raises(ShardLeaseError, match="shard 0/"):
@@ -349,16 +354,17 @@ def test_merge_without_shard_tags_is_legacy_sum():
 
 def test_distributed_resume_over_max_events_valve(tmp_path):
     data, query = _data(), _query()
-    cfg = CuTSConfig(chunk_size=64, checkpoint_every=8)
+    cfg = CuTSConfig(chunk_size=64)
     clean = DistributedCuTS(data, 2, cfg).match(query)
 
     ckpt = str(tmp_path / "djob")
     rt = DistributedCuTS(data, 2, cfg)
     with pytest.raises(RuntimeError):
-        rt.match(query, max_events=20, checkpoint_dir=ckpt)
+        rt.match(query, max_events=20, checkpoint_dir=ckpt, checkpoint_every=8)
 
+    # The cadence is not fingerprinted: a resume may change it.
     resumed = DistributedCuTS(data, 2, cfg).match(
-        query, checkpoint_dir=ckpt, resume=True
+        query, checkpoint_dir=ckpt, checkpoint_every=16, resume=True
     )
     assert resumed.count == clean.count
 

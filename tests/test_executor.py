@@ -110,9 +110,7 @@ def test_memory_budget_halves_distributed_chunks():
     unbudgeted = DistributedCuTS(data, 2, free).match(query)
     assert unbudgeted.count == expected
     assert unbudgeted.chunk_halvings == 0
-    budgeted = DistributedCuTS(
-        data, 2, CuTSConfig(chunk_size=2048, memory_budget_mb=1)
-    ).match(query)
+    budgeted = DistributedCuTS(data, 2, free, memory_budget_mb=1).match(query)
     assert budgeted.count == expected
     assert budgeted.chunk_halvings > 0
 

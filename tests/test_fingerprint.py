@@ -3,8 +3,8 @@
 ``repro.fingerprint`` moved out of ``repro.checkpoint`` so the service
 cache and the checkpoint store key on the *same* hashes; these tests pin
 the refactor: the checkpoint re-exports are the same objects, and the
-fingerprints behave (content-sensitive, name-insensitive, count-relevant
-config fields only).
+fingerprints behave (content-sensitive, name-insensitive, every config
+field covered).
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ from repro import fingerprint as shared
 from repro.checkpoint import fingerprint as compat
 from repro.core.config import CuTSConfig
 from repro.fingerprint import (
-    COUNT_IRRELEVANT_FIELDS,
     CheckpointMismatchError,
     check_fingerprints,
     config_fingerprint,
     graph_fingerprint,
 )
+from repro.gpusim import A100
 from repro.graph import from_edges, mesh_graph
 
 
@@ -73,16 +73,39 @@ def test_graph_fingerprint_ignores_name_but_not_labels():
 
 
 # ---------------------------------------------------------------------------
-# Config fingerprints: count-relevant fields only.
+# Config fingerprints: every field, nothing else.
 # ---------------------------------------------------------------------------
 
+# The default digest checkpoints and state dirs are stamped with; a
+# change here would refuse every existing one.
+DEFAULT_CONFIG_FINGERPRINT = (
+    "07eb5e1277c5d93c404f23e99bf770b25a0b273527c7af908ea590af58a96a75"
+)
 
-def test_config_fingerprint_ignores_count_irrelevant_fields():
+# One non-default value per field.
+OTHER_VALUES = {
+    "device": A100,
+    "chunk_size": 64,
+    "randomize_placement": False,
+    "intersection": "c",
+    "ordering": "id",
+    "engine": "reference",
+    "virtual_warp_size": 8,
+    "trie_buffer_fraction": 0.25,
+    "seed": 1,
+    "max_materialized": 10,
+    "neighborhood_filter": True,
+}
+
+
+def test_config_fingerprint_pins_the_default_digest():
     base = config_fingerprint(CuTSConfig())
-    assert config_fingerprint(
-        CuTSConfig(workers=4, memory_budget_mb=64, service_queue_depth=7,
-                   profile_expansion=True)
-    ) == base
+    assert base == DEFAULT_CONFIG_FINGERPRINT
+    names = [f.name for f in dataclasses.fields(CuTSConfig)]
+    assert sorted(OTHER_VALUES) == sorted(names)
+    for name in names:
+        changed = dataclasses.replace(CuTSConfig(), **{name: OTHER_VALUES[name]})
+        assert config_fingerprint(changed) != base, name
 
 
 def test_config_fingerprint_tracks_count_relevant_fields():
@@ -91,11 +114,12 @@ def test_config_fingerprint_tracks_count_relevant_fields():
     assert config_fingerprint(CuTSConfig(ordering="id")) != base
 
 
-def test_irrelevant_field_set_matches_the_dataclass():
-    names = {f.name for f in dataclasses.fields(CuTSConfig)}
-    assert COUNT_IRRELEVANT_FIELDS <= names, (
-        "COUNT_IRRELEVANT_FIELDS names a field CuTSConfig no longer has"
-    )
+def test_config_holds_exactly_the_engine_fields():
+    assert [f.name for f in dataclasses.fields(CuTSConfig)] == [
+        "device", "chunk_size", "randomize_placement", "intersection",
+        "ordering", "engine", "virtual_warp_size", "trie_buffer_fraction",
+        "seed", "max_materialized", "neighborhood_filter",
+    ]
 
 
 def test_check_fingerprints_raises_on_mismatch(mesh44):

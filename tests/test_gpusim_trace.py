@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import CuTSConfig, CuTSMatcher
+from repro.core import CuTSMatcher
 from repro.gpusim import (
     CostModel,
     V100,
@@ -84,8 +84,7 @@ def test_format_trace_report():
 
 def test_matcher_trace_config():
     data = social_graph(80, 3, community_edges=100, seed=2)
-    cfg = CuTSConfig(trace_kernels=True)
-    r = CuTSMatcher(data, cfg).match(clique_graph(3))
+    r = CuTSMatcher(data, trace_kernels=True).match(clique_graph(3))
     assert r.cost.trace is not None
     assert len(r.cost.trace) == r.cost.kernel_launches
     names = {l.name for l in r.cost.trace}

@@ -13,6 +13,7 @@ import pytest
 from repro.core import BYTES_PER_WORD, CuTSConfig, CuTSMatcher, MemoryGovernor
 from repro.core.stream import iter_matches
 from repro.graph.generators import clique_graph, social_graph
+from repro.service import MatchingService, ServiceConfig
 
 
 # ---------------------------------------------------------------------------
@@ -79,9 +80,15 @@ def test_budget_words_conversion():
 
 
 def test_from_config_mb_conversion():
-    gov = MemoryGovernor.from_config(CuTSConfig(memory_budget_mb=2))
-    assert gov.budget_bytes == 2 * 1024 * 1024
-    assert MemoryGovernor.from_config(CuTSConfig()).budget_bytes is None
+    data, query = social_graph(20, 2, seed=1), clique_graph(3)
+    with MatchingService(
+        service_config=ServiceConfig(memory_budget_mb=2), start=False
+    ) as svc:
+        assert svc.governor.budget_bytes == 2 * 1024 * 1024
+    budgeted = CuTSMatcher(data, memory_budget_mb=2).make_run_state(query)
+    assert budgeted.governor.budget_bytes == 2 * 1024 * 1024
+    free = CuTSMatcher(data).make_run_state(query)
+    assert free.governor.budget_bytes is None
 
 
 @pytest.mark.parametrize(
@@ -102,7 +109,9 @@ def test_invalid_governor_parameters(kwargs):
 
 def test_config_rejects_negative_budget():
     with pytest.raises(ValueError):
-        CuTSConfig(memory_budget_mb=-1)
+        ServiceConfig(memory_budget_mb=-1)
+    with pytest.raises(ValueError):
+        CuTSMatcher(social_graph(20, 2, seed=1), memory_budget_mb=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -125,13 +134,12 @@ def test_budgeted_match_counts_are_identical(workload):
     # (graceful degradation, never abort) with the exact same count.
     budget_mb = 1  # the peak for this workload is far below 1 MiB...
     budget_bytes = max(1024, free.stats.peak_tracked_bytes // 2)
-    gov_cfg = CuTSConfig(memory_budget_mb=budget_mb)
     # ...so drive pressure through a directly-constructed governor too.
     tight = MemoryGovernor(budget_bytes=budget_bytes)
     tight.observe_words(free.stats.peak_tracked_bytes // BYTES_PER_WORD)
     assert tight.effective_chunk(512) < 512 or tight.should_spill()
 
-    squeezed = CuTSMatcher(data, gov_cfg).match(query)
+    squeezed = CuTSMatcher(data, memory_budget_mb=budget_mb).match(query)
     assert squeezed.count == free.count
     assert squeezed.stats.paths_per_depth == free.stats.paths_per_depth
 
@@ -154,7 +162,7 @@ def test_streaming_engine_respects_governor(workload):
     rows_tight = np.concatenate(
         list(
             iter_matches(
-                CuTSMatcher(data, CuTSConfig(memory_budget_mb=1)), query
+                CuTSMatcher(data, memory_budget_mb=1), query
             )
         )
         or empty

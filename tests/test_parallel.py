@@ -5,6 +5,8 @@ totals — for any worker count, oversplit factor, and edge case."""
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -257,11 +259,14 @@ def test_api_workers_on_disconnected_query():
     )
 
 
-def test_config_workers_default_drives_api():
+def test_workers_default_to_one():
     data = random_graph(30, 0.2, seed=12)
     query = clique_graph(3)
-    cfg = CuTSConfig(workers=2)
-    assert count_embeddings(data, query, cfg) == count_embeddings(data, query)
+    with ParallelMatcher(data) as matcher:
+        assert (matcher.workers, matcher.oversplit) == (1, 4)
+        assert matcher.count(query) == CuTSMatcher(data).count(query)
+    for entry in (subgraph_isomorphism_search, count_embeddings):
+        assert inspect.signature(entry).parameters["workers"].default == 1
 
 
 def test_resolve_workers():
@@ -278,10 +283,26 @@ def test_resolve_workers():
 
 
 def test_config_validates_workers():
+    # Worker counts are keywords of the engines that read them.
+    with pytest.raises(TypeError):
+        CuTSConfig(workers=2)  # type: ignore[call-arg]
     with pytest.raises(ValueError):
-        CuTSConfig(workers=0)
+        ParallelMatcher(mesh_graph(2, 2), workers=-1)
     with pytest.raises(ValueError):
-        CuTSConfig(oversplit=0)
+        ParallelMatcher(mesh_graph(2, 2), oversplit=0)
+
+
+def test_memory_budget_reaches_every_worker():
+    data = social_graph(150, 4, community_edges=600, seed=5)
+    query = star_graph(3)
+    cfg = CuTSConfig(chunk_size=2048)
+    expected = CuTSMatcher(data, cfg).count(query)
+    with ParallelMatcher(
+        data, cfg, workers=2, oversplit=1, memory_budget_mb=1
+    ) as matcher:
+        budgeted = matcher.match(query)
+    assert budgeted.count == expected
+    assert budgeted.stats.chunk_halvings > 0
 
 
 def test_parallel_match_helper():

@@ -33,6 +33,7 @@ from repro.service import (
     MatchingService,
     Request,
     Scheduler,
+    ServiceConfig,
 )
 from repro.service.registry import _graph_bytes
 
@@ -313,8 +314,8 @@ class TestMatchingService:
             assert not svc.cancel(job_id)  # already settled
 
     def test_admission_rejection_does_not_leak_jobs(self, data_graph):
-        cfg = CuTSConfig(service_max_query_vertices=3)
-        with MatchingService(cfg) as svc:
+        sc = ServiceConfig(max_query_vertices=3)
+        with MatchingService(service_config=sc) as svc:
             fp = svc.register_graph(data_graph)
             with pytest.raises(AdmissionError) as exc:
                 svc.submit(fp, clique_graph(5))
@@ -322,8 +323,8 @@ class TestMatchingService:
             assert svc._jobs == {}
 
     def test_queue_full_rejection_reports_reason(self, data_graph):
-        cfg = CuTSConfig(service_queue_depth=1)
-        with MatchingService(cfg, start=False) as svc:
+        sc = ServiceConfig(queue_depth=1)
+        with MatchingService(service_config=sc, start=False) as svc:
             fp = svc.register_graph(data_graph)
             svc.submit(fp, chain_graph(3))
             with pytest.raises(AdmissionError) as exc:
@@ -332,8 +333,8 @@ class TestMatchingService:
 
     def test_memory_budget_admission_counts_registry_bytes(self):
         # A 1 MB budget the registered graph immediately exceeds.
-        cfg = CuTSConfig(memory_budget_mb=1)
-        with MatchingService(cfg) as svc:
+        sc = ServiceConfig(memory_budget_mb=1)
+        with MatchingService(service_config=sc) as svc:
             fp = svc.register_graph(mesh_graph(200, 200))
             assert svc.governor.pressure >= 1.0
             with pytest.raises(AdmissionError) as exc:

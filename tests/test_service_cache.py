@@ -16,7 +16,7 @@ import pytest
 from repro.core.config import CuTSConfig
 from repro.fingerprint import config_fingerprint
 from repro.graph import chain_graph, from_edges, mesh_graph
-from repro.service import LRUBytesCache, MatchingService
+from repro.service import LRUBytesCache, MatchingService, ServiceConfig
 
 
 def key(i: int, graph: str = "g") -> tuple[str, str, str]:
@@ -175,9 +175,13 @@ def test_count_relevant_config_change_is_a_miss():
 
 
 def test_count_irrelevant_config_change_shares_the_key():
-    assert config_fingerprint(
-        CuTSConfig(service_cache_bytes=1 << 20, workers=3)
-    ) == config_fingerprint(CuTSConfig())
+    # Serving knobs and worker counts live outside CuTSConfig, so they
+    # cannot move the cache key.
+    with MatchingService(
+        service_config=ServiceConfig(cache_bytes=1 << 20),
+        workers=3, start=False,
+    ) as svc:
+        assert svc.config_fp == config_fingerprint(CuTSConfig())
 
 
 def test_reregistration_invalidates_stale_results():

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import pytest
 
+import repro.service.service as service_module
 from repro.core.config import CuTSConfig
 from repro.core.matcher import CuTSMatcher
 from repro.graph import clique_graph, cycle_graph, mesh_graph
-from repro.service import JobFailed, MatchingService
+from repro.service import JobFailed, MatchingService, ServiceConfig
 from repro.service.faults import (
     FAULTS_ENV_VAR,
     InjectedEngineFault,
@@ -152,7 +153,7 @@ def test_engine_faults_fail_only_their_own_jobs(data_graph):
     oracle = CuTSMatcher(data_graph, CuTSConfig()).match(clique_graph(3))
     # Cache off so every request reaches the engine (and its faults).
     with MatchingService(
-        CuTSConfig(service_cache_bytes=0), faults=plan
+        service_config=ServiceConfig(cache_bytes=0), faults=plan
     ) as svc:
         fp = svc.register_graph(data_graph)
         ok, failed = 0, 0
@@ -196,10 +197,10 @@ def test_stalls_only_add_latency(data_graph):
         assert svc.faults is not None and svc.faults.stalls >= 1
 
 
-def test_simulated_oom_drives_degraded_mode(data_graph):
-    cfg = CuTSConfig(service_degraded_after=2)
+def test_simulated_oom_drives_degraded_mode(data_graph, monkeypatch):
+    monkeypatch.setattr(service_module, "DEGRADED_AFTER", 2)
     plan = ServiceFaultPlan(oom_prob=1.0, oom_pressure=2.0, oom_hold_ticks=50)
-    svc = MatchingService(cfg, start=False, faults=plan)
+    svc = MatchingService(start=False, faults=plan)
     try:
         fp = svc.register_graph(data_graph)
         assert not svc.degraded
@@ -216,9 +217,9 @@ def test_simulated_oom_drives_degraded_mode(data_graph):
         svc.close()
 
 
-def test_degraded_mode_exits_after_sustained_calm(data_graph):
-    cfg = CuTSConfig(service_degraded_after=2)
-    svc = MatchingService(cfg, start=False)
+def test_degraded_mode_exits_after_sustained_calm(data_graph, monkeypatch):
+    monkeypatch.setattr(service_module, "DEGRADED_AFTER", 2)
+    svc = MatchingService(start=False)
     try:
         svc.register_graph(data_graph)
         svc.governor.forced_pressure = 1.0
@@ -234,9 +235,9 @@ def test_degraded_mode_exits_after_sustained_calm(data_graph):
         svc.close()
 
 
-def test_degraded_mode_still_serves_cached_counts(data_graph):
-    cfg = CuTSConfig(service_degraded_after=1)
-    with MatchingService(cfg) as svc:
+def test_degraded_mode_still_serves_cached_counts(data_graph, monkeypatch):
+    monkeypatch.setattr(service_module, "DEGRADED_AFTER", 1)
+    with MatchingService() as svc:
         fp = svc.register_graph(data_graph)
         warm = svc.match(fp, clique_graph(3), timeout=30.0)
         svc.governor.forced_pressure = 1.0

@@ -17,13 +17,13 @@ import urllib.request
 
 import pytest
 
-from repro.core.config import CuTSConfig
 from repro.core.matcher import CuTSMatcher
 from repro.graph import chain_graph, clique_graph, cycle_graph, mesh_graph
 from repro.service import (
     MatchingService,
     RetryPolicy,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
 )
 from repro.service.http import BadRequest, parse_graph_spec, serve
@@ -31,8 +31,9 @@ from repro.service.http import BadRequest, parse_graph_spec, serve
 
 @pytest.fixture()
 def live_service():
-    cfg = CuTSConfig(service_max_query_vertices=8)
-    service = MatchingService(cfg)
+    service = MatchingService(
+        service_config=ServiceConfig(max_query_vertices=8)
+    )
     server = serve(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -231,9 +232,9 @@ def test_mixed_burst_matches_serial_oracle(live_service):
 
 
 @contextlib.contextmanager
-def boot(cfg, **service_kwargs):
-    """A live server for one test with a non-default config."""
-    service = MatchingService(cfg, **service_kwargs)
+def boot(service_config, **service_kwargs):
+    """A live server for one test with non-default serving knobs."""
+    service = MatchingService(service_config=service_config, **service_kwargs)
     server = serve(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
@@ -248,24 +249,24 @@ def boot(cfg, **service_kwargs):
 
 
 def test_oversized_body_is_413():
-    with boot(CuTSConfig(service_max_body_bytes=1024)) as (client, _):
+    with boot(ServiceConfig(max_body_bytes=1024)) as (client, _):
         big = {"graph": {"edges": [[0, 1]] * 400, "num_vertices": 2}}
         with pytest.raises(ServiceError) as exc:
             client._request("POST", "/graphs", big)
         assert exc.value.status == 413
-        assert "service_max_body_bytes" in str(exc.value)
+        assert "max_body_bytes" in str(exc.value)
         # Small requests still flow on the same server.
         assert client.healthz()["status"] == "ok"
 
 
 def test_stalled_request_cannot_pin_a_thread():
-    with boot(CuTSConfig(service_request_timeout_s=0.2)) as (client, _):
+    with boot(ServiceConfig(request_timeout_s=0.2)) as (client, _):
         host, port = client.base_url.rsplit(":", 2)[-2:]
         with socket.create_connection(
             (host.lstrip("/"), int(port)), timeout=5.0
         ) as sock:
             # Promise a body, never send it: the server must give up
-            # after service_request_timeout_s instead of waiting forever.
+            # after request_timeout_s instead of waiting forever.
             sock.sendall(
                 b"POST /match HTTP/1.1\r\nHost: x\r\n"
                 b"Content-Type: application/json\r\n"

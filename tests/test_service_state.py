@@ -26,7 +26,12 @@ from repro.fingerprint import (
     graph_fingerprint,
 )
 from repro.graph import clique_graph, cycle_graph, mesh_graph
-from repro.service import JobFailed, MatchingService, ServiceState
+from repro.service import (
+    JobFailed,
+    MatchingService,
+    ServiceConfig,
+    ServiceState,
+)
 from repro.service.state import DROPPED, graph_from_record, graph_record
 
 
@@ -111,9 +116,9 @@ def test_job_journal_keeps_latest_record(tmp_path):
 def test_manifest_gates_on_config_fingerprint(tmp_path, data_graph):
     with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc:
         svc.register_graph(data_graph)
-    # Same count-relevant config: fine (knob changes are irrelevant).
+    # Same engine config: fine (serving knobs are not fingerprinted).
     MatchingService(
-        CuTSConfig(service_queue_depth=3), state_dir=str(tmp_path)
+        service_config=ServiceConfig(queue_depth=3), state_dir=str(tmp_path)
     ).close()
     # A config that could enumerate differently is refused.
     with pytest.raises(CheckpointMismatchError):
@@ -149,25 +154,63 @@ def test_restart_recovers_graphs_names_and_done_jobs(tmp_path, data_graph):
         svc2.result(new_id, timeout=30.0)
 
 
+def _listed(svc):
+    """``/graphs`` minus the registration counter, which restarts."""
+    return sorted(
+        sorted((k, v) for k, v in g.items() if k != "generation")
+        for g in svc.graphs()
+    )
+
+
+def _stored(directory):
+    return sorted(os.listdir(os.path.join(directory, "graphs")))
+
+
 def test_restart_keeps_a_replaced_name_on_its_new_content(tmp_path):
     old, new = mesh_graph(3, 3), mesh_graph(3, 4)
     with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc:
         svc.register_graph(old)  # under its own name
         svc.register_graph(new, old.name)  # replaces that name
+        before = _listed(svc)
+        with pytest.raises(KeyError):
+            svc.resolve_key(graph_fingerprint(old))
+    # Only the reachable content is stored.
+    assert _stored(tmp_path) == [f"{graph_fingerprint(new)}.npz"]
     with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc2:
         assert svc2.resolve_key(old.name) == graph_fingerprint(new)
+        assert _listed(svc2) == before
+    assert _stored(tmp_path) == [f"{graph_fingerprint(new)}.npz"]
 
 
 def test_restart_keeps_a_name_reregistered_after_a_commit(tmp_path):
     # The log's order decides: a registration after a commit outranks
     # the commit's version record, so the name does not roll back.
-    replacement = mesh_graph(3, 5)
+    root, replacement = mesh_graph(4, 4), mesh_graph(3, 5)
     with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc:
-        svc.register_graph(mesh_graph(4, 4), "g")
-        svc.mutate_graph("g", inserts=[[0, 5]])
+        svc.register_graph(root, "g")
+        head = svc.mutate_graph("g", inserts=[[0, 5]])["fingerprint"]
         svc.register_graph(replacement, "g")
+        before = _listed(svc)
+        # The replaced head and its retired root are released, not
+        # kept addressable by fingerprint.
+        for fp in (head, graph_fingerprint(root)):
+            with pytest.raises(KeyError):
+                svc.resolve_key(fp)
+    assert _stored(tmp_path) == [f"{graph_fingerprint(replacement)}.npz"]
     with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc2:
         assert svc2.resolve_key("g") == graph_fingerprint(replacement)
+        assert _listed(svc2) == before
+    assert _stored(tmp_path) == [f"{graph_fingerprint(replacement)}.npz"]
+
+
+def test_restart_keeps_a_committed_root_retired_under_its_name(tmp_path):
+    with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc:
+        root = svc.register_graph(mesh_graph(4, 4), "g")
+        svc.mutate_graph("g", inserts=[[0, 5]])
+        before = _listed(svc)
+    with MatchingService(CuTSConfig(), state_dir=str(tmp_path)) as svc2:
+        assert _listed(svc2) == before
+        assert svc2.versions("g")[0]["fingerprint"] == root
 
 
 def test_idempotency_keys_survive_restart(tmp_path, data_graph):
@@ -206,6 +249,9 @@ def test_running_jobs_resurface_as_retryable(tmp_path, data_graph):
     query = clique_graph(3)
     state = opened_state(tmp_path)
     state.save_graph(data_graph, graph_fingerprint(data_graph))
+    # A registration always names its graph; stored content no name
+    # reaches is deleted at restart.
+    state.save_names({"mesh": graph_fingerprint(data_graph)})
     state.record_jobs([
         {
             "job_id": "job-00000007",

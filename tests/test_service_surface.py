@@ -25,6 +25,7 @@ from repro.service import (
     MatchingService,
     RetryPolicy,
     ServiceClient,
+    ServiceConfig,
     ServiceError,
 )
 from repro.service.http import serve
@@ -36,12 +37,13 @@ BACKENDS = ("single", "cluster")
 
 @pytest.fixture(params=BACKENDS)
 def live(request):
-    config = CuTSConfig(versioning_max_versions=3)
+    service_config = ServiceConfig(max_versions=3)
     if request.param == "single":
-        service = MatchingService(config)
+        service = MatchingService(service_config=service_config)
     else:
         service = ClusterService(
-            config, ranks=3, replication=2, auto_heal=False
+            service_config=service_config, ranks=3, replication=2,
+            auto_heal=False,
         )
     server = serve(service, port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -157,7 +159,7 @@ def test_versioning_endpoints_over_http(live):
         assert diff["count_delta"] == (
             diff["head_count"] - diff["base_count"]
         )
-    # versioning_max_versions=3: the root and the first child are gone.
+    # max_versions=3: the root and the first child are gone.
     for pruned_fp, _ in chain[:2]:
         with pytest.raises(ServiceError) as exc:
             client.match("g", query, as_of=pruned_fp)

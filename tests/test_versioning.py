@@ -44,6 +44,7 @@ from repro.service import (
     ClusterService,
     HashRing,
     MatchingService,
+    ServiceConfig,
     VersionConflictError,
 )
 from repro.storage.overlay import spliced_graph
@@ -238,6 +239,12 @@ def test_recover_chains_head_is_latest_available():
     # A pruned ancestor truncates the chain but keeps the head.
     chains, _ = recover_chains(records, {"b", "c"})
     assert [v.fingerprint for v in chains["g"]] == ["b", "c"]
+    # A registered root has no record of its own (registration writes a
+    # names record); the chain still reaches it while it is on disk.
+    chains, _ = recover_chains(records[1:], {"a", "b", "c"})
+    assert [(v.fingerprint, v.kind) for v in chains["g"]] == [
+        ("a", "root"), ("b", "delta"), ("c", "delta"),
+    ]
 
 
 def test_recover_chains_counts_malformed_records():
@@ -369,13 +376,14 @@ def service(tmp_path):
 BACKENDS = ("single", "cluster")
 
 
-def make_backend(kind, tmp_path, config=None):
+def make_backend(kind, tmp_path, service_config=None):
     """One rank, or a 3-rank cluster replicating each shard twice."""
-    config = config or CuTSConfig()
     if kind == "single":
-        return MatchingService(config, state_dir=str(tmp_path))
+        return MatchingService(
+            service_config=service_config, state_dir=str(tmp_path)
+        )
     return ClusterService(
-        config, ranks=3, replication=2,
+        service_config=service_config, ranks=3, replication=2,
         state_dir=str(tmp_path / "cluster"), auto_heal=False,
     )
 
@@ -451,7 +459,7 @@ def test_service_incremental_matches_full_oracle(backend, seed):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_as_of_on_retired_versions_matches_archived_oracle(kind, tmp_path):
-    svc = make_backend(kind, tmp_path, CuTSConfig(versioning_max_versions=4))
+    svc = make_backend(kind, tmp_path, ServiceConfig(max_versions=4))
     try:
         rng = np.random.default_rng(42)
         svc.register_graph(random_graph(32, 0.1, seed=9), "g")
@@ -482,7 +490,7 @@ def test_as_of_on_retired_versions_matches_archived_oracle(kind, tmp_path):
 
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_pruned_version_is_not_servable(kind, tmp_path):
-    svc = make_backend(kind, tmp_path, CuTSConfig(versioning_max_versions=2))
+    svc = make_backend(kind, tmp_path, ServiceConfig(max_versions=2))
     try:
         svc.register_graph(mesh_graph(5, 5), "g")
         fp0 = svc.resolve_key("g")
@@ -515,8 +523,7 @@ def test_commits_are_exact_on_every_backend(kind, tmp_path):
     count exactly, pruned versions are refused, and every replica of
     the shard agrees on the head — also across a secondary crashed
     between commits and healed."""
-    cfg = CuTSConfig(versioning_max_versions=3)
-    svc = make_backend(kind, tmp_path, cfg)
+    svc = make_backend(kind, tmp_path, ServiceConfig(max_versions=3))
     try:
         rng = np.random.default_rng(17)
         head = random_graph(30, 0.12, seed=4)
@@ -553,11 +560,11 @@ def test_commits_are_exact_on_every_backend(kind, tmp_path):
             retained = [entry["fingerprint"] for entry in svc.versions("g")]
             assert retained[-1] == head_fp
             assert svc.match("g", query, timeout=60).count == (
-                CuTSMatcher(head, cfg).match(query).count
+                CuTSMatcher(head).match(query).count
             )
             for fp in retained:
                 assert svc.match("g", query, as_of=fp, timeout=60).count == (
-                    CuTSMatcher(local[fp], cfg).match(query).count
+                    CuTSMatcher(local[fp]).match(query).count
                 ), (step, fp)
             for fp in set(local) - set(retained):
                 with pytest.raises(KeyError):
