@@ -44,12 +44,7 @@ from ..core.result import MatchResult
 from ..core.stats import SearchStats
 from ..graph.csr import CSRGraph
 from ..storage.serialize import deserialize_trie, serialize_trie
-from .fingerprint import (
-    check_fingerprints,
-    config_fingerprint,
-    graph_fingerprint,
-)
-from .store import FORMAT_VERSION, CheckpointStore
+from .store import CheckpointStore, job_fingerprints
 
 __all__ = ["run_durable"]
 
@@ -97,18 +92,6 @@ class _Packer:
         return item
 
 
-def _fingerprints(
-    matcher: CuTSMatcher, query: CSRGraph, part: int, num_parts: int
-) -> dict[str, str]:
-    return {
-        "version": str(FORMAT_VERSION),
-        "config": config_fingerprint(matcher.config),
-        "data": graph_fingerprint(matcher.data),
-        "query": graph_fingerprint(query),
-        "shard": f"{part}/{num_parts}",
-    }
-
-
 def run_durable(
     matcher: CuTSMatcher,
     query: CSRGraph,
@@ -152,23 +135,17 @@ def run_durable(
     if checkpoint_every < 1:
         raise ValueError("checkpoint_every must be >= 1")
 
-    store = CheckpointStore(checkpoint_dir)
-    prints = _fingerprints(matcher, query, part, num_parts)
-    manifest = store.read_manifest()
-    if manifest is not None:
-        if not resume:
-            raise ValueError(
-                f"checkpoint directory {store.directory!r} already holds a "
-                "job; pass resume=True to continue it (or point at a fresh "
-                "directory)"
-            )
-        check_fingerprints(dict(manifest.get("fingerprints", {})), prints)
-        if manifest.get("complete"):
-            return _completed_result(matcher, manifest)
-    elif resume:
-        raise ValueError(
-            f"nothing to resume: {store.directory!r} has no manifest"
-        )
+    store, manifest = CheckpointStore.open_job(
+        checkpoint_dir,
+        job_fingerprints(
+            matcher.config, matcher.data, query, shard=f"{part}/{num_parts}"
+        ),
+        resume=resume,
+        part=part,
+        num_parts=num_parts,
+    )
+    if manifest is not None and manifest.get("complete"):
+        return _completed_result(matcher, manifest)
 
     state = matcher.make_run_state(query)
     order = tuple(state.order.sequence)
@@ -191,20 +168,8 @@ def run_durable(
     packer = _Packer()
     next_seq = 0
     spill_seq = 0
-    live_spills: set[str] = set()
 
     snapshot = store.load_latest_snapshot() if manifest is not None else None
-    if manifest is None:
-        store.write_manifest(
-            {
-                "version": FORMAT_VERSION,
-                "fingerprints": prints,
-                "part": part,
-                "num_parts": num_parts,
-                "complete": False,
-            }
-        )
-
     if snapshot is not None:
         seq, buffers, meta = snapshot
         next_seq = seq + 1
@@ -217,20 +182,18 @@ def run_durable(
             if entry["kind"] == "mem":
                 stack.append(packer.unpack(buffers[int(entry["i"])], step))
             else:
-                name = str(entry["name"])
-                live_spills.add(name)
                 spilled.append(
                     _SpillItem(
-                        name=name, step=step, words=int(entry["words"])
+                        name=str(entry["name"]), step=step,
+                        words=int(entry["words"]),
                     )
                 )
     else:
         # Fresh start (or resume before the first snapshot committed).
         if query.num_vertices > matcher.data.num_vertices:
             return _finish(
-                store, prints, part, num_parts, order, shards,
-                count=0, time_ms=0.0, stats=SearchStats(),
-                state=state, live_spills=live_spills,
+                store, order, shards,
+                count=0, time_ms=0.0, stats=SearchStats(), state=state,
             )
         trie = matcher.initial_frontier(state, part=part, num_parts=num_parts)
         roots = trie.num_paths(0)
@@ -281,7 +244,6 @@ def run_durable(
             it = stack.pop(0)
             name = store.save_spill(spill_seq, packer.pack(it))
             spill_seq += 1
-            live_spills.add(name)
             spilled.append(
                 _SpillItem(name=name, step=it.step, words=_item_words(it))
             )
@@ -310,18 +272,15 @@ def run_durable(
     final_stats = SearchStats.from_json(base_stats.to_json())
     final_stats.merge(state.stats)
     return _finish(
-        store, prints, part, num_parts, order, shards,
+        store, order, shards,
         count=base_count + count,
         time_ms=base_time_ms + state.cost.time_ms,
-        stats=final_stats, state=state, live_spills=live_spills,
+        stats=final_stats, state=state,
     )
 
 
 def _finish(
     store: CheckpointStore,
-    prints: dict[str, str],
-    part: int,
-    num_parts: int,
     order: tuple[int, ...],
     shards: tuple[int, ...],
     *,
@@ -329,26 +288,15 @@ def _finish(
     time_ms: float,
     stats: SearchStats,
     state: object,
-    live_spills: set[str],
 ) -> MatchResult:
     """Commit the complete manifest and build the final result."""
     stats.record_governor(getattr(state, "governor", None))
-    store.write_manifest(
-        {
-            "version": FORMAT_VERSION,
-            "fingerprints": prints,
-            "part": part,
-            "num_parts": num_parts,
-            "complete": True,
-            "count": int(count),
-            "time_ms": float(time_ms),
-            "stats": stats.to_json(),
-            "order": [int(q) for q in order],
-        }
+    store.finish_job(
+        count=int(count),
+        time_ms=float(time_ms),
+        stats=stats.to_json(),
+        order=[int(q) for q in order],
     )
-    store.prune_snapshots(keep=0)
-    for name in sorted(live_spills):
-        store.delete_spill(name)
     cost = getattr(state, "cost")
     return MatchResult(
         count=int(count), matches=None, time_ms=float(time_ms),

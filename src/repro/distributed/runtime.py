@@ -36,16 +36,11 @@ and Figure 5 (per-node runtimes T1..T4 under load balancing).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from ..checkpoint.fingerprint import (
-    check_fingerprints,
-    config_fingerprint,
-    graph_fingerprint,
-)
-from ..checkpoint.store import FORMAT_VERSION, CheckpointStore
+from ..checkpoint.store import CheckpointStore, job_fingerprints
 from ..core.config import CuTSConfig
 from ..graph.csr import CSRGraph
 from .comm import NetworkModel, SimComm
@@ -162,16 +157,6 @@ class DistributedCuTS:
         self.reliable = reliable
         self.memory_budget_mb = memory_budget_mb
 
-    def _fingerprints(self, query: CSRGraph) -> dict[str, str]:
-        return {
-            "version": str(FORMAT_VERSION),
-            "mode": "distributed",
-            "config": config_fingerprint(self.config),
-            "data": graph_fingerprint(self.data),
-            "query": graph_fingerprint(query),
-            "num_ranks": str(self.num_ranks),
-        }
-
     def match(
         self,
         query: CSRGraph,
@@ -206,47 +191,30 @@ class DistributedCuTS:
                     "checkpointing requires the reliable runtime "
                     "(the StrideLedger is the durable state)"
                 )
-            store = CheckpointStore(checkpoint_dir)
-            prints = self._fingerprints(query)
-            manifest = store.read_manifest()
-            if manifest is not None:
-                if not resume:
-                    raise ValueError(
-                        f"checkpoint directory {store.directory!r} already "
-                        "holds a job; pass resume=True to continue it"
-                    )
-                check_fingerprints(
-                    dict(manifest.get("fingerprints", {})), prints
-                )
-                if manifest.get("complete"):
-                    stored = dict(manifest["result"])
-                    for key in (
-                        "per_rank_clock_ms", "per_rank_busy_ms",
-                        "chunks_processed",
-                    ):
-                        stored[key] = tuple(stored[key])
-                    return DistributedResult(**stored)
-                snap = store.load_latest_snapshot()
-                if snap is not None:
-                    seq, _buffers, meta = snap
-                    next_seq = seq + 1
-                    preloaded = [
-                        (int(o), int(lo), int(hi), int(c))
-                        for o, lo, hi, c in meta["committed"]
-                    ]
-            else:
-                if resume:
-                    raise ValueError(
-                        f"nothing to resume: {store.directory!r} has no "
-                        "manifest"
-                    )
-                store.write_manifest(
-                    {
-                        "version": FORMAT_VERSION,
-                        "fingerprints": prints,
-                        "complete": False,
-                    }
-                )
+            store, manifest = CheckpointStore.open_job(
+                checkpoint_dir,
+                job_fingerprints(
+                    self.config, self.data, query,
+                    mode="distributed", num_ranks=self.num_ranks,
+                ),
+                resume=resume,
+            )
+            if manifest is not None and manifest.get("complete"):
+                stored = dict(manifest["result"])
+                for key in (
+                    "per_rank_clock_ms", "per_rank_busy_ms",
+                    "chunks_processed",
+                ):
+                    stored[key] = tuple(stored[key])
+                return DistributedResult(**stored)
+            snap = store.load_latest_snapshot()
+            if snap is not None:
+                seq, _buffers, meta = snap
+                next_seq = seq + 1
+                preloaded = [
+                    (int(o), int(lo), int(hi), int(c))
+                    for o, lo, hi, c in meta["committed"]
+                ]
         injector = (
             FaultInjector(self.fault_plan)
             if self.fault_plan is not None and not self.fault_plan.is_null
@@ -376,28 +344,7 @@ class DistributedCuTS:
             ),
         )
         if store is not None:
-            store.write_manifest(
-                {
-                    "version": FORMAT_VERSION,
-                    "fingerprints": self._fingerprints(query),
-                    "complete": True,
-                    "result": {
-                        "count": result.count,
-                        "runtime_ms": result.runtime_ms,
-                        "per_rank_clock_ms": list(result.per_rank_clock_ms),
-                        "per_rank_busy_ms": list(result.per_rank_busy_ms),
-                        "chunks_processed": list(result.chunks_processed),
-                        "work_transfers": result.work_transfers,
-                        "words_transferred": result.words_transferred,
-                        "faults_injected": result.faults_injected,
-                        "retransmissions": result.retransmissions,
-                        "ranks_failed": result.ranks_failed,
-                        "recovered_chunks": result.recovered_chunks,
-                        "chunk_halvings": result.chunk_halvings,
-                    },
-                }
-            )
-            store.prune_snapshots(keep=0)
+            store.finish_job(result=asdict(result))
         return result
 
     # ------------------------------------------------------------------

@@ -13,9 +13,8 @@ subsystems key on them and must agree bit-for-bit:
   cache entry can never be served for a graph or config that would
   enumerate differently.
 
-Keeping one implementation here (``repro.checkpoint.fingerprint``
-re-exports it) is what makes that agreement structural rather than
-accidental.
+Keeping one implementation here (``repro.checkpoint`` re-exports it)
+is what makes that agreement structural rather than accidental.
 """
 
 from __future__ import annotations

@@ -33,9 +33,7 @@ from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wai
 from concurrent.futures.process import BrokenProcessPool
 from typing import Sequence
 
-from ..checkpoint.store import FORMAT_VERSION, CheckpointStore
-from ..fingerprint import check_fingerprints, config_fingerprint
-from ..fingerprint import graph_fingerprint as _graph_fp
+from ..checkpoint.store import CheckpointStore, job_fingerprints
 from ..core.candidates import root_candidates
 from ..core.config import CuTSConfig
 from ..core.matcher import CuTSMatcher
@@ -56,14 +54,14 @@ class ShardLeaseError(RuntimeError):
     """A root-interval shard exhausted its re-lease budget."""
 
 
-def resolve_workers(workers: int | str | None) -> int:
-    """Normalise a worker request: ``"auto"``/``0`` → ``os.cpu_count()``."""
-    if workers in (None, "auto", 0):
+def resolve_workers(workers: int | str) -> int:
+    """Normalise a worker request: ``"auto"``/``0`` → ``os.cpu_count()``;
+    ``None`` and counts below 1 are refused."""
+    if workers in ("auto", 0):
         return os.cpu_count() or 1
-    workers = int(workers)
-    if workers < 1:
+    if workers is None or int(workers) < 1:
         raise ValueError("workers must be >= 1 (or 'auto')")
-    return workers
+    return int(workers)
 
 
 # ----------------------------------------------------------------------
@@ -301,16 +299,6 @@ class ParallelMatcher:
         )
         return max(1, min(num_roots, self.oversplit * self.workers))
 
-    def _fingerprints(self, query: CSRGraph, num_parts: int) -> dict[str, str]:
-        return {
-            "version": str(FORMAT_VERSION),
-            "mode": "parallel",
-            "config": config_fingerprint(self.config),
-            "data": _graph_fp(self.data),
-            "query": _graph_fp(query),
-            "num_parts": str(num_parts),
-        }
-
     def match(
         self,
         query: CSRGraph,
@@ -353,72 +341,35 @@ class ParallelMatcher:
 
         num_parts = self.num_intervals(query)
         store: CheckpointStore | None = None
-        completed: dict[int, MatchResult] = {}
+        completed: dict[tuple[int, int], MatchResult] = {}
         if checkpoint_dir is not None:
-            store = CheckpointStore(checkpoint_dir)
-            manifest = store.read_manifest()
-            if manifest is not None:
-                if not resume:
-                    raise ValueError(
-                        f"checkpoint directory {store.directory!r} already "
-                        "holds a job; pass resume=True to continue it"
+            store, _ = CheckpointStore.open_job(
+                checkpoint_dir,
+                job_fingerprints(
+                    self.config, self.data, query,
+                    mode="parallel", num_parts=num_parts,
+                ),
+                resume=resume,
+                num_parts=num_parts,
+            )
+            # The stored shard count wins: resuming with a different
+            # worker count must not change the partitioning.
+            num_parts = int(store.job["num_parts"])
+            for part, payload in store.load_parts().items():
+                if 0 <= part < num_parts and verify_payload(payload):
+                    completed[(0, part)] = result_from_payload(
+                        payload, self.config, shards=(part,)
                     )
-                # The stored shard count wins: resuming with a different
-                # worker count must not change the partitioning.
-                num_parts = int(manifest.get("num_parts", num_parts))
-                check_fingerprints(
-                    dict(manifest.get("fingerprints", {})),
-                    self._fingerprints(query, num_parts),
-                )
-                if manifest.get("complete"):
-                    num_parts = int(manifest["num_parts"])
-                for part, payload in store.load_parts().items():
-                    if 0 <= part < num_parts and verify_payload(payload):
-                        completed[part] = result_from_payload(
-                            payload, self.config, shards=(part,)
-                        )
-            else:
-                if resume:
-                    raise ValueError(
-                        f"nothing to resume: {store.directory!r} has no "
-                        "manifest"
-                    )
-                store.write_manifest(
-                    {
-                        "version": FORMAT_VERSION,
-                        "fingerprints": self._fingerprints(query, num_parts),
-                        "num_parts": num_parts,
-                        "complete": False,
-                    }
-                )
 
-        hb_tmp: tempfile.TemporaryDirectory[str] | None = None
-        if store is not None:
-            hb_dir = store.heartbeat_dir
-        else:
-            hb_tmp = tempfile.TemporaryDirectory(prefix="cuts-hb-")
-            hb_dir = hb_tmp.name
-        keyed = {(0, part): res for part, res in completed.items()}
-        try:
+        with tempfile.TemporaryDirectory(prefix="cuts-hb-") as hb_dir:
             self._supervise_jobs(
                 [(query, num_parts)], materialize, [time_limit_ms],
-                keyed, store, hb_dir,
+                completed, store, hb_dir,
             )
-        finally:
-            if hb_tmp is not None:
-                hb_tmp.cleanup()
-
-        merged = self._merge_job(keyed, 0, num_parts)
+        merged = self._merge_job(completed, 0, num_parts)
         if store is not None:
-            store.write_manifest(
-                {
-                    "version": FORMAT_VERSION,
-                    "fingerprints": self._fingerprints(query, num_parts),
-                    "num_parts": num_parts,
-                    "complete": True,
-                    "count": int(merged.count),
-                    "time_ms": float(merged.time_ms),
-                }
+            store.finish_job(
+                count=int(merged.count), time_ms=float(merged.time_ms)
             )
         return merged
 
@@ -513,7 +464,8 @@ class ParallelMatcher:
 
         ``jobs`` is a list of ``(query, num_parts)``; shard keys are
         ``(job_index, part)``.  ``store`` (single-job durable runs only)
-        persists completed shards under their part index.
+        persists completed shards under their part index; ``hb_dir`` is
+        the caller's temporary directory for the heartbeat files.
         """
         pool = self._ensure_pool()
         timeout_s = LEASE_TIMEOUT_S
@@ -530,9 +482,6 @@ class ParallelMatcher:
 
         def hb_path(key: tuple[int, int]) -> str:
             j, part = key
-            if len(jobs) == 1:
-                # Single-job naming matches CheckpointStore.heartbeat_path.
-                return os.path.join(hb_dir, f"part-{part:05d}")
             return os.path.join(hb_dir, f"job{j:04d}-part-{part:05d}")
 
         def lease(key: tuple[int, int]) -> None:

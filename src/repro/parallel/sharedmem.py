@@ -19,17 +19,19 @@ Lifetime rules (enforced here, tested in ``tests/test_parallel_shared``):
 * the **creating** process owns the segment and unlinks it on
   :meth:`SharedCSR.close` — a ``weakref.finalize`` guard unlinks it even
   if the owner forgets, so no segment outlives the parent interpreter;
-* **attaching** processes never unlink, and are deliberately hidden from
-  Python's ``resource_tracker`` (a worker that dies — even ``SIGKILL`` —
-  must not tear the segment down under its siblings, nor spew "leaked
-  shared_memory" warnings for a segment the owner is responsible for).
+* **attaching** processes never unlink.  They are the owner's pool
+  workers, which share the owner's ``resource_tracker``: the tracker
+  holds the name until the owner's ``unlink`` drops it, so a worker that
+  dies — even by ``SIGKILL`` — tears nothing down under its siblings,
+  while an owner that is SIGKILLed leaves the tracker to unlink the
+  segment once every process sharing it has exited.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from multiprocessing import resource_tracker, shared_memory
+from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -70,15 +72,6 @@ def _release(shm: shared_memory.SharedMemory, owner: bool) -> None:
         # still unlink the name so nothing persists in /dev/shm.
         pass
     if owner:
-        # With a fork-started pool the workers share this process's
-        # resource tracker, and their attach-side unregister (see
-        # :meth:`SharedCSR.attach`) may have dropped our registration;
-        # re-register (idempotent — the tracker cache is a set) so the
-        # unregister inside ``unlink`` always finds the name.
-        try:
-            resource_tracker.register(shm._name, "shared_memory")
-        except Exception:  # pragma: no cover - tracker internals
-            pass
         try:
             shm.unlink()
         except FileNotFoundError:
@@ -137,19 +130,19 @@ class SharedCSR:
 
     @classmethod
     def attach(cls, meta: SharedCSRMeta) -> "SharedCSR":
-        """Map an existing segment (worker side; zero-copy)."""
+        """Map an existing segment (worker side; zero-copy).
+
+        Older interpreters (no ``track=``) register the attach with the
+        resource tracker the worker shares with the owner; the tracker
+        keeps one entry per name, so that changes nothing, and it must
+        not be undone here — an unregister would drop the owner's entry
+        too.
+        """
         try:
             # Python >= 3.13: opt out of resource tracking directly.
             shm = shared_memory.SharedMemory(name=meta.segment, track=False)
         except TypeError:
             shm = shared_memory.SharedMemory(name=meta.segment)
-            # Older interpreters register every attach with the resource
-            # tracker, which would warn (or even unlink) when this worker
-            # exits; the owner is responsible for the segment, not us.
-            try:
-                resource_tracker.unregister(shm._name, "shared_memory")
-            except Exception:  # pragma: no cover - tracker internals
-                pass
         views = _carve(shm, meta)
         return cls(shm, meta, _as_graph(views, meta), owner=False)
 

@@ -123,9 +123,8 @@ class Dispatcher:
         self.config_fp = config_fp
         self.faults = faults
         # Counters are bumped by the dispatch thread and read by HTTP
-        # threads via snapshot(); unguarded, the stage_wall_s dict walk
-        # could see a mid-resize dict.  The lock is held only around
-        # counter touches, never across engine or cache calls.
+        # threads via snapshot().  The lock is held only around counter
+        # touches, never across engine or cache calls.
         self._stats_lock = make_lock("Dispatcher._stats_lock")
         self.matcher_invocations = 0
         self.batches_dispatched = 0
@@ -138,12 +137,6 @@ class Dispatcher:
         self.corrupt_cache_drops = 0
         self.incremental_matches = 0
         self.incremental_rejects = 0
-        # Per-stage expansion wall totals (anchor_gather / filter /
-        # intersection / injectivity / bookkeeping / write_out / carry /
-        # unaccounted), folded
-        # from every settled result's SearchStats.  Empty unless the
-        # engines run with ``profile_expansion`` on.
-        self.stage_wall_s: dict[str, float] = {}
 
     # ------------------------------------------------------------------
     def dispatch(
@@ -558,11 +551,6 @@ class Dispatcher:
         outcomes: dict[int, DispatchOutcome],
     ) -> None:
         query_fp, materialize, time_limit, _part, num_parts = key
-        with self._stats_lock:
-            for stage, seconds in result.stats.stage_wall_s.items():
-                self.stage_wall_s[stage] = (
-                    self.stage_wall_s.get(stage, 0.0) + seconds
-                )
         if not materialize and time_limit is None and num_parts == 1:
             payload = payload_from_result(result)
             self.result_cache.put(
@@ -592,9 +580,7 @@ class Dispatcher:
             self._settle_error(members, outcomes, message)
 
     def snapshot(self) -> dict[str, object]:
-        """Counter snapshot for ``/metrics`` (HTTP threads; the lock
-        makes the ``stage_wall_s`` copy safe against a concurrent
-        ``_settle`` resizing the dict mid-iteration)."""
+        """Counter snapshot for ``/metrics`` (HTTP threads)."""
         with self._stats_lock:
             return {
                 "matcher_invocations": self.matcher_invocations,
@@ -608,5 +594,4 @@ class Dispatcher:
                 "corrupt_cache_drops": self.corrupt_cache_drops,
                 "incremental_matches": self.incremental_matches,
                 "incremental_rejects": self.incremental_rejects,
-                "stage_wall_s": dict(self.stage_wall_s),
             }

@@ -60,7 +60,7 @@ def _run_child(code: str, timeout: float = 120.0) -> subprocess.CompletedProcess
     on pipe EOF: a SIGKILLed orchestrator leaves pool workers behind that
     inherited its stdout/stderr pipes, so ``subprocess.run`` would block
     on the never-closing pipes until timeout.  After the child exits the
-    whole process group is killed, reaping any orphaned workers.
+    rest of its session is reaped (see :func:`_reap_session`).
     """
     proc = subprocess.Popen(
         [sys.executable, "-c", code],
@@ -73,12 +73,53 @@ def _run_child(code: str, timeout: float = 120.0) -> subprocess.CompletedProcess
     try:
         rc = proc.wait(timeout=timeout)
     finally:
-        try:
-            os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
+        _reap_session(proc.pid)
     out, err = proc.communicate()
     return subprocess.CompletedProcess(proc.args, rc, out, err)
+
+
+def _session_pids(sid: int) -> dict[int, bytes]:
+    """Live (non-zombie) processes of session ``sid``, with command lines."""
+    found: dict[int, bytes] = {}
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as fh:
+                stat = fh.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                cmdline = fh.read()
+        except OSError:
+            continue
+        # After "pid (comm) ": state, ppid, pgrp, session, ...
+        fields = stat[stat.rindex(b")") + 2 :].split()
+        if int(fields[3]) == sid and fields[0] != b"Z":
+            found[int(entry)] = cmdline
+    return found
+
+
+def _reap_session(sid: int, grace_s: float = 10.0) -> None:
+    """SIGKILL every process of session ``sid`` except its resource
+    tracker until the tracker exits on its own (bounded by ``grace_s``):
+    once no process shares it, it unlinks the shared memory and
+    semaphores a SIGKILLed owner left registered.  Killing the tracker
+    with the rest would leak them in ``/dev/shm``."""
+    deadline = time.monotonic() + grace_s
+    while time.monotonic() < deadline:
+        live = _session_pids(sid)
+        others = [p for p, cmd in live.items() if b"resource_tracker" not in cmd]
+        if len(others) == len(live):
+            break  # no tracker (left) to wait for
+        for pid in others:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        time.sleep(0.02)
+    try:
+        os.killpg(sid, signal.SIGKILL)  # whatever is left
+    except (ProcessLookupError, PermissionError):
+        pass
 
 
 # ---------------------------------------------------------------------------
@@ -179,6 +220,7 @@ cfg = CuTSConfig(chunk_size=64)
 with ParallelMatcher(
     data, cfg, workers=4, oversplit=2, mp_context="forkserver"
 ) as pm:
+    print(pm._ensure_segment().meta.segment, flush=True)
     os.makedirs(ckpt, exist_ok=True)
     threading.Thread(target=killer, daemon=True).start()
     pm.match(clique_graph({k}), checkpoint_dir=ckpt)
@@ -195,6 +237,10 @@ def test_parallel_sigkill_then_resume_exact_count(tmp_path, baseline_count):
         )
     )
     assert child.returncode == -signal.SIGKILL, child.stderr
+    # The dead owner's data-graph segment was unlinked by its resource
+    # tracker, not left behind in /dev/shm.
+    segment = child.stdout.split()[0]
+    assert not os.path.exists(os.path.join("/dev/shm", segment))
 
     with ParallelMatcher(_data(), CuTSConfig(chunk_size=64), workers=4,
                          oversplit=2) as pm:

@@ -1,21 +1,22 @@
 """Tests for the shared content-fingerprint module.
 
-``repro.fingerprint`` moved out of ``repro.checkpoint`` so the service
-cache and the checkpoint store key on the *same* hashes; these tests pin
-the refactor: the checkpoint re-exports are the same objects, and the
-fingerprints behave (content-sensitive, name-insensitive, every config
-field covered).
+``repro.fingerprint`` lives at the package root so the service cache and
+the checkpoint store key on the *same* hashes; these tests pin that:
+``repro.checkpoint`` re-exports the same objects, a job manifest's
+fingerprints are those hashes, and the fingerprints behave
+(content-sensitive, name-insensitive, every config field covered).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
 
+import repro.checkpoint as cp
 from repro import fingerprint as shared
-from repro.checkpoint import fingerprint as compat
 from repro.core.config import CuTSConfig
 from repro.fingerprint import (
     CheckpointMismatchError,
@@ -24,31 +25,32 @@ from repro.fingerprint import (
     graph_fingerprint,
 )
 from repro.gpusim import A100
-from repro.graph import from_edges, mesh_graph
+from repro.graph import chain_graph, from_edges, mesh_graph
 
 
 # ---------------------------------------------------------------------------
-# Satellite regression: checkpoint/fingerprint.py must stay a pure alias.
+# One implementation: the checkpoint package re-exports it.
 # ---------------------------------------------------------------------------
 
 
 def test_checkpoint_reexports_are_the_same_objects():
-    assert compat.graph_fingerprint is shared.graph_fingerprint
-    assert compat.config_fingerprint is shared.config_fingerprint
-    assert compat.check_fingerprints is shared.check_fingerprints
-    assert compat.CheckpointMismatchError is shared.CheckpointMismatchError
+    for name in shared.__all__:
+        assert getattr(cp, name) is getattr(shared, name), name
 
 
 def test_checkpoint_and_shared_agree_on_real_inputs(mesh44):
     cfg = CuTSConfig()
-    assert compat.graph_fingerprint(mesh44) == graph_fingerprint(mesh44)
-    assert compat.config_fingerprint(cfg) == config_fingerprint(cfg)
+    prints = cp.job_fingerprints(cfg, mesh44, chain_graph(4), shard="0/1")
+    assert prints["config"] == config_fingerprint(cfg)
+    assert prints["data"] == graph_fingerprint(mesh44)
+    assert prints["query"] == graph_fingerprint(chain_graph(4))
 
 
 def test_checkpoint_package_still_exposes_the_names():
-    import repro.checkpoint as cp
-
-    assert cp.fingerprint.graph_fingerprint is shared.graph_fingerprint
+    assert set(shared.__all__) <= set(cp.__all__)
+    # The re-export shim module is gone; the package is the one alias.
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.checkpoint.fingerprint")
 
 
 # ---------------------------------------------------------------------------

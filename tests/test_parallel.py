@@ -276,10 +276,10 @@ def test_resolve_workers():
     assert resolve_workers("2") == 2
     cpus = os.cpu_count() or 1
     assert resolve_workers("auto") == cpus
-    assert resolve_workers(None) == cpus
     assert resolve_workers(0) == cpus
-    with pytest.raises(ValueError):
-        resolve_workers(-1)
+    for bad in (-1, None):
+        with pytest.raises(ValueError):
+            resolve_workers(bad)
 
 
 def test_config_validates_workers():
