@@ -4,7 +4,9 @@
 Boots a 3-rank cluster with 2-way replication, durable per-rank
 journals, and real pool workers, then drives live traffic from
 concurrent client threads while SIGKILLing the primary replica of the
-loaded shard mid-load.  The supervisor must heal the crashed rank on
+loaded shard mid-load: the kill fires from the router's ``mid-shard``
+phase hook on an attempt routed to that replica, so it always lands
+with work in flight there.  The supervisor must heal the crashed rank on
 its own (catch-up from the content-addressed store *before*
 re-admission to the ring).  The run fails with a non-zero exit unless
 all of the following hold:
@@ -76,6 +78,8 @@ def journal_duplicates(state_dir: str) -> list[str]:
     rank (each job's last record carries its key)."""
     dupes: list[str] = []
     for rank_dir in sorted(os.listdir(state_dir)):
+        if not rank_dir.startswith("rank-"):
+            continue  # the router's own log
         seen: set[str] = set()
         for record in ServiceState(
             os.path.join(state_dir, rank_dir)
@@ -163,8 +167,9 @@ def run_chaos(args) -> int:
             for t in threads:
                 t.start()
 
-            # Kill the hot shard's primary while the load is provably
-            # live, then let the supervisor heal it unassisted.
+            # Once the load is provably live, kill the hot shard's
+            # primary the moment an attempt is in flight on it, then
+            # let the supervisor heal it unassisted.
             deadline = time.time() + 30.0
             while time.time() < deadline:
                 with outcomes_lock:
@@ -172,9 +177,25 @@ def run_chaos(args) -> int:
                 if settled >= args.clients:
                     break
                 time.sleep(0.01)
-            print(f"killing rank {victim} (primary of {hot}) mid-load")
-            crash_t = time.time()
-            cluster.crash_rank(victim)
+            crashes: list[float] = []
+
+            def kill_mid_shard(phase: str, rank_id: int, job_id: str) -> None:
+                if phase == "mid-shard" and rank_id == victim and not crashes:
+                    crashes.append(time.time())
+                    print(f"killing rank {victim} (primary of {hot}) "
+                          f"mid-load, {job_id} in flight on it")
+                    cluster.crash_rank(victim)
+
+            cluster.phase_hook = kill_mid_shard
+            deadline = time.time() + 30.0
+            while not crashes and time.time() < deadline:
+                time.sleep(0.01)
+            cluster.phase_hook = None
+            if not crashes:
+                failures.append(
+                    f"no attempt reached rank {victim} within 30 s"
+                )
+            crash_t = crashes[0] if crashes else time.time()
 
             tick = ClusterService._SUPERVISE_POLL_S
             heal_deadline = crash_t + args.recover_ticks * tick

@@ -33,9 +33,13 @@ subprocess:
   ``retryable``, pending jobs must finish, and replaying every
   idempotency key must admit **zero** new work (no duplicates).
 
+``--ranks N --replication R`` boots every server with that many
+replicas behind the router (default: one); the checks do not change.
+
 Usage::
 
-    PYTHONPATH=src python scripts/service_smoke.py [--chaos]
+    PYTHONPATH=src python scripts/service_smoke.py [--chaos] \
+        [--ranks N --replication R]
 """
 
 from __future__ import annotations
@@ -120,7 +124,7 @@ def boot_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
     return proc, f"http://{match.group(1)}:{match.group(2)}"
 
 
-def main() -> int:
+def main(topology: list[str]) -> int:
     cfg = CuTSConfig()
     oracle = {
         (gname, qname): CuTSMatcher(g, cfg).match(q).count
@@ -128,7 +132,7 @@ def main() -> int:
         for qname, q in QUERIES.items()
     }
 
-    proc, base_url = boot_server()
+    proc, base_url = boot_server(*topology)
     failures: list[str] = []
     try:
         client = ServiceClient(base_url, timeout=60.0)
@@ -256,7 +260,7 @@ def settle_exact(client, fp, qname, expected, failures, *, attempts=10):
     return False
 
 
-def run_faulty_load(failures: list[str]) -> None:
+def run_faulty_load(failures: list[str], topology: list[str]) -> None:
     """Phase 1: every fault class armed, every settled count exact."""
     cfg = CuTSConfig()
     graph = DATA_GRAPHS["mesh55"]
@@ -266,7 +270,7 @@ def run_faulty_load(failures: list[str]) -> None:
     }
     proc, base_url = boot_server(
         "--faults", CHAOS_FAULTS, "--workers", "2",
-        "--cache-bytes", "65536",
+        "--cache-bytes", "65536", *topology,
     )
     try:
         client = ServiceClient(base_url, timeout=120.0)
@@ -316,7 +320,7 @@ def wait_for_running_journal(
     return False
 
 
-def run_crash_recovery(failures: list[str]) -> None:
+def run_crash_recovery(failures: list[str], topology: list[str]) -> None:
     """Phase 2: kill -9 with a job provably in flight, then recover."""
     cfg = CuTSConfig()
     graph = DATA_GRAPHS["mesh55"]
@@ -329,7 +333,7 @@ def run_crash_recovery(failures: list[str]) -> None:
     # says "running", so the SIGKILL lands mid-execution by design.
     proc, base_url = boot_server(
         "--state-dir", state_dir, "--faults",
-        "seed=1,stall_prob=1,stall_ms=300",
+        "seed=1,stall_prob=1,stall_ms=300", *topology,
     )
     submitted: list[tuple[str, str, str]] = []  # (job_id, qname, key)
     try:
@@ -352,7 +356,7 @@ def run_crash_recovery(failures: list[str]) -> None:
         proc.wait(timeout=10)
 
     # Restart on the same state dir, faults off.
-    proc, base_url = boot_server("--state-dir", state_dir)
+    proc, base_url = boot_server("--state-dir", state_dir, *topology)
     try:
         client = ServiceClient(base_url, timeout=60.0)
         metrics = client.metrics()
@@ -433,10 +437,10 @@ def run_crash_recovery(failures: list[str]) -> None:
             proc.kill()
 
 
-def chaos_main() -> int:
+def chaos_main(topology: list[str]) -> int:
     failures: list[str] = []
-    run_faulty_load(failures)
-    run_crash_recovery(failures)
+    run_faulty_load(failures, topology)
+    run_crash_recovery(failures, topology)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
@@ -451,5 +455,11 @@ if __name__ == "__main__":
         help="run the fault-injection + crash-recovery contract "
         "instead of the plain smoke",
     )
+    parser.add_argument("--ranks", type=int, default=1)
+    parser.add_argument("--replication", type=int, default=2)
     cli_args = parser.parse_args()
-    sys.exit(chaos_main() if cli_args.chaos else main())
+    shape = [
+        "--ranks", str(cli_args.ranks),
+        "--replication", str(cli_args.replication),
+    ]
+    sys.exit(chaos_main(shape) if cli_args.chaos else main(shape))

@@ -22,10 +22,11 @@ drives the full mutation surface through
   in-flight one — never anything else — serve exact counts for it,
   count the torn frame, and accept new commits.
 
-``--ranks N --replication R`` (N > 1) serves the same interleaved load
-from a replicated cluster router, whose commits fan out to every
-replica of the shard; the kill -9 phase needs a router that recovers
-its catalog across restarts, so it runs on a single rank only.
+``--ranks N --replication R`` serves both phases from that many
+replicas behind the router (default: one), whose commits fan out to
+every replica of the shard.  The router's own log at the state dir's
+top decides the recovered head, and it brings every replica to that
+head before it serves again.
 
 Usage::
 
@@ -184,11 +185,11 @@ def run_interleaved_load(failures: list[str], topology: list[str]) -> None:
         shutdown(proc)
 
 
-def run_crash_mid_commit(failures: list[str]) -> None:
+def run_crash_mid_commit(failures: list[str], topology: list[str]) -> None:
     """Phase 2: SIGKILL with a commit in flight; journal recovery."""
     lineage = LocalLineage(mesh_graph(6, 6), seed=23)
     state_dir = tempfile.mkdtemp(prefix="versioning-state-")
-    proc, base_url = boot_server("--state-dir", state_dir)
+    proc, base_url = boot_server("--state-dir", state_dir, *topology)
     acked: list[str] = []
     sent: list[str] = []
 
@@ -221,7 +222,7 @@ def run_crash_mid_commit(failures: list[str]) -> None:
     with open(os.path.join(state_dir, "state.jsonl"), "a") as fh:
         fh.write('0badf00d {"name":"data","fingerpr')
 
-    proc, base_url = boot_server("--state-dir", state_dir)
+    proc, base_url = boot_server("--state-dir", state_dir, *topology)
     try:
         client = ServiceClient(base_url, timeout=60.0)
         chain = client.versions("data")
@@ -279,8 +280,8 @@ def main() -> int:
     ]
     failures: list[str] = []
     run_interleaved_load(failures, topology)
-    if not failures and args.ranks == 1:
-        run_crash_mid_commit(failures)
+    if not failures:
+        run_crash_mid_commit(failures, topology)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:

@@ -467,15 +467,17 @@ class ParallelMatcher:
         persists completed shards under their part index; ``hb_dir`` is
         the caller's temporary directory for the heartbeat files.
         """
-        pool = self._ensure_pool()
-        timeout_s = LEASE_TIMEOUT_S
-        poll_s = max(0.02, min(0.5, timeout_s / 4.0))
-        max_leases = 1 + LEASE_RETRIES
         all_keys = [
             (j, part)
             for j, (_, num_parts) in enumerate(jobs)
             for part in range(num_parts)
         ]
+        if all(key in completed for key in all_keys):
+            return  # a complete resume: nothing to lease, nothing to build
+        pool = self._ensure_pool()
+        timeout_s = LEASE_TIMEOUT_S
+        poll_s = max(0.02, min(0.5, timeout_s / 4.0))
+        max_leases = 1 + LEASE_RETRIES
         leases: dict[tuple[int, int], int] = dict.fromkeys(all_keys, 0)
         lease_at: dict[tuple[int, int], float] = {}
         pending: dict[Future[MatchResult], tuple[int, int]] = {}

@@ -46,13 +46,14 @@ service across N ranks behind a consistent-hash router
 fail over across replicas with exactly-once integration, oversized
 split queries resume on survivors, commits fan out to the shard, and
 below-quorum shards shed load with machine-readable 503s until a
-replacement replica catches up.
+replacement replica catches up.  The router keeps names, versions and
+jobs in its own registry and log, as one rank does.
 
 Faces: :class:`FrontDoor`, the one surface :class:`MatchingService` and
 :class:`ClusterService` share, each sized by one :class:`ServiceConfig`;
-``python -m repro.serve`` (stdlib HTTP, :mod:`repro.service.http`;
-``--ranks N`` serves a router), and :class:`ServiceClient`
-(:mod:`repro.service.client`).
+``python -m repro.serve`` (stdlib HTTP, :mod:`repro.service.http`),
+which always serves a router, over one rank unless ``--ranks N`` asks
+for more; and :class:`ServiceClient` (:mod:`repro.service.client`).
 """
 
 from .cache import LRUBytesCache

@@ -5,10 +5,11 @@ graph, so one crash takes the whole registry down.  This module runs
 **N replicas** of it behind a router so capacity and fault domains grow
 by adding ranks — the serving-side form of the paper's multi-GPU
 scale-out, built from the same reliability pieces as the distributed
-runtime (DESIGN.md §15):
+runtime (DESIGN.md §15).  The router is what ``python -m repro.serve``
+runs for every ``--ranks``, one rank by default:
 
 * :class:`HashRing` — a consistent-hash ring over the live ranks maps
-  each graph fingerprint to ``replication`` distinct replicas.  The
+  each graph's ring key to ``replication`` distinct replicas.  The
   ring is a pure function of the sorted live-member set (SHA-256 over
   rank/vnode labels), so every membership change rebuilds it
   deterministically: two routers that agree on membership agree on
@@ -18,11 +19,12 @@ runtime (DESIGN.md §15):
   (:meth:`MatchingService.kill` — pool workers SIGKILLed, nothing
   settles, nothing flushes); a restart builds a fresh incarnation over
   the same state dir, replaying the durable job journal.
-* :class:`ClusterService` — the router, behind the same
-  :class:`~repro.service.service.FrontDoor` surface and job model as
-  one rank.  A match goes to the primary replica by graph affinity and
-  **fails over** to a secondary on rank crash, partition, or route
-  timeout.  Every attempt carries a sequence number in a
+* :class:`ClusterService` — the router, with the same
+  :class:`~repro.service.service.FrontDoor` surface, job model, graph
+  catalog and state log as one rank.  A match goes to the primary
+  replica by graph affinity and **fails over** to a secondary on rank
+  crash, partition, or route timeout.  Every attempt carries a
+  sequence number in a
   :class:`~repro.distributed.protocol.ShipmentTracker`: a timed-out or
   crashed attempt is *revoked* before the failover is dispatched, so a
   late answer from the old replica is never integrated, and the same
@@ -37,26 +39,30 @@ keyed ``(0, part, part + 1)``; an unsplit query is the one-part case of
 the same loop.  A replica crash mid-split invalidates only that rank's
 uncommitted parts (``begin_recovery`` → ``adopt``); committed parts
 keep their counts, so the query *resumes* on the survivors instead of
-restarting.  Part counts sum exactly because the root stride sets
-partition.
+restarting.  The parts reduce with
+:meth:`~repro.core.result.MatchResult.merge`, as a multi-core match's
+do.
 
-**Versioning** fans out through the ranks' own journals: a commit runs
-on every reachable replica of the shard (each first brought to the
-router's head by replaying the commits it missed) and must land on one
-child fingerprint everywhere.  The child keeps its parent's ring key,
-so all versions of a graph share one replica set; ``versions``,
-``compare`` and ``as_of`` route like reads, and a replica that lacks a
-retained version counts as a failover.
+**Names and versions** are decided once, by the router's registry:
+registering a graph pushes its name to the shard's replicas, and a
+version the registry releases is unregistered on every live rank.  A
+commit runs on every reachable replica of the shard (each first
+brought to the router's head by replaying the commits it missed) and
+must land on one child fingerprint everywhere; the router adopts the
+first replica's child.  The child keeps its parent's ring key, which
+the router's log records, so all versions of a graph share one replica
+set across retention pruning and restarts.
 
 **Degradation and healing**: a shard with fewer than a majority of its
 replicas reachable is below quorum; the router sheds those requests
-through the scheduler's rejection machinery (reason
-``shard-unavailable``, HTTP 503 + ``Retry-After``) instead of queueing
-doomed work.  A supervisor thread restarts a crashed rank after
-:data:`HEAL_AFTER_TICKS` ticks and re-admits it to the ring **only
-after** it has caught up — brought every shard it will serve to its
-head version from the router's content-addressed catalog; the ring
-rebuild then returns the shard to full R-way replication.
+(reason ``shard-unavailable``, HTTP 503 + ``Retry-After``) instead of
+queueing doomed work.  A supervisor thread restarts a crashed rank
+after :data:`HEAL_AFTER_TICKS` ticks and re-admits it to the ring
+**only after** it has caught up — brought every shard it will serve to
+its head version from the router's content-addressed catalog; the ring
+rebuild then returns the shard to full R-way replication.  A router
+restarted on its state dir catches every rank up the same way before
+it serves.
 
 Fault injection is end-to-end: the same ``--faults`` spec that drives
 the single service adds ``rank_crash_prob`` / ``partition_prob`` /
@@ -68,37 +74,41 @@ oracle.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
 import hashlib
+import os
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Any, Callable, Iterable
 
 from ..analysis.sanitizer import make_lock
 from ..core.config import CuTSConfig
 from ..core.result import MatchResult
-from ..core.stats import SearchStats
 from ..distributed.protocol import ShipmentTracker, StrideLedger
-from ..fingerprint import graph_fingerprint
-from ..gpusim.cost import CostModel
+from ..fingerprint import CheckpointMismatchError
 from ..graph.csr import CSRGraph
+from ..parallel.matcher import resolve_workers
 from ..versioning.delta import EdgeDelta
+from ..versioning.lineage import KIND_DELTA, GraphVersion
 from .config import ServiceConfig
 from .faults import ServiceFaultInjector, ServiceFaultPlan
-from .registry import VersionConflictError
-from .scheduler import AdmissionError, Scheduler
+from .registry import GraphHandle, VersionConflictError
+from .scheduler import AdmissionError
 from .service import (
     CANCELLED,
     DONE,
     EXPIRED,
     FAILED,
+    PENDING,
     RUNNING,
     FrontDoor,
     Job,
     JobFailed,
     MatchingService,
 )
+from .state import LOG_NAME, LogState
 
 __all__ = [
     "ClusterRank",
@@ -115,6 +125,10 @@ RECOVERING = "recovering"
 # Protocol phases at which the router hands control to a test hook.
 PHASES = ("pre-dispatch", "mid-shard", "post-commit-pre-reply")
 
+_REQUEST_REFUSALS = frozenset({"oversized-query"})
+"""Admission reasons that depend only on the request, not on the rank
+that gives them."""
+
 HEAL_AFTER_TICKS = 2
 """Supervisor ticks a rank must stay crashed before the cluster restarts
 it from its durable state dir; the restarted replica is re-admitted to
@@ -129,6 +143,18 @@ class RankUnavailable(RuntimeError):
     def __init__(self, rank_id: int, message: str) -> None:
         super().__init__(message)
         self.rank_id = rank_id
+
+
+def _summed(snapshots: list[dict[str, Any]]) -> dict[str, Any]:
+    """Counter snapshots added key by key (nested dicts recursively)."""
+    out: dict[str, Any] = {}
+    for snapshot in snapshots:
+        for key, value in snapshot.items():
+            if isinstance(value, dict):
+                out[key] = _summed([out.get(key, {}), value])
+            else:
+                out[key] = out.get(key, 0) + value
+    return out
 
 
 def _ring_hash(label: str) -> int:
@@ -248,21 +274,6 @@ class ClusterRank:
 
 
 @dataclass
-class _Placed:
-    """One routable graph version.  ``ring_key`` places its shard: a
-    registered graph's own fingerprint, or the parent's key for a
-    committed version; ``parent``/``delta``/``depth`` record the commit
-    (the catch-up replay reads them)."""
-
-    graph: CSRGraph
-    name: str
-    ring_key: str
-    parent: str | None = None
-    delta: EdgeDelta | None = None
-    depth: int = 0
-
-
-@dataclass
 class _Attempt:
     """One routed attempt: where it went and its envelope sequence."""
 
@@ -276,13 +287,14 @@ class ClusterService(FrontDoor):
     """Router over N replicated :class:`MatchingService` ranks.
 
     It serves the same :class:`~repro.service.service.FrontDoor`
-    surface as a single rank, so the HTTP face serves either one.
+    surface as a single rank, so the HTTP face serves either one, and
+    ``ranks=1`` answers as a single rank does.
     Every rank runs under the same ``config``, ``service_config`` and
     ``workers`` a :class:`MatchingService` takes.
-    ``replication`` is clamped to ``ranks``.  ``state_dir`` gives each
-    rank its own durable subdir (``rank-<i>``).  ``auto_heal=False``
-    disables the supervisor so tests can drive crash/restart phases by
-    hand.
+    ``replication`` is clamped to ``ranks``.  ``state_dir`` holds the
+    router's own log and graph store, and gives each rank its own
+    durable subdir (``rank-<i>``).  ``auto_heal=False`` disables the
+    supervisor so tests can drive crash/restart phases by hand.
     """
 
     _JOB_PREFIX = "cjob"
@@ -302,34 +314,17 @@ class ClusterService(FrontDoor):
         start: bool = True,
         auto_heal: bool = True,
     ) -> None:
-        super().__init__()
-        self.config = config or CuTSConfig()
-        self.service_config = service_config or ServiceConfig()
         if ranks < 1:
             raise ValueError("a cluster needs at least one rank")
+        # The router's registry never builds an engine (a handle builds
+        # one on first use; the router only routes).
+        super().__init__(
+            config, service_config, workers=resolve_workers(workers),
+            on_replace=self._release,
+        )
         self.replication = max(1, min(replication, ranks))
         self.quorum = self.replication // 2 + 1
-        # The router keeps its own injector for topology fates (crash /
-        # partition / slow); each rank's service gets the *plan*, so
-        # engine-level faults keep firing inside the replicas too.
-        rank_plan: ServiceFaultPlan | None = None
-        if isinstance(faults, ServiceFaultPlan):
-            rank_plan = faults
-            faults = ServiceFaultInjector(faults)
-        elif isinstance(faults, ServiceFaultInjector):
-            rank_plan = faults.plan
-        self.faults = faults
-        self.auto_heal = auto_heal
-        self.ranks: dict[int, ClusterRank] = {}
-        for rank_id in range(ranks):
-            sub = None
-            if state_dir is not None:
-                sub = f"{state_dir}/rank-{rank_id}"
-            self.ranks[rank_id] = ClusterRank(
-                rank_id, self.config, self.service_config,
-                workers=workers, state_dir=sub, faults=rank_plan,
-            )
-        # _lock guards membership-derived state (ring, catalog, names,
+        # _lock guards membership-derived state (ring, ring keys,
         # in-flight commits, partitions); _jobs_lock guards the job
         # table; _tracker_lock guards envelope bookkeeping.  They are
         # never nested, and no rank call or wait happens under any of
@@ -337,15 +332,12 @@ class ClusterService(FrontDoor):
         self._lock = make_lock("ClusterService._lock")
         self._tracker_lock = make_lock("ClusterService._tracker_lock")
         self._ring = HashRing(range(ranks))
-        self._catalog: dict[str, _Placed] = {}
-        self._names: dict[str, str] = {}
+        # Ring key per committed version: its chain's first registered
+        # content.  Any other graph is placed by its own fingerprint.
+        self._rings: dict[str, str] = {}
         self._committing: set[str] = set()
         self._partitioned: dict[int, int] = {}
         self._tracker = ShipmentTracker()
-        # The front door reuses the scheduler's rejection machinery so
-        # shard-unavailable sheds are minted and counted the same way
-        # degraded-mode rejections are.
-        self._front = Scheduler(max_depth=self.service_config.queue_depth)
         self.phase_hook: Callable[[str, int, str], None] | None = None
         self.routes = 0
         self.failovers = 0
@@ -356,12 +348,41 @@ class ClusterService(FrontDoor):
         self.heals = 0
         self.heal_failures = 0
         self.catchup_graphs = 0
-        self.version_commits = 0
         self.last_heal_error: str | None = None
         self._heal_strikes: dict[int, int] = {}
         self._stop = threading.Event()
         self._supervisor: threading.Thread | None = None
-        self.started_at = time.time()
+        log = None
+        if state_dir is not None:
+            if not os.path.exists(os.path.join(state_dir, LOG_NAME)) and (
+                os.path.isdir(os.path.join(state_dir, "rank-0"))
+            ):
+                raise CheckpointMismatchError(
+                    f"{state_dir} holds rank state dirs but no router log: "
+                    f"a cluster state dir from before the router kept one"
+                )
+            # Opened before any rank exists, so a refused dir is left
+            # untouched.
+            log = self._open_state(state_dir)
+        # The router keeps its own injector for topology fates (crash /
+        # partition / slow); each rank's service gets the *plan*, so
+        # engine-level faults keep firing inside the replicas too.
+        if isinstance(faults, ServiceFaultPlan):
+            faults = ServiceFaultInjector(faults)
+        self.faults = faults
+        self.auto_heal = auto_heal
+        self.ranks: dict[int, ClusterRank] = {
+            rank_id: ClusterRank(
+                rank_id, self.config, self.service_config, workers=workers,
+                state_dir=(
+                    state_dir and os.path.join(state_dir, f"rank-{rank_id}")
+                ),
+                faults=None if faults is None else faults.plan,
+            )
+            for rank_id in range(ranks)
+        }
+        if log is not None:
+            self._recover(log)
         if start:
             self.start()
 
@@ -384,6 +405,35 @@ class ClusterService(FrontDoor):
             self._supervisor = None
         for rank in self.ranks.values():
             rank.service.close()
+        self._close_state()
+        self.registry.close()
+
+    def kill(self) -> None:
+        """Abandon the router and every rank abruptly — the in-process
+        analogue of a ``kill -9`` landing on the serving process.
+        Nothing further is journaled; a router started on the same
+        state dir recovers from the logs as they stand."""
+        self._killed = True
+        self._stop.set()
+        for rank in self.ranks.values():
+            rank.crash()
+        if self._journal_q is not None:
+            self._journal_q.put(None)  # the writer stops undrained
+
+    def _recover_catalog(self, log: LogState) -> dict[str, list[GraphVersion]]:
+        """Every rank is brought to the recorded heads before the router
+        serves: a crash between a replica's commit and the router's
+        record ends with one head everywhere."""
+        chains = super()._recover_catalog(log)
+        with self._lock:
+            for chain in chains.values():
+                for version in chain:
+                    if version.ring is not None:
+                        self._rings[version.fingerprint] = version.ring
+            ring = self._ring
+        for rank in self.ranks.values():
+            self._catch_up_rank(rank, ring)
+        return chains
 
     # ------------------------------------------------------------------
     # Membership / fault control
@@ -420,9 +470,9 @@ class ClusterService(FrontDoor):
         Ordering is the whole point: the fresh incarnation first
         replays its own journal, then **catches up** — brings every
         graph whose prospective replica set includes it to the head
-        version (:meth:`_catch_up`) — and only then rejoins the ring.
-        Traffic never reaches a replica that is still missing its
-        shards.
+        version (:meth:`_catch_up_rank`) — and only then rejoins the
+        ring.  Traffic never reaches a replica that is still missing
+        its shards.
         """
         rank = self.ranks[rank_id]
         if rank.state == LIVE:
@@ -435,16 +485,7 @@ class ClusterService(FrontDoor):
             prospective = HashRing(
                 live + [rank_id], vnodes=self._ring.vnodes
             )
-            heads = [
-                (name, fp)
-                for name, fp in self._names.items()
-                if fp in self._catalog
-                and rank_id in prospective.replicas_for(
-                    self._catalog[fp].ring_key, self.replication
-                )
-            ]
-        for name, head in heads:
-            self._catch_up(rank, name, head)
+        self._catch_up_rank(rank, prospective)
         with self._lock:
             rank.admit()
             self._partitioned.pop(rank_id, None)
@@ -476,79 +517,53 @@ class ClusterService(FrontDoor):
                     self.last_heal_error = str(exc)
 
     # ------------------------------------------------------------------
-    # Graph management
+    # Graph management: the router's registry decides, ranks follow
     # ------------------------------------------------------------------
     def register_graph(
         self, graph: CSRGraph, name: str | None = None
     ) -> str:
-        """Register ``graph`` cluster-wide: store it content-addressed
-        in the router catalog and on each of its shard's live replicas
-        (each replica persists it durably when it has a state dir).
-        Known content is aliased as :meth:`GraphRegistry.register`
-        does: its entry keeps the first name, the one commits move."""
-        fp = graph_fingerprint(graph)
-        resolved = name or graph.name or fp[:12]
-        with self._lock:
-            placed = self._catalog.setdefault(
-                fp, _Placed(graph, resolved, fp)
-            )
-            self._names[resolved] = fp
-            replicas = self._ring.replicas_for(
-                placed.ring_key, self.replication
-            )
-        for rank_id in replicas:
+        """Register ``graph`` in the router's catalog (durably, under
+        the registry's name rules) and push the name to each live
+        replica of its shard."""
+        fp = self._register(graph, name)
+        for rank_id in self._shard(fp):
             rank = self.ranks[rank_id]
             if rank.state == LIVE:
-                rank.service.register_graph(graph, resolved)
+                rank.service.register_graph(graph, name)
         return fp
 
-    def resolve_key(self, key: str) -> str:
-        """Fingerprint for a catalogued name or fingerprint."""
+    def _release(self, fp: str) -> None:
+        """The router's registry released ``fp`` (a replaced name or an
+        unregister): no live rank keeps serving it."""
         with self._lock:
-            if key in self._catalog:
-                return key
-            fp = self._names.get(key)
-        if fp is None:
-            raise KeyError(f"no registered graph named {key!r}")
-        return fp
-
-    def _graph_key(self, graph: CSRGraph | str) -> str:
-        if isinstance(graph, CSRGraph):
-            return self.register_graph(graph)
-        return self.resolve_key(graph)
+            self._rings.pop(fp, None)
+        for rank in self.ranks.values():
+            if rank.state == LIVE:
+                rank.service.unregister_graph(fp)
 
     def graph_info(self, key: str) -> dict[str, object]:
-        fp = self.resolve_key(key)
-        with self._lock:
-            placed = self._catalog[fp]
-            head = self._names.get(placed.name)
-            replicas = self._ring.replicas_for(
-                placed.ring_key, self.replication
-            )
-        live = [
-            rank_id
+        info = super().graph_info(key)
+        fp = str(info["fingerprint"])
+        replicas = self._shard(fp)
+        held = {
+            rank_id: self.ranks[rank_id].service.registry.by_fingerprint(fp)
             for rank_id in replicas
             if self.ranks[rank_id].state == LIVE
-            and self.ranks[rank_id].service.registry.by_fingerprint(fp)
-            is not None
+        }
+        live = [
+            rank_id for rank_id, handle in held.items() if handle is not None
         ]
-        return {
-            "name": placed.name,
-            "fingerprint": fp,
-            "num_vertices": placed.graph.num_vertices,
-            "num_edges": placed.graph.num_edges,
-            "parent_fingerprint": placed.parent,
-            "lineage_depth": placed.depth,
-            "retired": head != fp,
+        if live:
+            # The router's own handles never serve: engine use is the
+            # primary replica's.
+            served = held[live[0]].info()  # type: ignore[union-attr]
+            for field in ("generation", "workers", "queries_served"):
+                info[field] = served[field]
+        return info | {
             "replicas": replicas,
             "live_replicas": live,
             "below_quorum": len(self._reachable(fp)) < self.quorum,
         }
-
-    def graphs(self) -> list[dict[str, object]]:
-        with self._lock:
-            fps = list(self._catalog)
-        return [self.graph_info(fp) for fp in fps]
 
     def replication_of(self, key: str) -> int:
         """How many live replicas currently hold this graph — the
@@ -557,22 +572,8 @@ class ClusterService(FrontDoor):
         return len(info["live_replicas"])  # type: ignore[arg-type]
 
     # ------------------------------------------------------------------
-    # Versioning: commits fan out, reads of versions route like matches
+    # Versioning: commits fan out to the shard
     # ------------------------------------------------------------------
-    def versions(self, key: str) -> list[dict[str, object]]:
-        """The retained version chain of ``key``'s graph, oldest first,
-        as the first replica of its shard holding that version reports
-        it (one that lacks it counts as a failover)."""
-        fp = self.resolve_key(key)
-        error = KeyError(f"no reachable replica holds version {fp[:12]}")
-        for rank_id in self._targets(fp):
-            try:
-                return self.ranks[rank_id].service.versions(fp)
-            except KeyError as exc:
-                error = exc
-                self.failovers += 1
-        raise error
-
     def mutate_graph(
         self,
         key: str,
@@ -585,19 +586,21 @@ class ClusterService(FrontDoor):
         graph's shard; returns the first replica's commit summary.
 
         Each replica is first brought to the router's head
-        (:meth:`_catch_up`), then commits; the first commit is recorded
-        (:meth:`_record_commit`) and every later replica must agree on
-        its name and child fingerprint.  Until then a failing replica
-        fails the request (unless it died); after, one that dies or
-        refuses is skipped and caught up later, so no client sees an
-        error for a commit that moved the head.  No lock is held across
-        rank calls: a concurrent commit to the same graph gets
-        :class:`VersionConflictError` (409), as on a single rank.
+        (:meth:`_catch_up`), then commits; the router adopts the first
+        replica's child (:meth:`FrontDoor._adopt`) and every later
+        replica must agree on its name and child fingerprint.  Until
+        then a failing replica fails the request (unless it died);
+        after, one that dies or refuses is skipped and caught up later,
+        so no client sees an error for a commit that moved the head.
+        No lock is held across rank calls: a concurrent commit to the
+        same graph gets :class:`VersionConflictError` (409), as on a
+        single rank.
         """
-        head = self.resolve_key(key)
+        head = self.registry.resolve(key)
+        name = head.name
+        current = self.registry.resolve(name)
         with self._lock:
-            name = self._catalog[head].name
-            if self._names.get(name) != head or name in self._committing:
+            if current is not head or name in self._committing:
                 raise VersionConflictError(
                     f"graph {name!r} was committed concurrently; "
                     f"re-read the head and retry"
@@ -605,17 +608,35 @@ class ClusterService(FrontDoor):
             self._committing.add(name)
         try:
             summary: dict[str, object] | None = None
-            for rank_id in self._targets(head):
+            for rank_id in self._targets(head.fingerprint):
                 rank = self.ranks[rank_id]
                 generation = rank.generation
                 try:
-                    self._catch_up(rank, name, head)
+                    self._catch_up(rank, name, head.fingerprint)
                     got = rank.service.mutate_graph(
                         name, inserts=inserts, deletes=deletes,
                         directed=directed,
                     )
-                    if summary is None:
-                        self._record_commit(rank, got)
+                    if summary is None and got["changed"]:
+                        child = rank.service.registry.by_fingerprint(
+                            str(got["fingerprint"])
+                        )
+                        if child is None:
+                            raise KeyError(f"rank {rank_id} lost its commit")
+                        ring = self._ring_key(head.fingerprint)
+                        pruned = self._adopt(
+                            GraphVersion(
+                                name, child.fingerprint, head.fingerprint,
+                                head.lineage_depth + 1, KIND_DELTA,
+                                child.incremental_basis()[1], ring,
+                            ),
+                            child.graph,
+                        )
+                        with self._lock:
+                            self._rings[child.fingerprint] = ring
+                            for fp in pruned:
+                                self._rings.pop(fp, None)
+                        self.version_commits += 1
                 except Exception:
                     if summary is None and (
                         rank.state == LIVE and rank.generation == generation
@@ -642,46 +663,35 @@ class ClusterService(FrontDoor):
             )
         return summary
 
-    def _record_commit(
-        self, rank: ClusterRank, summary: dict[str, object]
-    ) -> None:
-        """Catalog the child version a replica just committed, under the
-        name it moved: its content and delta, its parent's ring key,
-        and the versions retention pruned."""
-        if not summary["changed"]:
-            return
-        name = str(summary["graph"])
-        child = str(summary["fingerprint"])
-        handle = rank.service.registry.by_fingerprint(child)
-        if handle is None:
-            raise KeyError(f"rank {rank.rank_id} lost version {child}")
-        parent, delta = handle.incremental_basis()
-        with self._lock:
-            self._catalog[child] = _Placed(
-                handle.graph,
-                name,
-                self._catalog[str(parent)].ring_key,
-                parent=parent,
-                delta=delta,
-                depth=int(summary["lineage_depth"]),  # type: ignore[call-overload]
-            )
-            self._names[name] = child
-            for pruned in summary["pruned"]:  # type: ignore[attr-defined]
-                self._catalog.pop(pruned, None)
-        self.version_commits += 1
+    def _catch_up_rank(self, rank: ClusterRank, ring: HashRing) -> None:
+        """Bring ``rank`` to the router's head of every name ``ring``
+        places on it, then drop every version the router does not hold
+        (released, or committed past the router's record before a
+        crash).  The rank is listed first, so a graph registered
+        meanwhile is still held."""
+        for name, fp in self.registry.names().items():
+            if rank.rank_id in ring.replicas_for(
+                self._ring_key(fp), self.replication
+            ):
+                self._catch_up(rank, name, fp)
+        on_rank = [h.fingerprint for h in rank.service.registry.handles()]
+        held = {h.fingerprint for h in self.registry.handles()}
+        for fp in on_rank:
+            if fp not in held:
+                rank.service.unregister_graph(fp)
 
     def _catch_up(
         self, rank: ClusterRank, name: str, head: str, *, replay: bool = True
     ) -> None:
         """Bring ``rank``'s copy of ``name`` to version ``head``.
 
-        A rank whose head is a retained ancestor replays the commits it
-        missed (content addressing lands them on the same
-        fingerprints).  A rank that never saw the name, or whose head
-        is off the retained chain, gets the head's content registered
-        under the name.  With ``replay=False`` (the read path) a rank
-        that holds the name at another version is left alone and the
-        ``KeyError`` sends the read to the next replica.
+        A rank that holds the name elsewhere but still holds ``head``,
+        a committed version (it committed past the router's record),
+        moves the name back; a rank whose head is a retained ancestor
+        replays the commits it missed; any other gets the head's
+        content registered under the name.  With ``replay=False`` (the
+        read path) a rank that holds the name at another version raises
+        ``KeyError`` instead, which sends the read to the next replica.
         """
         try:
             at: str | None = rank.service.resolve_key(name)
@@ -694,25 +704,36 @@ class ClusterService(FrontDoor):
                 f"rank {rank.rank_id} holds {name!r} at another version "
                 f"than {head[:12]}"
             )
-        deltas: list[EdgeDelta | None] = []
-        with self._lock:
-            graph = self._catalog[head].graph
-            cursor: str | None = head
-            while cursor is not None and cursor != at:
-                placed = self._catalog.get(cursor)
-                if placed is None:
-                    break
-                deltas.append(placed.delta)
-                cursor = placed.parent
-        path = [delta for delta in deltas if delta is not None]
-        if at is not None and cursor == at and len(path) == len(deltas):
-            for delta in reversed(path):
-                rank.service.mutate_graph(
-                    name, inserts=delta.inserts, deletes=delta.deletes
-                )
-        else:
-            rank.service.register_graph(graph, name)
+        version = self.registry.by_fingerprint(head)
+        if version is None:
+            raise KeyError(f"the router no longer holds version {head[:12]}")
         self.catchup_graphs += 1
+        parent, delta = version.incremental_basis()
+        if at is not None and delta is not None and (
+            rank.service.registry.by_fingerprint(head) is not None
+        ):
+            rank.service._adopt(
+                GraphVersion(
+                    name, head, parent, version.lineage_depth, KIND_DELTA,
+                    delta,
+                ),
+                version.graph,
+            )
+            return
+        path: list[EdgeDelta] = []
+        cursor: GraphHandle | None = version
+        while cursor is not None and cursor.fingerprint != at:
+            parent, delta = cursor.incremental_basis()
+            if delta is not None:  # a root or replacement ends the walk
+                path.append(delta)
+            cursor = self.registry.by_fingerprint(parent) if parent else None
+        if cursor is None:
+            rank.service.register_graph(version.graph, name)
+            return
+        for delta in reversed(path):
+            rank.service.mutate_graph(
+                name, inserts=delta.inserts, deletes=delta.deletes
+            )
 
     # ------------------------------------------------------------------
     # Introspection
@@ -721,12 +742,10 @@ class ClusterService(FrontDoor):
         rank_states = {
             rank_id: rank.state for rank_id, rank in self.ranks.items()
         }
-        with self._lock:
-            shards = {placed.ring_key for placed in self._catalog.values()}
-            graphs = len(self._catalog)
+        handles = self.registry.handles()
         below = sum(
             1
-            for ring_key in shards
+            for ring_key in {self._ring_key(h.fingerprint) for h in handles}
             if len(self._reachable(ring_key)) < self.quorum
         )
         live = sum(1 for s in rank_states.values() if s == LIVE)
@@ -739,10 +758,12 @@ class ClusterService(FrontDoor):
             "replication": self.replication,
             "quorum": self.quorum,
             "shards_below_quorum": below,
-            "graphs": graphs,
+            "graphs": len(handles),
         }
 
     def metrics(self) -> dict[str, object]:
+        """The router's own counters, plus its ranks' serving counters
+        summed at the keys a single rank reports them under."""
         with self._tracker_lock:
             tracker = {
                 "seen": len(self._tracker.seen),
@@ -756,6 +777,7 @@ class ClusterService(FrontDoor):
             "uptime_s": time.time() - self.started_at,
             "replication": self.replication,
             "quorum": self.quorum,
+            "graphs": len(self.registry.handles()),
             "router": {
                 "routes": self.routes,
                 "failovers": self.failovers,
@@ -766,9 +788,11 @@ class ClusterService(FrontDoor):
                 "heals": self.heals,
                 "heal_failures": self.heal_failures,
                 "catchup_graphs": self.catchup_graphs,
-                "rejected": self._front.snapshot()["rejected"],
             },
-            "versioning": {"commits": self.version_commits},
+            "versioning": {
+                "commits": self.version_commits,
+                "recovered_versions": self.recovered_versions,
+            },
             "ring": {"members": ring_members, "partitioned": partitioned},
             "tracker": tracker,
             "ranks": {
@@ -776,8 +800,18 @@ class ClusterService(FrontDoor):
                 for rank_id, rank in self.ranks.items()
             },
         }
+        per_rank: list[dict[str, Any]] = [
+            rank.service.metrics() for rank in self.ranks.values()
+        ]
+        for key in ("scheduler", "dispatcher", "result_cache", "plan_cache"):
+            out[key] = _summed([m[key] for m in per_rank])
+        faults = [m["faults"] for m in per_rank if "faults" in m]
         if self.faults is not None:
-            out["faults"] = self.faults.snapshot()
+            faults.append(self.faults.snapshot())
+        if faults:
+            out["faults"] = _summed(faults)
+        if self.state is not None:
+            out["state"] = self._state_metrics()
         return out
 
     # ------------------------------------------------------------------
@@ -791,18 +825,25 @@ class ClusterService(FrontDoor):
     def _reachable(self, fp: str) -> list[int]:
         """Live, unpartitioned replicas of ``fp``'s shard, primary
         first."""
+        replicas = self._shard(fp)
         with self._lock:
-            placed = self._catalog.get(fp)
-            replicas = self._ring.replicas_for(
-                placed.ring_key if placed is not None else fp,
-                self.replication,
-            )
             return [
                 rank_id
                 for rank_id in replicas
                 if self.ranks[rank_id].state == LIVE
                 and rank_id not in self._partitioned
             ]
+
+    def _ring_key(self, fp: str) -> str:
+        with self._lock:
+            return self._rings.get(fp, fp)
+
+    def _shard(self, fp: str) -> list[int]:
+        """``fp``'s replica set on the current ring, primary first."""
+        with self._lock:
+            return self._ring.replicas_for(
+                self._rings.get(fp, fp), self.replication
+            )
 
     def _targets(self, fp: str) -> list[int]:
         """:meth:`_reachable`, or a ``shard-unavailable`` shed when the
@@ -812,7 +853,7 @@ class ClusterService(FrontDoor):
         if len(reachable) >= self.quorum:
             return reachable
         self.shed += 1
-        raise self._front.reject(
+        raise AdmissionError(
             "shard-unavailable",
             f"shard for graph {fp[:12]} has {len(reachable)} of "
             f"{self.replication} replicas reachable (quorum "
@@ -869,17 +910,45 @@ class ClusterService(FrontDoor):
     # Routing: one loop for whole and split queries
     # ------------------------------------------------------------------
     def _start(self, job: Job) -> None:
-        self._targets(job.request.graph_fp)  # shed at the front door
+        """Dispatch each part's first attempt here, so an admission
+        refusal surfaces from ``submit`` as on one rank; a route thread
+        collects the attempts."""
+        n = job.request.num_parts
+        tried: list[set[int]] = [set() for _ in range(n)]
+        first: list[_Attempt] = []
+        try:
+            for part in range(n):
+                first.append(self._dispatch(job, part, tried[part]))
+        except (AdmissionError, JobFailed) as exc:
+            # The parts already dispatched are never collected.  A
+            # refused job's client may retry under its key, which names
+            # them again; otherwise nothing can, so they are cancelled.
+            reusable = isinstance(exc, AdmissionError) and job.idempotency_key
+            for attempt in first:
+                self._revoke(attempt)
+                if reusable:
+                    continue
+                try:
+                    self.ranks[attempt.rank_id].service.cancel(
+                        attempt.rank_job_id
+                    )
+                except KeyError:  # repro: ignore[RP008] — died with its rank
+                    continue
+            if isinstance(exc, AdmissionError):
+                raise
+            job.state, job.error = FAILED, str(exc)
+            self._conclude(job)
+            return
         threading.Thread(
-            target=self._run_job, args=(job,),
+            target=self._run_job, args=(job, first, tried),
             name=f"cluster-route-{job.id}", daemon=True,
         ).start()
 
-    def _run_job(self, job: Job) -> None:
-        job.state = RUNNING
+    def _run_job(
+        self, job: Job, pending: list[_Attempt], tried: list[set[int]]
+    ) -> None:
         try:
-            self._route(job)
-            job.state = DONE
+            self._route(job, pending, tried)
         except AdmissionError as exc:
             job.state = FAILED
             job.reason = exc.reason
@@ -888,11 +957,13 @@ class ClusterService(FrontDoor):
         except Exception as exc:
             job.state = FAILED
             job.error = str(exc)
-        job.finished_at = time.time()
-        self._settle(job)
+        self._conclude(job)
 
-    def _route(self, job: Job) -> None:
-        """Run ``job`` on its shard's replicas and settle its result.
+    def _route(
+        self, job: Job, pending: list[_Attempt], tried: list[set[int]]
+    ) -> None:
+        """Collect ``job``'s first attempts (``pending``, dispatched by
+        :meth:`_start`) and settle its result.
 
         The query goes out as ``num_parts`` strided part-requests (one
         for an unsplit query), accounted in a :class:`StrideLedger`
@@ -902,17 +973,17 @@ class ClusterService(FrontDoor):
         ``adopt``) while committed part counts survive, so a split
         query resumes instead of restarting.  Every retry of a part
         carries that part's idempotency key, so at most one result per
-        part is ever integrated.
+        part is ever integrated.  A part the rank settled ``expired``
+        or ``cancelled`` settles the job the same way, with no
+        failover.  Parts reduce with :meth:`MatchResult.merge`, as a
+        multi-core match's do.
         """
         n = job.request.num_parts
         if n > 1:
             self.split_queries += 1
         ledger = StrideLedger()
-        tried: list[set[int]] = [set() for _ in range(n)]
-        pending: dict[int, _Attempt] = {}
-        for part in range(n):
-            pending[part] = self._dispatch(job, part, tried[part])
-            ledger.open((0, part, part + 1), pending[part].rank_id)
+        for part, attempt in enumerate(pending):
+            ledger.open((0, part, part + 1), attempt.rank_id)
         results: dict[int, MatchResult] = {}
         failures = 0
         while len(results) < n:
@@ -941,6 +1012,9 @@ class ClusterService(FrontDoor):
                     ledger.adopt(key, redo.rank_id)
                     pending[key[1]] = redo
                 continue
+            if rank_job.state != DONE:
+                job.state, job.error = rank_job.state, rank_job.error
+                return
             result = rank_job.result
             assert result is not None  # a collected attempt has a result
             ledger.finish_item(
@@ -949,22 +1023,18 @@ class ClusterService(FrontDoor):
             )
             results[part] = result
         job.replica = attempt.rank_id
+        job.state = DONE
         if n == 1:
             job.result = result
             job.cached, job.coalesced = rank_job.cached, rank_job.coalesced
             job.incremental = rank_job.incremental
             job.fallback = rank_job.fallback
             return
-        stats = SearchStats()
-        for part_result in results.values():
-            stats.merge(part_result.stats)
-        job.result = MatchResult(
-            count=ledger.committed_total,
-            matches=None,
-            time_ms=sum(r.time_ms for r in results.values()),
-            cost=CostModel(self.config.device),
-            stats=stats,
-            order=results[0].order,
+        # Each part is its own root stride, whatever shard ids its rank
+        # gave its pieces.
+        job.result = functools.reduce(
+            MatchResult.merge,
+            (dataclasses.replace(results[p], shards=()) for p in range(n)),
         )
 
     def _dispatch(self, job: Job, part: int, tried: set[int]) -> _Attempt:
@@ -974,7 +1044,9 @@ class ClusterService(FrontDoor):
         split query spreads across the shard.  A replica that cannot
         take the attempt is skipped; when every one refused, an
         admission reason among the refusals surfaces machine-readably
-        (429/503 on the HTTP face)."""
+        (429/503 on the HTTP face).  A refusal every replica would give
+        alike (:data:`_REQUEST_REFUSALS`) surfaces at once, as one rank
+        answers it, with no failover."""
         n = job.request.num_parts
         key = job.idempotency_key or job.id
         if n > 1:
@@ -997,6 +1069,8 @@ class ClusterService(FrontDoor):
                 errors.append(str(exc))
                 if isinstance(exc.__cause__, AdmissionError):
                     admission = exc.__cause__
+                    if admission.reason in _REQUEST_REFUSALS:
+                        raise admission from None
                 self._note_failover(job)
         if admission is not None:
             raise admission
@@ -1047,18 +1121,16 @@ class ClusterService(FrontDoor):
                 # shard after a membership change and has not seen the
                 # graph's head yet; install it from the catalog.  A
                 # retired version it lacks is a failover.
-                with self._lock:
-                    placed = self._catalog.get(request.graph_fp)
-                    is_head = placed is not None and (
-                        self._names.get(placed.name) == request.graph_fp
-                    )
-                if placed is None or not is_head:
+                handle = self.registry.by_fingerprint(request.graph_fp)
+                if handle is None or (
+                    self.registry.names().get(handle.name) != request.graph_fp
+                ):
                     raise KeyError(
                         f"rank {rank_id} does not hold version "
                         f"{request.graph_fp[:12]}"
                     )
                 self._catch_up(
-                    rank, placed.name, request.graph_fp, replay=False
+                    rank, handle.name, request.graph_fp, replay=False
                 )
             attempt.rank_job_id = rank.service.submit(
                 request.graph_fp,
@@ -1071,20 +1143,12 @@ class ClusterService(FrontDoor):
                 num_parts=num_parts,
                 _part=part if num_parts > 1 else None,
             )
-        except AdmissionError as exc:
-            # A replica-local rejection (queue-full, degraded, a killed
-            # incarnation's shutdown) is failover-eligible — another
-            # replica may well take the work.  The cause is kept so the
-            # router can surface the admission reason when *every*
-            # replica rejected.
-            self._revoke(attempt)
-            raise RankUnavailable(
-                rank_id,
-                f"rank {rank_id} rejected admission ({exc.reason}): {exc}",
-            ) from exc
         except Exception as exc:
-            # The replica died (or was killed) under the submit, or
-            # lacks the version.
+            # A replica-local admission refusal (queue-full, degraded, a
+            # killed incarnation's shutdown), a replica that died under
+            # the submit, or one lacking the version: another replica
+            # may take the work.  The cause is kept so an admission
+            # reason surfaces when *every* replica refused.
             self._revoke(attempt)
             raise RankUnavailable(
                 rank_id, f"rank {rank_id} refused dispatch: {exc}"
@@ -1094,10 +1158,10 @@ class ClusterService(FrontDoor):
 
     def _collect_attempt(self, job: Job, attempt: _Attempt) -> Job:
         """Wait for one routed attempt, enforcing the route timeout and
-        exactly-once integration; returns the rank's settled job.
-        Raises :class:`RankUnavailable` when the attempt was revoked
-        (crash/partition/timeout) and :class:`JobFailed` when the
-        replica answered with a failure."""
+        exactly-once integration; returns the rank's settled job (done,
+        expired or cancelled).  Raises :class:`RankUnavailable` when the
+        attempt was revoked (crash/partition/timeout) and
+        :class:`JobFailed` when the replica answered with a failure."""
         rank = self.ranks[attempt.rank_id]
         deadline = time.monotonic() + self.service_config.route_timeout_s
         try:
@@ -1111,10 +1175,13 @@ class ClusterService(FrontDoor):
                 f"(service incarnation replaced)",
             ) from exc
         while not rank_job.done.wait(timeout=self._WAIT_POLL_S):
-            if (
-                rank.state != LIVE
-                or rank.generation != attempt.generation
-            ):
+            if job.state == PENDING and rank_job.state == RUNNING:
+                # The job runs when its first attempt does, so a router
+                # restart recovers it by the state its rank reached: a
+                # job still queued there runs again under its id.
+                job.state = RUNNING
+                self._journal(job, RUNNING)
+            if rank.state != LIVE or rank.generation != attempt.generation:
                 self._revoke(attempt)
                 raise RankUnavailable(
                     attempt.rank_id,
@@ -1161,10 +1228,13 @@ class ClusterService(FrontDoor):
             self._tracker.mark_seen(attempt.rank_id, attempt.seq)
         if rank_job.state == DONE and rank_job.result is not None:
             return rank_job
-        if rank_job.state in (FAILED, EXPIRED, CANCELLED):
+        if rank_job.state in (EXPIRED, CANCELLED):
+            # The rank's verdict on the request, not a replica failure.
+            return rank_job
+        if rank_job.state == FAILED:
             raise JobFailed(
                 f"rank {attempt.rank_id} job {attempt.rank_job_id} "
-                f"{rank_job.state}: {rank_job.error}"
+                f"failed: {rank_job.error}"
             )
         raise RankUnavailable(
             attempt.rank_id,

@@ -1,9 +1,9 @@
 """Stdlib HTTP face of the matching service (``python -m repro.serve``).
 
 Dependency-free serving: a ``ThreadingHTTPServer`` whose handler
-translates JSON bodies into :class:`~repro.service.MatchingService`
+translates JSON bodies into :class:`~repro.service.service.FrontDoor`
 calls.  Handler threads only ever *submit and wait* — all matching work
-happens on the service's dispatch thread and its per-graph engines — so
+happens on the ranks' dispatch threads and their per-graph engines — so
 slow requests don't block the accept loop and the scheduler's admission
 rules apply identically to HTTP and embedded callers.
 
@@ -60,11 +60,13 @@ Graph specs are JSON: a pattern shorthand string (``"K5"``, ``"C6"``,
 ``{"edges": [[u, v], ...], "num_vertices"?, "name"?}``, or a whitelisted
 generator ``{"generator": "mesh", "args": [8, 8]}``.
 
-The handler serves a :class:`~repro.service.service.FrontDoor`:
-``--ranks N`` (``N > 1``) puts a replicated
-:class:`~repro.service.cluster.ClusterService` behind the same
-endpoints, visible to clients only in the ``replica`` job field and
-the ``shard-unavailable`` 503 reason.
+The handler serves a :class:`~repro.service.service.FrontDoor`.
+``python -m repro.serve`` always puts the cluster router
+(:class:`~repro.service.cluster.ClusterService`) behind the endpoints,
+over ``--ranks N`` replicas (one by default); it answers as a single
+rank does, and the topology is visible to clients only in the
+``replica`` job field and the ``shard-unavailable`` 503 reason.
+:func:`serve` takes any ``FrontDoor``, a single rank included.
 """
 
 from __future__ import annotations
@@ -94,7 +96,7 @@ from .config import ServiceConfig
 from .faults import ServiceFaultPlan
 from .registry import VersionConflictError
 from .scheduler import AdmissionError
-from .service import FrontDoor, MatchingService
+from .service import FrontDoor
 
 __all__ = [
     "BadRequest",
@@ -489,9 +491,9 @@ class _Handler(BaseHTTPRequestHandler):
 
 
 class ServiceHTTPServer(ThreadingHTTPServer):
-    """A threading HTTP server bound to one service backend — a single
-    :class:`MatchingService` or a replicated :class:`ClusterService`,
-    served through their shared :class:`FrontDoor` surface."""
+    """A threading HTTP server bound to one :class:`FrontDoor` — the
+    cluster router ``main`` builds, or a single rank embedded in a
+    test or another program."""
 
     daemon_threads = True
 
@@ -539,8 +541,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--ranks", type=int, default=1, metavar="N",
-        help="service replicas; N > 1 serves a shard-routed cluster "
-        "that fails over across replicas on rank crashes (default: 1)",
+        help="service replicas behind the router, which places each "
+        "graph's shard on --replication of them and fails over across "
+        "them on rank crashes (default: 1)",
     )
     parser.add_argument(
         "--replication", type=int, default=2, metavar="R",
@@ -583,8 +586,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--state-dir", default=None, metavar="DIR",
-        help="durable journal + graph manifest; restarts recover "
-        "graphs, pending jobs, and terminal results from it",
+        help="durable logs + graph stores (the router's, and rank i's "
+        "under rank-<i>); restarts recover graphs, versions, pending "
+        "jobs and terminal results from it",
     )
     parser.add_argument(
         "--faults", default=None, metavar="SPEC",
@@ -624,23 +628,14 @@ def main(argv: list[str] | None = None) -> int:
         else ServiceFaultPlan.from_env()
     )
     faults = None if plan is None or plan.is_null else plan
-    service: FrontDoor
-    if args.ranks > 1:
-        service = ClusterService(
-            service_config=service_config,
-            ranks=args.ranks,
-            replication=args.replication,
-            workers=args.workers,
-            state_dir=args.state_dir,
-            faults=faults,
-        )
-    else:
-        service = MatchingService(
-            service_config=service_config,
-            workers=args.workers,
-            state_dir=args.state_dir,
-            faults=faults,
-        )
+    service = ClusterService(
+        service_config=service_config,
+        ranks=args.ranks,
+        replication=args.replication,
+        workers=args.workers,
+        state_dir=args.state_dir,
+        faults=faults,
+    )
     for spec in args.preload:
         if spec.startswith("generator:"):
             _, kind, raw = spec.split(":", 2)

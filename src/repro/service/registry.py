@@ -377,34 +377,16 @@ class GraphRegistry:
         )
         fp = graph_fingerprint(child_graph)
         depth = head.lineage_depth + 1
-        to_prune: list[GraphHandle] = []
         with self._lock:
             if self._by_name.get(name) is not head:
                 raise VersionConflictError(
                     f"graph {name!r} was committed concurrently; "
                     f"re-read the head and retry"
                 )
-            child = self._by_fp.get(fp)
-            if child is not None:
-                # The delta cycled back to retained content; that
-                # handle resumes as head.
-                child.relink(head.fingerprint, depth, delta)
-            else:
-                child = self._add_locked(
-                    child_graph, name, fp, head.fingerprint, depth
-                )
-                child.commit_delta = delta
-            self._by_name[name] = child
+            child, to_prune = self._link_head_locked(
+                child_graph, name, fp, head.fingerprint, depth, delta
+            )
             self.commits += 1
-            # Retention: keep at most max_versions links of this chain
-            # registered; older ones are pruned unless some other
-            # *name* still aliases them.
-            chain = self._chain_locked(child)
-            named = set(map(id, self._by_name.values()))
-            for stale in chain[self.max_versions:]:
-                if id(stale) not in named:
-                    self._by_fp.pop(stale.fingerprint, None)
-                    to_prune.append(stale)
         head.mark_retired()
         # Engines shut down outside the lock (pool shutdown blocks and
         # must not stall unrelated registrations — same rule as
@@ -415,6 +397,39 @@ class GraphRegistry:
             name, head, child, delta,
             pruned=tuple(h.fingerprint for h in to_prune),
         )
+
+    def _link_head_locked(
+        self,
+        graph: CSRGraph,
+        name: str,
+        fp: str,
+        parent_fp: str | None,
+        depth: int,
+        delta: EdgeDelta | None,
+    ) -> tuple[GraphHandle, list[GraphHandle]]:
+        """Make ``graph`` the head of ``name``'s chain, the child of
+        ``parent_fp``; returns the head and the versions retention
+        pruned (unlinked, still open).  Caller holds ``_lock``."""
+        head = self._by_fp.get(fp)
+        if head is not None:
+            # The delta cycled back to retained content; that handle
+            # resumes as head.
+            head.relink(parent_fp, depth, delta)
+        else:
+            head = self._add_locked(graph, name, fp, parent_fp, depth)
+            head.commit_delta = delta
+        self._by_name[name] = head
+        # Retention: keep at most max_versions links of this chain
+        # registered; older ones are pruned unless some other *name*
+        # still aliases them.
+        named = set(map(id, self._by_name.values()))
+        pruned = [
+            stale for stale in self._chain_locked(head)[self.max_versions:]
+            if id(stale) not in named
+        ]
+        for stale in pruned:
+            self._by_fp.pop(stale.fingerprint, None)
+        return head, pruned
 
     def _chain_locked(self, head: GraphHandle) -> list[GraphHandle]:
         """Retained chain from ``head`` back through parents (head
@@ -451,27 +466,26 @@ class GraphRegistry:
         *,
         parent_fp: str | None,
         lineage_depth: int,
-        head: bool,
         delta: EdgeDelta | None = None,
-    ) -> GraphHandle:
-        """Install a recovered version (state-dir replay) with its
-        journaled lineage position.  Non-head versions come back
-        retired; the head also takes the name."""
+    ) -> tuple[GraphHandle, tuple[str, ...]]:
+        """Make ``graph`` the head of ``name`` at a known lineage
+        position: a recovered version (state-dir replay, each chain
+        oldest first) or a commit another registry spliced.  The
+        version it replaces retires, and retention prunes behind it.
+        Returns the head and the pruned fingerprints."""
         if graph.num_vertices == 0:
             raise ValueError("cannot adopt an empty data graph")
         fp = graph_fingerprint(graph)
         with self._lock:
-            handle = self._by_fp.get(fp)
-            if handle is None:
-                handle = self._add_locked(
-                    graph, name, fp, parent_fp, lineage_depth
-                )
-            handle.commit_delta = delta
-            if head:
-                self._by_name[name] = handle
-        if not head:
-            handle.mark_retired()
-        return handle
+            replaced = self._by_name.get(name)
+            handle, pruned = self._link_head_locked(
+                graph, name, fp, parent_fp, lineage_depth, delta
+            )
+        if replaced is not None and replaced is not handle:
+            replaced.mark_retired()
+        for stale in pruned:
+            stale.close()
+        return handle, tuple(h.fingerprint for h in pruned)
 
     def unregister(self, key: str) -> bool:
         """Remove a graph by name or fingerprint; fires ``on_replace``

@@ -178,7 +178,7 @@ class Scheduler:
     ) -> AdmissionError:
         """Mint (and count) an admission rejection on the service's
         behalf — used for rejections decided outside the queue itself,
-        e.g. degraded read-only mode or a below-quorum shard."""
+        e.g. degraded read-only mode."""
         with self._cond:
             return self._reject(reason, message, retry_after)
 

@@ -3,8 +3,9 @@ caches behind one long-lived object.
 
 ``MatchingService`` is the rank-local executor of the serving stack.  It
 and the cluster router share one public surface, :class:`FrontDoor`
-(job model, validation, ``submit``/``match``/``compare``), which the
-HTTP face in :mod:`repro.service.http` is a thin shell over.  One
+(job model, validation, the graph catalog and its durable log,
+``submit``/``match``/``compare``), which the HTTP face in
+:mod:`repro.service.http` is a thin shell over.  One
 background dispatch thread drains the scheduler in graph-affine batches;
 all matching parallelism lives *inside* the batch pass (the registry
 handles' persistent engines), so one drainer is enough and the
@@ -21,7 +22,8 @@ mode**: verified cache hits for count-only queries are still served,
 everything else is rejected with reason ``degraded`` (HTTP 503 +
 ``Retry-After``), and the same count of healthy ticks exits the mode.
 
-Resilience (see DESIGN.md §12):
+Resilience (see DESIGN.md §12), written once in :class:`FrontDoor` for
+the rank and the cluster router alike:
 
 * ``state_dir`` makes the service crash-recoverable: graphs, names,
   versions and job transitions go to one durable log
@@ -50,7 +52,7 @@ import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable
 
 from ..analysis.sanitizer import make_rlock
 from ..core.config import CuTSConfig
@@ -205,13 +207,14 @@ class Job:
 class FrontDoor(ABC):
     """The public surface both serving backends share.
 
-    Validation, job ids, idempotency dedupe, job retention and
-    ``submit`` ... ``compare`` are written once, here.  A backend
-    resolves graphs (:meth:`_graph_key`), runs admitted jobs
-    (:meth:`_start`) and settles them (:meth:`_settle`):
-    :class:`MatchingService` queues them on its scheduler, and
-    :class:`~repro.service.cluster.ClusterService` routes them to the
-    replicas of the graph's shard.
+    Validation, job ids, idempotency dedupe, job retention, ``submit``
+    ... ``compare``, the graph catalog (a
+    :class:`~repro.service.registry.GraphRegistry`) and its durable log
+    with the job journal and crash recovery are written once, here.  A
+    backend runs admitted jobs (:meth:`_start`) and settles them
+    (:meth:`_conclude`): :class:`MatchingService` queues them on its
+    scheduler, and :class:`~repro.service.cluster.ClusterService`
+    routes them to the replicas of the graph's shard.
 
     Retention: the table keeps every pending and running job and the
     :data:`~repro.service.state.RETAINED_JOBS` most recently settled
@@ -221,10 +224,24 @@ class FrontDoor(ABC):
     """
 
     _JOB_PREFIX = "job"
-    config: CuTSConfig
-    service_config: ServiceConfig
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        config: CuTSConfig | None,
+        service_config: ServiceConfig | None,
+        *,
+        workers: int,
+        on_replace: Callable[[str], None] | None = None,
+    ) -> None:
+        self.config = config or CuTSConfig()
+        self.service_config = service_config or ServiceConfig()
+        self.config_fp = config_fingerprint(self.config)
+        self.registry = GraphRegistry(
+            self.config,
+            service_config=self.service_config,
+            workers=workers,
+            on_replace=on_replace,
+        )
         self._jobs: dict[str, Job] = {}
         self._jobs_lock = make_rlock("FrontDoor._jobs_lock")
         self._job_seq = 0
@@ -236,6 +253,20 @@ class FrontDoor(ABC):
         # and root set) to prove an entry unaffected by a delta; a
         # cache key alone cannot reconstruct it.
         self._queries: dict[str, tuple[CSRGraph, int]] = {}
+        self._killed = False
+        self.started_at = time.time()
+        self.version_commits = 0
+        self.recovered_versions = 0
+        self.recovered_pending = 0
+        self.recovered_retryable = 0
+        self.recovered_terminal = 0
+        self.journal_errors = 0
+        self.state: ServiceState | None = None
+        # Job records, flush events, and None to stop the writer.
+        self._journal_q: queue.Queue[
+            dict[str, Any] | threading.Event | None
+        ] | None = None
+        self._journal_thread: threading.Thread | None = None
 
     def __enter__(self) -> "FrontDoor":
         return self
@@ -246,10 +277,12 @@ class FrontDoor(ABC):
     # ------------------------------------------------------------------
     # Backend surface
     # ------------------------------------------------------------------
-    @abstractmethod
     def _graph_key(self, graph: CSRGraph | str) -> str:
         """Fingerprint of ``graph``: inline content is registered, a
         name or fingerprint resolved (``KeyError`` when unknown)."""
+        if isinstance(graph, CSRGraph):
+            return self.register_graph(graph)
+        return self.resolve_key(graph)
 
     @abstractmethod
     def _start(self, job: Job) -> None:
@@ -260,18 +293,6 @@ class FrontDoor(ABC):
     # maps one endpoint to each).
     @abstractmethod
     def register_graph(self, graph: CSRGraph, name: str | None = None) -> str: ...
-
-    @abstractmethod
-    def resolve_key(self, key: str) -> str: ...
-
-    @abstractmethod
-    def graph_info(self, key: str) -> dict[str, object]: ...
-
-    @abstractmethod
-    def graphs(self) -> list[dict[str, object]]: ...
-
-    @abstractmethod
-    def versions(self, key: str) -> list[dict[str, object]]: ...
 
     @abstractmethod
     def mutate_graph(
@@ -287,6 +308,290 @@ class FrontDoor(ABC):
 
     @abstractmethod
     def close(self) -> None: ...
+
+    def _recharge(self) -> None:
+        """Re-point memory accounting after the catalog changed."""
+
+    # ------------------------------------------------------------------
+    # The catalog
+    # ------------------------------------------------------------------
+    def _register(self, graph: CSRGraph, name: str | None = None) -> str:
+        handle = self.registry.register(graph, name)
+        if self.state is not None:
+            # The new bytes and the name move land before the bytes a
+            # replacement released are deleted, so a crash in between
+            # leaves an orphan, never a name without its graph.
+            self.state.save_graph(graph, handle.fingerprint)
+            self.state.save_names(self.registry.names())
+            self._release_unreachable()
+        self._recharge()
+        return handle.fingerprint
+
+    def _release_unreachable(self) -> None:
+        """Delete stored graphs the registry no longer holds.  The store
+        is listed first: a handle enters the registry before its bytes
+        are saved, so a graph saved meanwhile is still held."""
+        assert self.state is not None
+        stored = self.state.stored_fingerprints()
+        for fp in stored - {h.fingerprint for h in self.registry.handles()}:
+            self.state.forget_graph(fp)
+
+    def unregister_graph(self, key: str) -> bool:
+        removed = self.registry.unregister(key)
+        if removed and self.state is not None:
+            self.state.save_names(self.registry.names())
+            self._release_unreachable()
+        self._recharge()
+        return removed
+
+    def resolve_key(self, key: str) -> str:
+        """Fingerprint for a registered name or fingerprint.  Raises
+        ``KeyError`` for unknown keys."""
+        return self.registry.resolve(key).fingerprint
+
+    def graph_info(self, key: str) -> dict[str, object]:
+        """The ``/graphs`` JSON entry for one registered graph."""
+        return self.registry.resolve(key).info()
+
+    def graphs(self) -> list[dict[str, object]]:
+        return [
+            self.graph_info(h.fingerprint) for h in self.registry.handles()
+        ]
+
+    def versions(self, key: str) -> list[dict[str, object]]:
+        """The retained version chain of ``key``'s graph, oldest first
+        (``GET /graphs/<name>/versions``)."""
+        return self.registry.lineage(key)
+
+    def _adopt(self, version: GraphVersion, graph: CSRGraph) -> tuple[str, ...]:
+        """Make ``graph``, a commit another service spliced, the head of
+        its name as ``version`` records it, durably; returns the
+        fingerprints retention pruned."""
+        _, pruned = self.registry.adopt_version(
+            graph, version.name, parent_fp=version.parent,
+            lineage_depth=version.depth, delta=version.delta,
+        )
+        self._log_version(version, graph, pruned)
+        self._recharge()
+        return pruned
+
+    def _log_version(
+        self, version: GraphVersion, graph: CSRGraph, pruned: tuple[str, ...]
+    ) -> None:
+        """Persist one commit: the child's bytes, then the lineage
+        record that moves the name (a crash between leaves an orphan
+        and the head at the parent), then drop the pruned bytes."""
+        if self.state is None:
+            return
+        self.state.save_graph(graph, version.fingerprint)
+        self.state.append_version(version_record(version))
+        for fp in pruned:
+            self.state.forget_graph(fp)
+
+    # ------------------------------------------------------------------
+    # Durability: the log, its job journal, crash recovery
+    # ------------------------------------------------------------------
+    def _open_state(self, state_dir: str) -> LogState:
+        """Open (or stamp) the log; a refused dir is left untouched."""
+        self.state = ServiceState(state_dir)
+        log = self.state.open(self.config_fp)
+        self._journal_q = queue.Queue()
+        return log
+
+    def _recover(self, log: LogState) -> None:
+        """Rebuild the catalog and the job table from the replayed log,
+        then start the journal writer; runs before the service serves."""
+        self._recover_catalog(log)
+        with self._jobs_lock:
+            # The sequence counter's discipline is _jobs_lock
+            # everywhere else; keeping it here keeps the invariant
+            # machine-checkable (RP009).
+            self._job_seq = log.job_seq
+        for record in log.job_records():
+            self._recover_job(record)
+        # Job records (up to 3 per job) ride a writer thread, off the
+        # request path; see _journal_loop.
+        self._journal_thread = threading.Thread(
+            target=self._journal_loop, name="service-journal", daemon=True
+        )
+        self._journal_thread.start()
+
+    def _recover_catalog(self, log: LogState) -> dict[str, list[GraphVersion]]:
+        """Re-register the recovered graphs; returns the chains."""
+        assert self.state is not None
+        graphs = self.state.load_graphs()
+        # Version chains first, oldest first, so retained ancestors come
+        # back retired and still addressable for ``as_of`` time travel.
+        # The log's order already decided each name's head, and opening
+        # it kept only the chains that end at one.
+        chains, _ = recover_chains(log.versions, set(graphs))
+        for name, chain in chains.items():
+            for version in chain:
+                self.registry.adopt_version(
+                    graphs[version.fingerprint], name,
+                    parent_fp=version.parent, lineage_depth=version.depth,
+                    delta=version.delta,
+                )
+                self.recovered_versions += 1
+        # Then the name map, in its saved order, so each handle comes
+        # back under the primary name it had (later names for the same
+        # content become aliases, as they were).
+        for name, fp in log.names.items():
+            if fp in graphs:
+                self.registry.register(graphs[fp], name)
+        # Stored content no name or retained chain reaches (bytes a
+        # replacement released before a crash could delete them) goes.
+        self._release_unreachable()
+        self._recharge()
+        return chains
+
+    def _recover_job(self, record: dict[str, Any]) -> None:
+        try:
+            request = Request(
+                query=graph_from_record(record["query"]),
+                **{k: record[k] for k in _RECORD_FIELDS if k in record},
+            )
+        except (KeyError, TypeError, ValueError):
+            return  # a malformed record: skip rather than crash boot
+        job = Job(
+            id=request.job_id,
+            request=request,
+            idempotency_key=record.get("idempotency_key"),
+        )
+        state = record["state"]
+        if state == PENDING:
+            # Journaled but never run: run it now, under its original
+            # id.  (Its deadline, if any, was relative to the dead
+            # process's clock and is dropped.)
+            try:
+                self._admit(job)
+                self.recovered_pending += 1
+                return
+            except AdmissionError as exc:
+                job.state = RETRYABLE
+                job.error = f"recovery re-enqueue rejected: {exc}"
+        elif state == RUNNING:
+            # In flight when the process died.  The work died with it
+            # and nothing was journaled as completed, so a retry cannot
+            # double-count.
+            job.state = RETRYABLE
+            job.error = (
+                "service crashed while this job was running; "
+                "resubmit to retry"
+            )
+            self.recovered_retryable += 1
+        elif state in _TERMINAL:
+            job.state = state
+            job.error = record.get("error")
+            job.finished_at = record.get("finished_at") or time.time()
+            payload = record.get("result")
+            if isinstance(payload, dict) and verify_payload(payload):
+                job.result = result_from_payload(payload, self.config)
+                job.cached = True
+            self.recovered_terminal += 1
+        else:
+            return
+        with self._jobs_lock:
+            self._track(job)
+        if job.finished_at is None:  # settled by this recovery
+            job.finished_at = time.time()
+            self._journal(job, RETRYABLE)
+        self._settle(job)
+
+    def _journal(
+        self,
+        job: Job,
+        state: str,
+        *,
+        result_payload: dict[str, object] | None = None,
+    ) -> None:
+        """Persist one job transition (no-op without a state dir, and
+        suppressed after a kill — a dead process writes nothing)."""
+        if self.state is None or self._killed:
+            return
+        request = job.request
+        record = {k: getattr(request, k) for k in _RECORD_FIELDS}
+        record.update(
+            state=state,
+            query=graph_record(request.query),
+            idempotency_key=job.idempotency_key,
+            error=job.error,
+            submitted_at=job.submitted_at,
+            finished_at=job.finished_at,
+        )
+        if result_payload is not None:
+            record["result"] = result_payload
+        assert self._journal_q is not None
+        self._journal_q.put(record)
+
+    _GATHER_S = 0.0015
+
+    def _journal_loop(self) -> None:
+        """Writer thread: group commit.
+
+        Drains the queue in bursts: after the first op arrives it waits
+        a hair (``_GATHER_S``) so a job's pending -> running burst lands
+        in the same drain, keeps the *newest* record per job (replay
+        keeps the last record per job, so intermediate states carry no
+        information) and appends the batch with one write and one
+        fsync.  Per-job order is still queue order, so a crash can
+        truncate history but never roll a job back past a completed
+        result.
+        """
+        assert self.state is not None and self._journal_q is not None
+        while True:
+            ops = [self._journal_q.get()]
+            time.sleep(self._GATHER_S)
+            while True:
+                try:
+                    ops.append(self._journal_q.get_nowait())
+                except queue.Empty:  # repro: ignore[RP008] — drain done
+                    break
+            writes = {op["job_id"]: op for op in ops if isinstance(op, dict)}
+            try:
+                if writes:
+                    self.state.record_jobs(list(writes.values()))
+            except OSError:
+                # A full/broken disk must not kill the writer: the
+                # service keeps serving, the journal just goes stale
+                # (and the metric below says so).
+                self.journal_errors += 1
+            # Flush waiters release only after the batch is on disk —
+            # everything enqueued before them has been applied.
+            for op in ops:
+                if isinstance(op, threading.Event):
+                    op.set()
+            if None in ops:
+                return
+
+    def flush_journal(self, timeout: float | None = 10.0) -> None:
+        """Block until every queued journal write has reached disk."""
+        if self._journal_q is None:
+            return
+        flushed = threading.Event()
+        self._journal_q.put(flushed)
+        flushed.wait(timeout)
+
+    def _close_state(self) -> None:
+        """Stop the journal writer after its last batch (a killed one
+        only finishes the batch it held) and release the log."""
+        if self._journal_q is not None and not self._killed:
+            self._journal_q.put(None)
+        if self._journal_thread is not None:
+            self._journal_thread.join(timeout=10.0)
+            self._journal_thread = None
+        if self.state is not None:
+            self.state.close()
+
+    def _state_metrics(self) -> dict[str, object]:
+        """``/metrics``' ``state`` block: log and recovery counters."""
+        assert self.state is not None
+        return dict(self.state.snapshot()) | {
+            "recovered_pending": self.recovered_pending,
+            "recovered_retryable": self.recovered_retryable,
+            "recovered_terminal": self.recovered_terminal,
+            "journal_errors": self.journal_errors,
+        }
 
     # ------------------------------------------------------------------
     # Submission / results
@@ -375,15 +680,27 @@ class FrontDoor(ABC):
             idempotency_key=idempotency_key,
             deadline_ms=deadline_ms,
         )
+        self._admit(job)
+        return job_id
+
+    def _admit(self, job: Job) -> None:
+        """Track, journal and start ``job``; an admission refusal
+        withdraws it (journaled ``dropped``) and propagates."""
         with self._jobs_lock:
             self._track(job)
+        # The pending record is enqueued *before* the job can run: once
+        # a backend holds it, running/done may be enqueued at any
+        # moment, and the journal queue's FIFO order is what keeps a
+        # later pending write from rolling the journal back past a
+        # completed result.
+        self._journal(job, PENDING)
         try:
             self._start(job)
         except AdmissionError:
             with self._jobs_lock:
                 self._forget(job)
+            self._journal(job, DROPPED)
             raise
-        return job_id
 
     def _track(self, job: Job) -> None:
         """Add ``job`` to the table.  Caller holds ``_jobs_lock``."""
@@ -417,6 +734,20 @@ class FrontDoor(ABC):
                 while len(self._settled) > RETAINED_JOBS:
                     self._forget(self._settled.popitem(last=False)[1])
         job.done.set()
+
+    def _conclude(self, job: Job) -> None:
+        """Stamp, journal (with a count-only result; rows never are) and
+        settle a job that reached a terminal state.  The record is
+        enqueued before the waiters wake and after the job's earlier
+        records, so a crash can lose the *tail* of a job's history but
+        never reorder it."""
+        job.finished_at = time.time()
+        result = job.result
+        payload = None
+        if result is not None and result.matches is None:
+            payload = payload_from_result(result)
+        self._journal(job, job.state, result_payload=payload)
+        self._settle(job)
 
     def job(self, job_id: str) -> Job:
         with self._jobs_lock:
@@ -604,10 +935,12 @@ class MatchingService(FrontDoor):
         state_dir: str | None = None,
         faults: ServiceFaultPlan | ServiceFaultInjector | None = None,
     ) -> None:
-        self.config = config or CuTSConfig()
-        self.service_config = sc = service_config or ServiceConfig()
         self.workers = resolve_workers(workers)
-        self.config_fp = config_fingerprint(self.config)
+        super().__init__(
+            config, service_config, workers=self.workers,
+            on_replace=self._invalidate_graph,
+        )
+        sc = self.service_config
         if isinstance(faults, ServiceFaultPlan):
             faults = ServiceFaultInjector(faults)
         self.faults = faults
@@ -620,12 +953,6 @@ class MatchingService(FrontDoor):
             max(4096, sc.cache_bytes // 8),
             on_bytes=lambda _total: self._recharge(),
         )
-        self.registry = GraphRegistry(
-            self.config,
-            service_config=sc,
-            workers=self.workers,
-            on_replace=self._invalidate_graph,
-        )
         self.scheduler = Scheduler(
             max_depth=sc.queue_depth,
             max_query_vertices=sc.max_query_vertices,
@@ -635,42 +962,15 @@ class MatchingService(FrontDoor):
             self.config, self.result_cache, self.plan_cache, self.config_fp,
             faults=self.faults,
         )
-        super().__init__()
-        self.version_commits = 0
-        self.recovered_versions = 0
         self._degraded = False
-        self._killed = False
         self._pressure_strikes = 0
         self._healthy_strikes = 0
         self.degraded_entries = 0
-        self.recovered_pending = 0
-        self.recovered_retryable = 0
-        self.recovered_terminal = 0
         self._stop = threading.Event()
         self._thread: threading.Thread | None = None
-        self.started_at = time.time()
-        self.state: ServiceState | None = None
-        self.journal_errors = 0
-        # Job records, flush events, and None to stop the writer.
-        self._journal_q: queue.Queue[
-            dict[str, Any] | threading.Event | None
-        ] | None = None
-        self._journal_thread: threading.Thread | None = None
         if state_dir is not None:
-            self.state = ServiceState(state_dir)
-            self._journal_q = queue.Queue()
-            self._recover(self.state.open(self.config_fp))
-            # Job records (up to 3 per job) ride a dedicated writer
-            # thread so they never sit on the request path; the FIFO
-            # queue preserves per-job transition order, which is what
-            # makes a crash unable to roll a job back past a completed
-            # result, and the writer appends each drain as one batch.
-            # It starts after recovery, which reads the log's live state.
-            self._journal_thread = threading.Thread(
-                target=self._journal_loop, name="service-journal",
-                daemon=True,
-            )
-            self._journal_thread.start()
+            # Recovery runs before the dispatch thread starts.
+            self._recover(self._open_state(state_dir))
         if start:
             self.start()
 
@@ -699,14 +999,8 @@ class MatchingService(FrontDoor):
             if self._thread is not None:
                 self._thread.join(timeout=10.0)
                 self._thread = None
-            if self._journal_q is not None:
-                self._journal_q.put(None)  # stop after the last batch
-        if self._journal_thread is not None:
-            self._journal_thread.join(timeout=10.0)
-            self._journal_thread = None
+        self._close_state()
         self.registry.close()
-        if self.state is not None:
-            self.state.close()
 
     def kill(self) -> None:
         """Abandon the service abruptly — the in-process analogue of a
@@ -722,133 +1016,18 @@ class MatchingService(FrontDoor):
         """
         self._killed = True
         self._stop.set()
-        for pid in self._live_worker_pids():
-            try:
-                os.kill(pid, signal.SIGKILL)
-            except OSError:  # repro: ignore[RP008] — kill raced its exit
-                continue
+        for handle in self.registry.handles():
+            for pid in handle.live_worker_pids():
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:  # repro: ignore[RP008] — kill raced its exit
+                    continue
         if self._journal_q is not None:
             # Stop the writer without draining or waiting: anything
             # enqueued after this marker is lost, like an unflushed
             # buffer at SIGKILL (the _killed guard means nothing new
             # is enqueued anyway).
             self._journal_q.put(None)
-
-    @property
-    def killed(self) -> bool:
-        """Whether :meth:`kill` has been called on this incarnation."""
-        return self._killed
-
-    def _live_worker_pids(self) -> list[int]:
-        pids: list[int] = []
-        for handle in self.registry.handles():
-            pids.extend(handle.live_worker_pids())
-        return pids
-
-    def flush_journal(self, timeout: float | None = 10.0) -> None:
-        """Block until every queued journal write has reached disk."""
-        if self._journal_q is None:
-            return
-        flushed = threading.Event()
-        self._journal_q.put(flushed)
-        flushed.wait(timeout)
-
-    # ------------------------------------------------------------------
-    # Crash recovery
-    # ------------------------------------------------------------------
-    def _recover(self, log: LogState) -> None:
-        """Rebuild registry + job table from the replayed log (runs
-        before the dispatch thread starts, so nothing races it)."""
-        assert self.state is not None
-        graphs = self.state.load_graphs()
-        # Version chains first, so retained ancestors come back
-        # retired and still addressable for ``as_of`` time travel.  The
-        # log's order already decided each name's head, and opening it
-        # kept only the chains that end at one.
-        chains, _ = recover_chains(log.versions, set(graphs))
-        for name, chain in chains.items():
-            for version in chain:
-                self.registry.adopt_version(
-                    graphs[version.fingerprint],
-                    name,
-                    parent_fp=version.parent,
-                    lineage_depth=version.depth,
-                    head=version is chain[-1],
-                    delta=version.delta,
-                )
-                self.recovered_versions += 1
-        # Then the name map, in its saved order, so each handle comes
-        # back under the primary name it had (later names for the same
-        # content become aliases, as they were).
-        for name, fp in log.names.items():
-            if fp in graphs:
-                self.registry.register(graphs[fp], name)
-        # Stored content no name or retained chain reaches (bytes a
-        # replacement released before a crash could delete them) goes.
-        self._release_unreachable()
-        self._recharge()
-        with self._jobs_lock:
-            # The sequence counter's discipline is _jobs_lock
-            # everywhere else; keeping it here keeps the invariant
-            # machine-checkable (RP009).
-            self._job_seq = log.job_seq
-        for record in log.job_records():
-            self._recover_job(record)
-
-    def _recover_job(self, record: dict[str, Any]) -> None:
-        try:
-            request = Request(
-                query=graph_from_record(record["query"]),
-                **{k: record[k] for k in _RECORD_FIELDS if k in record},
-            )
-        except (KeyError, TypeError, ValueError):
-            return  # a malformed record: skip rather than crash boot
-        job = Job(
-            id=request.job_id,
-            request=request,
-            idempotency_key=record.get("idempotency_key"),
-        )
-        state = record["state"]
-        if state == PENDING:
-            # Journaled but never dispatched: run it now, original id.
-            # (Its deadline, if any, was relative to the dead process's
-            # clock and is dropped.)  The dispatch thread has not
-            # started, so nothing pops it before it is tracked.
-            try:
-                self.scheduler.submit(request)
-                self.recovered_pending += 1
-            except AdmissionError as exc:
-                job.state = RETRYABLE
-                job.error = f"recovery re-enqueue rejected: {exc}"
-        elif state == RUNNING:
-            # In flight when the process died.  The engine pass died
-            # with it and nothing was journaled as completed, so a
-            # retry cannot double-count.
-            job.state = RETRYABLE
-            job.error = (
-                "service crashed while this job was running; "
-                "resubmit to retry"
-            )
-            self.recovered_retryable += 1
-        elif state in _TERMINAL:
-            job.state = state
-            job.error = record.get("error")
-            job.finished_at = record.get("finished_at") or time.time()
-            payload = record.get("result")
-            if isinstance(payload, dict) and verify_payload(payload):
-                job.result = result_from_payload(payload, self.config)
-                job.cached = True
-            self.recovered_terminal += 1
-        else:
-            return
-        with self._jobs_lock:
-            self._track(job)
-        if job.state == PENDING:
-            return
-        if job.finished_at is None:  # settled by this recovery
-            job.finished_at = time.time()
-            self._journal(job, RETRYABLE)
-        self._settle(job)
 
     # ------------------------------------------------------------------
     # Graph management
@@ -865,47 +1044,6 @@ class MatchingService(FrontDoor):
                 "registration is paused",
             )
         return self._register(graph, name)
-
-    def _register(self, graph: CSRGraph, name: str | None = None) -> str:
-        handle = self.registry.register(graph, name)
-        if self.state is not None:
-            # The new bytes and the name move land before the bytes a
-            # replacement released are deleted, so a crash in between
-            # leaves an orphan, never a name without its graph.
-            self.state.save_graph(graph, handle.fingerprint)
-            self.state.save_names(self.registry.names())
-            self._release_unreachable()
-        self._recharge()
-        return handle.fingerprint
-
-    def _release_unreachable(self) -> None:
-        """Delete stored graphs the registry no longer holds.  The store
-        is listed first: a handle enters the registry before its bytes
-        are saved, so a graph saved meanwhile is still held."""
-        assert self.state is not None
-        stored = self.state.stored_fingerprints()
-        for fp in stored - {h.fingerprint for h in self.registry.handles()}:
-            self.state.forget_graph(fp)
-
-    def unregister_graph(self, key: str) -> bool:
-        removed = self.registry.unregister(key)
-        if removed and self.state is not None:
-            self.state.save_names(self.registry.names())
-            self._release_unreachable()
-        self._recharge()
-        return removed
-
-    def graphs(self) -> list[dict[str, object]]:
-        return [h.info() for h in self.registry.handles()]
-
-    def resolve_key(self, key: str) -> str:
-        """Fingerprint for a registered name or fingerprint.  Raises
-        ``KeyError`` for unknown keys."""
-        return self.registry.resolve(key).fingerprint
-
-    def graph_info(self, key: str) -> dict[str, object]:
-        """The ``/graphs`` JSON entry for one registered graph."""
-        return self.registry.resolve(key).info()
 
     # ------------------------------------------------------------------
     # Versioned mutation / time travel
@@ -960,29 +1098,20 @@ class MatchingService(FrontDoor):
         delta = commit.delta
         assert delta is not None
         self.version_commits += 1
-        if self.state is not None:
-            # Commit order (see repro.service.state): child graph
-            # bytes, then the lineage record, which also moves the
-            # name.  A crash between the two leaves an orphan graph
-            # and the head at the parent: the commit never happened.
-            self.state.save_graph(commit.child.graph, commit.child.fingerprint)
-            self.state.append_version(
-                version_record(
-                    GraphVersion(
-                        name=commit.name,
-                        fingerprint=commit.child.fingerprint,
-                        parent=commit.parent.fingerprint,
-                        depth=commit.child.lineage_depth,
-                        kind=KIND_DELTA,
-                        delta=delta,
-                    )
-                )
-            )
+        self._log_version(
+            GraphVersion(
+                name=commit.name,
+                fingerprint=commit.child.fingerprint,
+                parent=commit.parent.fingerprint,
+                depth=commit.child.lineage_depth,
+                kind=KIND_DELTA,
+                delta=delta,
+            ),
+            commit.child.graph, commit.pruned,
+        )
         promoted, retained = self._promote_caches(commit)
         for fp in commit.pruned:
             self._invalidate_graph(fp)
-            if self.state is not None:
-                self.state.forget_graph(fp)
         self._recharge()
         summary.update(
             inserted=len(delta.inserts),
@@ -1044,11 +1173,6 @@ class MatchingService(FrontDoor):
             entry = self._queries.get(query_fp)
         return None if entry is None else entry[0]
 
-    def versions(self, key: str) -> list[dict[str, object]]:
-        """The retained version chain of ``key``'s graph, oldest first
-        (``GET /graphs/<name>/versions``)."""
-        return self.registry.lineage(key)
-
     # ------------------------------------------------------------------
     # Submission / results
     # ------------------------------------------------------------------
@@ -1061,24 +1185,13 @@ class MatchingService(FrontDoor):
             # Inline content registers even in degraded mode, so a
             # cached count for it can still be served.
             return self._register(graph)
-        return self.registry.resolve(graph).fingerprint
+        return self.resolve_key(graph)
 
     def _start(self, job: Job) -> None:
         if self._degraded:
             self._serve_degraded(job)
             return
-        # Enqueue the pending record *before* the request becomes
-        # visible to the dispatch thread: once the scheduler holds it,
-        # the loop may enqueue running/done for this job at any moment,
-        # and the journal queue's FIFO order is what keeps a later
-        # pending write from rolling the journal back past a completed
-        # result.
-        self._journal(job, PENDING)
-        try:
-            self.scheduler.submit(job.request)
-        except AdmissionError:
-            self._journal(job, DROPPED)
-            raise
+        self.scheduler.submit(job.request)
 
     def _serve_degraded(self, job: Job) -> None:
         """Degraded read-only mode: settle verified count-only cache
@@ -1103,9 +1216,7 @@ class MatchingService(FrontDoor):
         job.state = DONE
         job.result = result_from_payload(payload, self.config)
         job.cached = True
-        job.finished_at = time.time()
-        self._journal(job, DONE, result_payload=payload)
-        self._settle(job)
+        self._conclude(job)
 
     def cancel(self, job_id: str) -> bool:
         """Cancel a still-pending job (returns whether it was pending)."""
@@ -1149,12 +1260,7 @@ class MatchingService(FrontDoor):
             },
         }
         if self.state is not None:
-            out["state"] = dict(self.state.snapshot()) | {
-                "recovered_pending": self.recovered_pending,
-                "recovered_retryable": self.recovered_retryable,
-                "recovered_terminal": self.recovered_terminal,
-                "journal_errors": self.journal_errors,
-            }
+            out["state"] = self._state_metrics()
         if self.faults is not None:
             out["faults"] = self.faults.snapshot()
         return out
@@ -1184,72 +1290,6 @@ class MatchingService(FrontDoor):
         )
         self.governor.observe_words(total // 8)
 
-    def _journal(
-        self,
-        job: Job,
-        state: str,
-        *,
-        result_payload: dict[str, object] | None = None,
-    ) -> None:
-        """Persist one job transition (no-op without a state dir, and
-        suppressed after :meth:`kill` — a dead process writes nothing)."""
-        if self.state is None or self._killed:
-            return
-        request = job.request
-        record = {k: getattr(request, k) for k in _RECORD_FIELDS}
-        record.update(
-            state=state,
-            query=graph_record(request.query),
-            idempotency_key=job.idempotency_key,
-            error=job.error,
-            submitted_at=job.submitted_at,
-            finished_at=job.finished_at,
-        )
-        if result_payload is not None:
-            record["result"] = result_payload
-        assert self._journal_q is not None
-        self._journal_q.put(record)
-
-    _GATHER_S = 0.0015
-
-    def _journal_loop(self) -> None:
-        """Writer thread: group commit.
-
-        Drains the queue in bursts: after the first op arrives it waits
-        a hair (``_GATHER_S``) so a job's pending -> running burst lands
-        in the same drain, keeps the *newest* record per job (replay
-        keeps the last record per job, so intermediate states carry no
-        information) and appends the batch with one write and one
-        fsync.  Per-job order is still queue order, so a crash can
-        truncate history but never roll a job back past a completed
-        result.
-        """
-        assert self.state is not None and self._journal_q is not None
-        while True:
-            ops = [self._journal_q.get()]
-            time.sleep(self._GATHER_S)
-            while True:
-                try:
-                    ops.append(self._journal_q.get_nowait())
-                except queue.Empty:  # repro: ignore[RP008] — drain done
-                    break
-            writes = {op["job_id"]: op for op in ops if isinstance(op, dict)}
-            try:
-                if writes:
-                    self.state.record_jobs(list(writes.values()))
-            except OSError:
-                # A full/broken disk must not kill the writer: the
-                # service keeps serving, the journal just goes stale
-                # (and the metric below says so).
-                self.journal_errors += 1
-            # Flush waiters release only after the batch is on disk —
-            # everything enqueued before them has been applied.
-            for op in ops:
-                if isinstance(op, threading.Event):
-                    op.set()
-            if None in ops:
-                return
-
     def _observe_pressure(self) -> None:
         """One dispatch-tick reading of governor pressure, driving the
         degraded-mode hysteresis (and the OOM fault schedule)."""
@@ -1278,9 +1318,7 @@ class MatchingService(FrontDoor):
             return
         job.state = state
         job.error = message
-        job.finished_at = time.time()
-        self._journal(job, state)
-        self._settle(job)
+        self._conclude(job)
 
     def _settle_outcomes(self, outcomes: list[object]) -> None:
         if self._killed:
@@ -1289,7 +1327,6 @@ class MatchingService(FrontDoor):
             # state recovery marks retryable.  Settling them here would
             # resurrect work a real SIGKILL would have lost.
             return
-        now = time.time()
         for outcome in outcomes:  # type: ignore[assignment]
             with self._jobs_lock:
                 job = self._jobs.get(outcome.request.job_id)  # type: ignore[attr-defined]
@@ -1301,7 +1338,6 @@ class MatchingService(FrontDoor):
             job.fallback = outcome.fallback  # type: ignore[attr-defined]
             job.incremental = outcome.incremental  # type: ignore[attr-defined]
             job.stats = outcome.stats  # type: ignore[attr-defined]
-            payload: dict[str, object] | None = None
             if outcome.cancelled:  # type: ignore[attr-defined]
                 job.state = CANCELLED
                 job.error = outcome.error  # type: ignore[attr-defined]
@@ -1314,16 +1350,7 @@ class MatchingService(FrontDoor):
             else:
                 job.state = DONE
                 job.result = outcome.result  # type: ignore[attr-defined]
-                if job.result is not None and job.result.matches is None:
-                    payload = payload_from_result(job.result)
-            job.finished_at = now
-            # Enqueue the terminal record before waking waiters.  The
-            # write itself is asynchronous, but it is ordered after the
-            # job's pending/running records — so a crash can only lose
-            # the *tail* of a job's history, never reorder it, and an
-            # idempotent retry after such a crash re-executes cleanly.
-            self._journal(job, job.state, result_payload=payload)
-            self._settle(job)
+            self._conclude(job)
 
     def _loop(self) -> None:
         while not self._stop.is_set():

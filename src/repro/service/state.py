@@ -5,14 +5,18 @@ content-addressed graph store.
 ``kill -9``::
 
     DIR/
-      state.jsonl         the log: one checksum-framed JSON record a line
+      state.jsonl         the router's log: one checksum-framed JSON
+                          record a line
       graphs/<fp>.npz     CSR arrays (content-addressed)
+      rank-<i>/           rank i's own log and graph store, same layout
 
 Replay reads the records in order:
 
 * ``manifest`` — first: format version, the count-relevant config
   fingerprint and the highest job sequence issued before the last
-  compaction.  A mismatch, or a format-1 dir (``service.json``), raises
+  compaction.  A mismatch — a format-2 log among them, written before
+  version records carried ring keys — or a format-1 dir
+  (``service.json``) raises
   :class:`~repro.fingerprint.CheckpointMismatchError`.
 * ``job`` — a job's whole record; the last one per job id wins, and one
   in state ``dropped`` (admission refused an already journaled job)
@@ -53,7 +57,7 @@ from ..versioning.lineage import recover_chains, version_record
 
 __all__ = ["RETAINED_JOBS", "ServiceState", "graph_from_record", "graph_record"]
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 LOG_NAME = "state.jsonl"
 RETAINED_JOBS = 1024
 """Settled jobs kept by the service's job table and by compaction; the
@@ -162,7 +166,7 @@ class LogState:
 
 
 class ServiceState:
-    """Durable face of one :class:`~repro.service.MatchingService`.
+    """Durable face of one serving process: a rank or the router.
 
     One lock serialises appends, so the writer thread's job batches and
     a request thread's commit or registration never interleave.

@@ -48,6 +48,9 @@ class GraphVersion:
     depth: int
     kind: str
     delta: EdgeDelta | None = None
+    # The key that places the chain on the cluster router's hash ring
+    # (its first registered content); None where placement is unused.
+    ring: str | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
@@ -60,7 +63,7 @@ class GraphVersion:
 
 def version_record(version: GraphVersion) -> dict[str, object]:
     """JSON-safe journal record for one lineage link."""
-    return {
+    record: dict[str, object] = {
         "name": version.name,
         "fingerprint": version.fingerprint,
         "parent": version.parent,
@@ -68,6 +71,9 @@ def version_record(version: GraphVersion) -> dict[str, object]:
         "kind": version.kind,
         "delta": None if version.delta is None else version.delta.to_json(),
     }
+    if version.ring is not None:
+        record["ring"] = version.ring
+    return record
 
 
 def version_from_record(record: dict[str, object]) -> GraphVersion:
@@ -79,6 +85,7 @@ def version_from_record(record: dict[str, object]) -> GraphVersion:
         depth=int(record["depth"]),  # type: ignore[arg-type]
         kind=str(record["kind"]),
         delta=None if delta is None else EdgeDelta.from_json(delta),  # type: ignore[arg-type]
+        ring=None if record.get("ring") is None else str(record["ring"]),
     )
 
 

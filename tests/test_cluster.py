@@ -10,7 +10,9 @@ serving a cluster through the same endpoints.
 
 from __future__ import annotations
 
+import functools
 import json
+import os
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -18,9 +20,12 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 
 import repro.service.cluster as cluster_module
+import repro.service.state as state_module
 from tests.conftest import oracle_count
 from repro.core.config import CuTSConfig
 from repro.core.matcher import CuTSMatcher
+from repro.core.result import MatchResult
+from repro.fingerprint import CheckpointMismatchError, graph_fingerprint
 from repro.graph import chain_graph, cycle_graph, mesh_graph, star_graph
 from repro.service import (
     AdmissionError,
@@ -253,6 +258,23 @@ class TestSplitQueries:
             # ledger accounted the recovery instead of restarting.
             assert cluster.metrics()["router"]["recovered_parts"] >= 1
 
+    def test_split_result_is_the_merge_of_its_parts(self):
+        """Parts reduce as a multi-core match does: counts and hardware
+        counters sum, and ``time_ms`` is the makespan."""
+        data, query, n = mesh_graph(8, 8), cycle_graph(4), 3
+        matcher = CuTSMatcher(data, CuTSConfig())
+        expected = functools.reduce(
+            MatchResult.merge,
+            [matcher.match(query, part=i, num_parts=n) for i in range(n)],
+        )
+        with make_cluster() as cluster:
+            fp = cluster.register_graph(data)
+            got = cluster.match(fp, query, num_parts=n, timeout=60)
+        assert got.count == expected.count
+        assert got.time_ms == expected.time_ms
+        assert got.cost == expected.cost
+        assert got.cost.kernel_launches > 0
+
 
 # ---------------------------------------------------------------------------
 # Quorum shedding + healing.
@@ -331,6 +353,252 @@ class TestQuorumAndHealing:
             # from the content-addressed catalog.
             assert cluster.match(fp, query, timeout=60).count == expected
             assert cluster.metrics()["router"]["catchup_graphs"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# The router's catalog: a rank's name rules, kept in the router's log.
+# ---------------------------------------------------------------------------
+
+SHAPES = [(1, 1), (3, 2)]
+_ROW_KEYS = (
+    "name", "fingerprint", "parent_fingerprint", "lineage_depth", "retired",
+)
+
+
+def _rows(front) -> list[tuple]:
+    """``/graphs`` without the fields only one process knows (engine
+    use, placement)."""
+    return sorted(tuple(g[k] for k in _ROW_KEYS) for g in front.graphs())
+
+
+def _seq(job_id: str) -> int:
+    return int(job_id.rsplit("-", 1)[1])
+
+
+@pytest.mark.parametrize("ranks,replication", SHAPES)
+def test_names_follow_the_single_rank_rules(ranks, replication):
+    """Register G1 as "g", G2 as "g", G1 as "h", commit to "h": the
+    router answers as one rank does, and no rank keeps what the
+    router released."""
+    g1, g2 = mesh_graph(4, 4), mesh_graph(4, 5)
+    fp1, fp2 = graph_fingerprint(g1), graph_fingerprint(g2)
+    answers = []
+    for front in (
+        MatchingService(),
+        ClusterService(ranks=ranks, replication=replication, auto_heal=False),
+    ):
+        with front:
+            front.register_graph(g1, "g")
+            front.register_graph(g2, "g")
+            ranks_of = getattr(front, "ranks", {})
+            for rank in ranks_of.values():
+                assert rank.service.registry.by_fingerprint(fp1) is None
+            front.register_graph(g1, "h")
+            summary = front.mutate_graph("h", inserts=[[0, 5]], directed=False)
+            answers.append(
+                (summary["graph"], summary["fingerprint"], _rows(front))
+            )
+            held = {h.fingerprint for h in front.registry.handles()}
+            for rank in ranks_of.values():
+                names = rank.service.registry.names()
+                assert names.get("g") in (None, fp2)
+                assert {
+                    h.fingerprint for h in rank.service.registry.handles()
+                } <= held
+    assert answers[0] == answers[1]
+
+
+@pytest.mark.parametrize("ranks,replication", SHAPES)
+def test_router_restart_recovers_its_catalog_and_jobs(
+    tmp_path, ranks, replication
+):
+    data, query = mesh_graph(5, 5), chain_graph(3)
+    state_dir = str(tmp_path / "state")
+
+    def boot() -> ClusterService:
+        return ClusterService(
+            service_config=ServiceConfig(max_versions=2), ranks=ranks,
+            replication=replication, state_dir=state_dir, auto_heal=False,
+        )
+
+    with boot() as router:
+        router.register_graph(data, "g")
+        ids = {
+            f"key-{i}": router.submit("g", query, idempotency_key=f"key-{i}")
+            for i in range(3)
+        }
+        counts = {
+            job_id: router.result(job_id).count for job_id in ids.values()
+        }
+        for edge in ([0, 6], [1, 7], [2, 8]):  # the root is pruned
+            router.mutate_graph("g", inserts=[edge], directed=False)
+        chain = [
+            (v["fingerprint"], v["lineage_depth"])
+            for v in router.versions("g")
+        ]
+        as_of = {
+            fp: router.match("g", query, as_of=fp, timeout=60).count
+            for fp, _ in chain
+        }
+        last = router.submit("g", query)
+        router.result(last, timeout=60)
+    with boot() as router:
+        assert router.resolve_key("g") == chain[-1][0]
+        assert [
+            (v["fingerprint"], v["lineage_depth"])
+            for v in router.versions("g")
+        ] == chain
+        for fp, count in as_of.items():
+            got = router.match("g", query, as_of=fp, timeout=60)
+            assert got.count == count
+        for job_id, count in counts.items():
+            assert router.job(job_id).result.count == count
+        admitted = router.metrics()["scheduler"]["admitted"]
+        for key, job_id in ids.items():
+            assert router.submit("g", query, idempotency_key=key) == job_id
+        assert router.metrics()["scheduler"]["admitted"] == admitted
+        assert _seq(router.submit("g", query)) > _seq(last)
+        # Placement survived pruning and the restart: a never-mutated
+        # graph's replica set, keyed by the root's fingerprint.
+        assert router.graph_info("g")["replicas"] == HashRing(
+            range(ranks)
+        ).replicas_for(graph_fingerprint(data), replication)
+
+
+@pytest.mark.parametrize("ranks,replication", SHAPES)
+def test_router_killed_with_jobs_queued_runs_them_under_their_ids(
+    tmp_path, ranks, replication
+):
+    """A kill -9 while one job runs and three wait in the rank's queue:
+    the running one comes back ``retryable`` and the queued ones finish
+    under their ids with exact counts, answered by the rank's own
+    recovered copies, so replaying their keys admits nothing."""
+    data = mesh_graph(5, 5)
+    queries = [chain_graph(3), cycle_graph(4), star_graph(4), chain_graph(4)]
+    state_dir = str(tmp_path / "state")
+
+    def boot(**kw) -> ClusterService:
+        return ClusterService(
+            ranks=ranks, replication=replication, state_dir=state_dir,
+            auto_heal=False, **kw,
+        )
+
+    # Every dispatch stalls 1 s: the first job holds the rank while
+    # the others queue behind it.
+    stall = ServiceFaultPlan(seed=1, stall_prob=1.0, stall_ms=1000)
+    router = boot(faults=stall)
+    router.register_graph(data, "g")
+    first = router.submit("g", queries[0], idempotency_key="key-0")
+    deadline = time.monotonic() + 30.0
+    while router.job(first).state != "running":
+        assert time.monotonic() < deadline, "the first job never ran"
+        time.sleep(0.005)
+    queued = {
+        f"key-{i}": router.submit("g", query, idempotency_key=f"key-{i}")
+        for i, query in enumerate(queries[1:], start=1)
+    }
+    router.flush_journal()
+    for rank in router.ranks.values():
+        rank.service.flush_journal()
+    router.kill()
+    router.close()
+    with boot() as router:
+        assert router.job(first).state == "retryable"
+        for job_id, query in zip(queued.values(), queries[1:]):
+            assert router.result(job_id, timeout=60).count == (
+                oracle_count(data, query)
+            )
+        state = router.metrics()["state"]
+        assert (state["recovered_pending"], state["recovered_retryable"]) == (
+            len(queued), 1,
+        )
+        admitted = router.metrics()["scheduler"]["admitted"]
+        for (key, job_id), query in zip(queued.items(), queries[1:]):
+            assert router.submit("g", query, idempotency_key=key) == job_id
+        assert router.metrics()["scheduler"]["admitted"] == admitted
+        # The job that was running runs once more under its key.
+        retry = router.submit("g", queries[0], idempotency_key="key-0")
+        assert retry != first
+        assert router.result(retry, timeout=60).count == (
+            oracle_count(data, queries[0])
+        )
+        assert router.metrics()["scheduler"]["admitted"] == admitted + 1
+
+
+@pytest.mark.parametrize("ranks,replication", SHAPES)
+def test_restart_brings_a_replica_ahead_back_to_the_recorded_head(
+    tmp_path, ranks, replication
+):
+    """A replica that committed past the router's record (a crash in
+    between) serves the router's head after a restart, with the same
+    retained chain, and the same delta commits again cleanly."""
+    data, query = mesh_graph(5, 5), chain_graph(3)
+    state_dir = str(tmp_path / "state")
+
+    def boot() -> ClusterService:
+        return ClusterService(
+            ranks=ranks, replication=replication, state_dir=state_dir,
+            auto_heal=False,
+        )
+
+    with boot() as router:
+        router.register_graph(data, "g")
+        router.mutate_graph("g", inserts=[[0, 6]], directed=False)
+        head = router.resolve_key("g")
+        primary = router.graph_info("g")["replicas"][0]
+        orphan = router.ranks[primary].service.mutate_graph(
+            "g", inserts=[[1, 7]], directed=False
+        )["fingerprint"]
+    with boot() as router:
+        chain = [v["fingerprint"] for v in router.versions("g")]
+        assert chain[-1] == head
+        for rank_id in router.graph_info("g")["replicas"]:
+            rank = router.ranks[rank_id].service
+            assert rank.resolve_key("g") == head
+            assert rank.registry.by_fingerprint(orphan) is None
+            assert [v["fingerprint"] for v in rank.versions("g")] == chain
+        head_graph = router.registry.by_fingerprint(head).graph
+        assert router.match("g", query, timeout=60).count == (
+            CuTSMatcher(head_graph).match(query).count
+        )
+        again = router.mutate_graph("g", inserts=[[1, 7]], directed=False)
+        assert again["fingerprint"] == orphan
+
+
+def _tree(root) -> dict[str, bytes | None]:
+    out: dict[str, bytes | None] = {}
+    for dirpath, dirnames, filenames in os.walk(root):
+        for name in dirnames:
+            out[os.path.relpath(os.path.join(dirpath, name), root)] = None
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+@pytest.mark.parametrize("ranks", [1, 3])
+def test_previous_format_state_dir_is_refused_untouched(
+    tmp_path, monkeypatch, ranks
+):
+    """The previous format's layouts: one rank's log at the top, or
+    rank logs under ``rank-<i>`` with no router log."""
+    state_dir = tmp_path / "state"
+    with monkeypatch.context() as previous:
+        previous.setattr(state_module, "FORMAT_VERSION", 2)
+        dirs = [state_dir] if ranks == 1 else [
+            state_dir / f"rank-{i}" for i in range(ranks)
+        ]
+        for directory in dirs:
+            with MatchingService(state_dir=str(directory)) as svc:
+                svc.register_graph(mesh_graph(4, 4), "g")
+    before = _tree(state_dir)
+    with pytest.raises(CheckpointMismatchError):
+        ClusterService(
+            ranks=ranks, replication=2, state_dir=str(state_dir),
+            auto_heal=False,
+        )
+    assert _tree(state_dir) == before
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,12 @@ SEEDS = (3, 17)
 
 def journal_keys_by_rank(state_dir: str) -> dict[str, list[str]]:
     """Idempotency keys journaled per rank, one per job record (a key
-    bound to two job ids shows up twice)."""
+    bound to two job ids shows up twice).  The router's own log beside
+    the rank dirs is not a rank's."""
     out: dict[str, list[str]] = {}
     for rank_dir in sorted(os.listdir(state_dir)):
+        if not rank_dir.startswith("rank-"):
+            continue
         records = ServiceState(os.path.join(state_dir, rank_dir)).load_jobs()
         out[rank_dir] = [
             str(record["idempotency_key"])

@@ -275,6 +275,18 @@ def test_parallel_partial_resume_recomputes_only_missing_parts(
     assert store.read_manifest()["complete"]
 
 
+def test_complete_parallel_resume_builds_no_pool(tmp_path):
+    """Every shard is already persisted: the resume answers from the
+    job directory without a shared segment or a worker pool."""
+    data, query = social_graph(40, 3, seed=5), clique_graph(3)
+    ckpt = str(tmp_path / "job")
+    with ParallelMatcher(data, workers=2) as pm:
+        assert pm.match(query, checkpoint_dir=ckpt).count == 312
+    with ParallelMatcher(data, workers=2) as pm:
+        assert pm.match(query, checkpoint_dir=ckpt, resume=True).count == 312
+        assert pm._shared is None and pm._pool is None
+
+
 def test_parallel_resume_with_different_worker_count(tmp_path, baseline_count):
     """The stored shard partitioning wins on resume: a different
     --workers must not change the counts."""

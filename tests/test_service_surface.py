@@ -1,11 +1,14 @@
 """One service surface: the single-rank service and the cluster router
 answer the same HTTP requests the same way.
 
-Every test here runs against both backends behind a live
-``ServiceHTTPServer``: split hints never change a count, malformed
-bodies are typed 400s (never a 500), and the versioning endpoints —
-``/edges``, ``/versions``, ``/compare`` and ``as_of`` — serve exact
-answers on a 3-rank replicated cluster as they do on one rank.
+Every test here runs behind a live ``ServiceHTTPServer`` against a
+single rank, a one-rank router (what ``python -m repro.serve`` runs by
+default) and a 3-rank replicated router: split hints never change a
+count, malformed bodies are typed 400s (never a 500), admission
+refusals are the same 429s, a zero deadline settles ``expired``,
+``/graphs`` reports the engine that served, and the versioning
+endpoints — ``/edges``, ``/versions``, ``/compare`` and
+``as_of`` — serve exact answers everywhere.
 """
 
 from __future__ import annotations
@@ -32,17 +35,18 @@ from repro.service.http import serve
 from repro.storage.overlay import spliced_graph
 from repro.versioning import EdgeDelta
 
-BACKENDS = ("single", "cluster")
+BACKENDS = ("single", "router", "cluster")
 
 
 @pytest.fixture(params=BACKENDS)
 def live(request):
-    service_config = ServiceConfig(max_versions=3)
+    service_config = ServiceConfig(max_versions=3, max_query_vertices=8)
     if request.param == "single":
         service = MatchingService(service_config=service_config)
     else:
+        ranks = 1 if request.param == "router" else 3
         service = ClusterService(
-            service_config=service_config, ranks=3, replication=2,
+            service_config=service_config, ranks=ranks, replication=2,
             auto_heal=False,
         )
     server = serve(service, port=0)
@@ -110,6 +114,38 @@ def test_malformed_bodies_are_400(live, path, body):
         client._request("POST", path, body)
     assert exc.value.status == 400, exc.value
     assert client.healthz()["status"] == "ok"
+
+
+def test_oversized_query_is_429_at_submit(live):
+    client, _ = live
+    client.register_graph(mesh_graph(4, 4), name="mesh")
+    with pytest.raises(ServiceError) as exc:
+        client.match("mesh", "K9", wait=False)
+    assert exc.value.status == 429
+    assert exc.value.reason == "oversized-query"
+    metrics = client.metrics()
+    # One refusal, as one rank counts it: every replica would refuse
+    # alike, so the router neither retries it nor counts a failover.
+    assert metrics["scheduler"]["rejected"]["oversized-query"] == 1
+    assert metrics.get("router", {}).get("failovers", 0) == 0
+
+
+def test_graphs_report_the_serving_engine(live):
+    """``/graphs`` carries the engine fields of the handle that served,
+    not those of a router's catalog entry, which never serves."""
+    client, _ = live
+    client.register_graph(mesh_graph(4, 4), name="mesh")
+    client.match("mesh", "P3")
+    (row,) = client.graphs()
+    assert (row["queries_served"], row["workers"]) == (1, 1)
+
+
+def test_zero_deadline_settles_expired(live):
+    client, _ = live
+    client.register_graph(mesh_graph(4, 4), name="mesh")
+    job = client.match("mesh", "P3", deadline_ms=0)
+    assert job["state"] == "expired"
+    assert client.metrics()["scheduler"]["expired"] >= 1
 
 
 def _count(graph, query) -> int:
