@@ -30,8 +30,7 @@ from .distributed.faults import FaultPlan
 from .distributed.runtime import DistributedCuTS
 from .gpusim.device import A100, V100
 from .graph.csr import CSRGraph
-from .graph.generators import chain_graph, clique_graph, cycle_graph, star_graph
-from .graph.io import convert_cuts_to_gsi, read_cuts_format
+from .graph.io import convert_cuts_to_gsi, pattern_graph, read_cuts_format
 from .parallel.matcher import ParallelMatcher, resolve_workers
 
 __all__ = ["main", "load_data_argument", "load_query_argument"]
@@ -58,11 +57,9 @@ def load_query_argument(spec: str) -> CSRGraph:
     path = Path(spec)
     if path.exists():
         return read_cuts_format(path)
-    makers = {"K": clique_graph, "C": cycle_graph, "P": chain_graph}
-    if len(spec) >= 2 and spec[0] in makers and spec[1:].isdigit():
-        return makers[spec[0]](int(spec[1:]))
-    if len(spec) >= 2 and spec[0] == "S" and spec[1:].isdigit():
-        return star_graph(int(spec[1:]))
+    pattern = pattern_graph(spec)
+    if pattern is not None:
+        return pattern
     if spec.startswith("q") and "_" in spec:
         from .graph.queries import paper_query_set
 

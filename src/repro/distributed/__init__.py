@@ -5,7 +5,6 @@ from .balance import BalanceReport, balance_report
 from .bulksync import BulkSyncCuTS, BulkSyncResult
 from .comm import Message, NetworkModel, SimComm
 from .faults import FaultInjector, FaultPlan
-from .partition import block_partition, stride_partition
 from .protocol import (
     BufferMeta,
     FreeNodeRegistry,
@@ -35,8 +34,6 @@ __all__ = [
     "Shipment",
     "ShipmentTracker",
     "StrideLedger",
-    "stride_partition",
-    "block_partition",
     "BalanceReport",
     "balance_report",
 ]

@@ -9,7 +9,7 @@ subsystems key on them and must agree bit-for-bit:
   the fingerprints of the inputs the snapshot was taken under, and
   refuse to resume against anything else;
 * the **matching service** (:mod:`repro.service`) keys its graph
-  registry and its result/plan caches on the same fingerprints, so a
+  registry and its result cache on the same fingerprints, so a
   cache entry can never be served for a graph or config that would
   enumerate differently.
 

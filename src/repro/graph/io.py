@@ -9,16 +9,25 @@ reproduce both:
 * **GSI format** (simplified, unlabeled): a header line ``t <n> <m>``,
   one ``v <id> <label>`` line per vertex and one ``e <u> <v> <label>``
   line per edge — the structure of GSI's ``.g`` files with all labels 0.
+
+Two small forms name a graph without a file, for the CLI, the HTTP
+service and the service's job journal alike: the **pattern shorthand**
+(``K5`` clique, ``C6`` cycle, ``P4`` path, ``S5`` star with five
+leaves; :func:`pattern_graph`) and the JSON **edge-list spec**
+``{"edges": [[u, v], ...], "num_vertices", "name", "labels"?}``
+(:func:`graph_to_spec` / :func:`graph_from_spec`).
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Any, Mapping
 
 import numpy as np
 
 from .build import from_edges
 from .csr import CSRGraph, GraphFormatError
+from .generators import chain_graph, clique_graph, cycle_graph, star_graph
 
 __all__ = [
     "GraphFormatError",
@@ -27,7 +36,17 @@ __all__ = [
     "write_gsi_format",
     "read_gsi_format",
     "convert_cuts_to_gsi",
+    "pattern_graph",
+    "graph_to_spec",
+    "graph_from_spec",
 ]
+
+_PATTERNS = {
+    "K": clique_graph,
+    "C": cycle_graph,
+    "P": chain_graph,
+    "S": star_graph,
+}
 
 
 def _validate_edges(edges: np.ndarray, n: int, path: Path) -> None:
@@ -174,3 +193,49 @@ def read_gsi_format(
 def convert_cuts_to_gsi(src: str | Path, dst: str | Path) -> None:
     """File-to-file conversion, mirroring the artifact's converter script."""
     write_gsi_format(read_cuts_format(src), dst)
+
+
+def pattern_graph(spec: str) -> CSRGraph | None:
+    """The graph a pattern shorthand (``K<n>``/``C<n>``/``P<n>``/
+    ``S<n>``) names, or ``None`` when ``spec`` is not one."""
+    if len(spec) >= 2 and spec[0] in _PATTERNS and spec[1:].isdigit():
+        return _PATTERNS[spec[0]](int(spec[1:]))
+    return None
+
+
+def graph_to_spec(graph: CSRGraph) -> dict[str, Any]:
+    """``graph`` as an explicit edge-list spec.
+
+    Queries are tiny — a handful of vertices — so an edge list is the
+    right wire and journal format: human-readable, and rebuilt without
+    touching a graph store.
+    """
+    spec: dict[str, Any] = {
+        "edges": [[int(u), int(v)] for u, v in graph.edge_list()],
+        "num_vertices": int(graph.num_vertices),
+        "name": graph.name,
+    }
+    if graph.labels is not None:
+        spec["labels"] = [int(x) for x in graph.labels]
+    return spec
+
+
+def graph_from_spec(spec: Mapping[str, Any]) -> CSRGraph:
+    """Inverse of :func:`graph_to_spec`; ``num_vertices`` (default
+    ``max id + 1``), ``name`` and ``labels`` may be absent.  A malformed
+    edge list or label vector raises ``ValueError`` naming which."""
+    try:
+        graph = from_edges(
+            np.asarray(spec["edges"], dtype=np.int64).reshape(-1, 2),
+            num_vertices=spec.get("num_vertices"),
+            name=str(spec.get("name", "graph")),
+        )
+    except ValueError as exc:  # GraphFormatError included
+        raise ValueError(f"bad edge list: {exc}") from exc
+    labels = spec.get("labels")
+    if labels is not None:
+        try:
+            graph = graph.with_labels(np.asarray(labels, dtype=np.int64))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"bad labels: {exc}") from exc
+    return graph

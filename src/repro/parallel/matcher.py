@@ -379,7 +379,6 @@ class ParallelMatcher:
         *,
         materialize: bool = False,
         time_limit_ms: float | Sequence[float | None] | None = None,
-        num_parts: Sequence[int | None] | None = None,
     ) -> list[MatchResult]:
         """Batch form of :meth:`match`: one supervised pool pass for a
         whole set of queries against the shared data graph.
@@ -394,9 +393,7 @@ class ParallelMatcher:
         back in input order.
 
         ``time_limit_ms`` may be a scalar (applied to every query) or a
-        per-query sequence.  ``num_parts`` optionally supplies per-query
-        interval counts (a plan-cache hint from the matching service);
-        ``None`` entries fall back to :meth:`num_intervals`.
+        per-query sequence.
         """
         queries = list(queries)
         if not queries:
@@ -412,15 +409,7 @@ class ParallelMatcher:
                 raise ValueError(
                     "time_limit_ms sequence must match the query count"
                 )
-        hints: list[int | None] = (
-            list(num_parts) if num_parts is not None else [None] * len(queries)
-        )
-        if len(hints) != len(queries):
-            raise ValueError("num_parts sequence must match the query count")
-        jobs = [
-            (query, hint if hint else self.num_intervals(query))
-            for query, hint in zip(queries, hints)
-        ]
+        jobs = [(query, self.num_intervals(query)) for query in queries]
         completed: dict[tuple[int, int], MatchResult] = {}
         with tempfile.TemporaryDirectory(prefix="cuts-hb-") as hb_dir:
             self._supervise_jobs(

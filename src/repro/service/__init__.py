@@ -16,7 +16,7 @@ many queries; this package is that argument applied at serving scale:
   a single :meth:`ParallelMatcher.match_many
   <repro.parallel.ParallelMatcher.match_many>` pool pass, results
   demultiplexed per request;
-* :class:`LRUBytesCache` — result + plan cache keyed by
+* :class:`LRUBytesCache` — the result cache, keyed by
   ``(graph fp, query fp, config fp)``, byte-budgeted,
   charged against the memory governor, explicitly invalidated on graph
   re-registration.

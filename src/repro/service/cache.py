@@ -1,4 +1,4 @@
-"""LRU result + plan cache for the matching service.
+"""LRU result cache for the matching service.
 
 The paper's core economic argument — build graph-resident state once,
 amortize it across the whole search (trie reuse, §4.1) — extends one

@@ -45,6 +45,7 @@ from typing import Any, Callable
 
 from ..analysis.sanitizer import make_lock
 from ..graph.csr import CSRGraph
+from ..graph.io import graph_to_spec
 
 __all__ = [
     "CircuitBreaker",
@@ -79,18 +80,6 @@ class ServiceError(RuntimeError):
         self.reason = reason
         self.retry_after = retry_after
         self.replica = replica
-
-
-def graph_to_spec(graph: CSRGraph) -> dict[str, Any]:
-    """Serialise a :class:`CSRGraph` into the wire graph-spec form."""
-    spec: dict[str, Any] = {
-        "edges": [[int(u), int(v)] for u, v in graph.edge_list()],
-        "num_vertices": int(graph.num_vertices),
-        "name": graph.name,
-    }
-    if graph.labels is not None:
-        spec["labels"] = [int(x) for x in graph.labels]
-    return spec
 
 
 @dataclass(frozen=True)

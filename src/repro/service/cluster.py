@@ -23,22 +23,21 @@ runs for every ``--ranks``, one rank by default:
   :class:`~repro.service.service.FrontDoor` surface, job model, graph
   catalog and state log as one rank.  A match goes to the primary
   replica by graph affinity and **fails over** to a secondary on rank
-  crash, partition, or route timeout.  Every attempt carries a
-  sequence number in a
-  :class:`~repro.distributed.protocol.ShipmentTracker`: a timed-out or
-  crashed attempt is *revoked* before the failover is dispatched, so a
-  late answer from the old replica is never integrated, and the same
-  idempotency key rides every attempt, so a replica that did execute
-  before dying answers the retry from its journal instead of running
-  again — together, exactly-once integration.
+  crash, partition, or route timeout.  Each routed attempt is collected
+  once, by its job's route thread, and carries its own ``revoked`` and
+  ``integrated`` flags: a timed-out or crashed attempt is *revoked*
+  before the failover is dispatched, so a late answer from the old
+  replica is never integrated, and the same idempotency key rides every
+  attempt, so a replica that did execute before dying answers the retry
+  from its journal instead of running again — together, exactly-once
+  integration.
 
 **Split queries** reuse the engine's root striding: ``num_parts > 1``
 fans one query out as strided part-requests across the shard's
-replicas, tracked in a :class:`~repro.distributed.protocol.StrideLedger`
-keyed ``(0, part, part + 1)``; an unsplit query is the one-part case of
-the same loop.  A replica crash mid-split invalidates only that rank's
-uncommitted parts (``begin_recovery`` → ``adopt``); committed parts
-keep their counts, so the query *resumes* on the survivors instead of
+replicas; an unsplit query is the one-part case of the same loop.  A
+replica failure mid-split re-dispatches every part that replica held
+and the router has not collected yet; collected parts keep their
+counts, so the query *resumes* on the survivors instead of
 restarting.  The parts reduce with
 :meth:`~repro.core.result.MatchResult.merge`, as a multi-core match's
 do.
@@ -86,7 +85,6 @@ from typing import Any, Callable, Iterable
 from ..analysis.sanitizer import make_lock
 from ..core.config import CuTSConfig
 from ..core.result import MatchResult
-from ..distributed.protocol import ShipmentTracker, StrideLedger
 from ..fingerprint import CheckpointMismatchError
 from ..graph.csr import CSRGraph
 from ..parallel.matcher import resolve_workers
@@ -275,12 +273,15 @@ class ClusterRank:
 
 @dataclass
 class _Attempt:
-    """One routed attempt: where it went and its envelope sequence."""
+    """One routed attempt: where it went, and whether the router revoked
+    it or integrated its answer.  Its job's route thread collects it
+    once."""
 
     rank_id: int
     generation: int
-    seq: int
-    rank_job_id: str
+    rank_job_id: str = ""
+    revoked: bool = False
+    integrated: bool = False
 
 
 class ClusterService(FrontDoor):
@@ -325,22 +326,21 @@ class ClusterService(FrontDoor):
         self.replication = max(1, min(replication, ranks))
         self.quorum = self.replication // 2 + 1
         # _lock guards membership-derived state (ring, ring keys,
-        # in-flight commits, partitions); _jobs_lock guards the job
-        # table; _tracker_lock guards envelope bookkeeping.  They are
-        # never nested, and no rank call or wait happens under any of
-        # them (RP010).
+        # in-flight commits, partitions) and the attempt counters;
+        # _jobs_lock guards the job table.  They are never nested, and
+        # no rank call or wait happens under either (RP010).
         self._lock = make_lock("ClusterService._lock")
-        self._tracker_lock = make_lock("ClusterService._tracker_lock")
         self._ring = HashRing(range(ranks))
         # Ring key per committed version: its chain's first registered
         # content.  Any other graph is placed by its own fingerprint.
         self._rings: dict[str, str] = {}
         self._committing: set[str] = set()
         self._partitioned: dict[int, int] = {}
-        self._tracker = ShipmentTracker()
         self.phase_hook: Callable[[str, int, str], None] | None = None
         self.routes = 0
         self.failovers = 0
+        self.integrated = 0
+        self.revoked = 0
         self.shed = 0
         self.revoked_replies = 0
         self.split_queries = 0
@@ -526,10 +526,10 @@ class ClusterService(FrontDoor):
         the registry's name rules) and push the name to each live
         replica of its shard."""
         fp = self._register(graph, name)
-        for rank_id in self._shard(fp):
-            rank = self.ranks[rank_id]
-            if rank.state == LIVE:
-                rank.service.register_graph(graph, name)
+        self._on_live(
+            self._shard(fp),
+            lambda service: service.register_graph(graph, name),
+        )
         return fp
 
     def _release(self, fp: str) -> None:
@@ -537,9 +537,26 @@ class ClusterService(FrontDoor):
         unregister): no live rank keeps serving it."""
         with self._lock:
             self._rings.pop(fp, None)
-        for rank in self.ranks.values():
-            if rank.state == LIVE:
-                rank.service.unregister_graph(fp)
+        self._on_live(
+            list(self.ranks), lambda service: service.unregister_graph(fp)
+        )
+
+    def _on_live(
+        self, rank_ids: list[int], call: Callable[[MatchingService], object]
+    ) -> None:
+        """Run ``call`` on each live rank's service.  A rank that dies
+        under the call is skipped: catch-up brings it to the router's
+        catalog before it serves again."""
+        for rank_id in rank_ids:
+            rank = self.ranks[rank_id]
+            generation = rank.generation
+            if rank.state != LIVE:
+                continue
+            try:
+                call(rank.service)
+            except Exception:
+                if rank.state == LIVE and rank.generation == generation:
+                    raise
 
     def graph_info(self, key: str) -> dict[str, object]:
         info = super().graph_info(key)
@@ -764,15 +781,17 @@ class ClusterService(FrontDoor):
     def metrics(self) -> dict[str, object]:
         """The router's own counters, plus its ranks' serving counters
         summed at the keys a single rank reports them under."""
-        with self._tracker_lock:
-            tracker = {
-                "seen": len(self._tracker.seen),
-                "revoked": len(self._tracker.revoked),
-                "retransmissions": self._tracker.retransmissions,
-            }
         with self._lock:
             ring_members = list(self._ring.members)
             partitioned = dict(self._partitioned)
+            failovers = self.failovers
+            # Attempts integrated and revoked; every failover is one
+            # retransmission of a part.
+            tracker = {
+                "seen": self.integrated,
+                "revoked": self.revoked,
+                "retransmissions": failovers,
+            }
         out: dict[str, object] = {
             "uptime_s": time.time() - self.started_at,
             "replication": self.replication,
@@ -780,7 +799,7 @@ class ClusterService(FrontDoor):
             "graphs": len(self.registry.handles()),
             "router": {
                 "routes": self.routes,
-                "failovers": self.failovers,
+                "failovers": failovers,
                 "shed": self.shed,
                 "revoked_replies": self.revoked_replies,
                 "split_queries": self.split_queries,
@@ -803,7 +822,7 @@ class ClusterService(FrontDoor):
         per_rank: list[dict[str, Any]] = [
             rank.service.metrics() for rank in self.ranks.values()
         ]
-        for key in ("scheduler", "dispatcher", "result_cache", "plan_cache"):
+        for key in ("scheduler", "dispatcher", "result_cache"):
             out[key] = _summed([m[key] for m in per_rank])
         faults = [m["faults"] for m in per_rank if "faults" in m]
         if self.faults is not None:
@@ -893,18 +912,15 @@ class ClusterService(FrontDoor):
         return 0.0
 
     def _revoke(self, attempt: _Attempt) -> None:
-        with self._tracker_lock:
-            self._tracker.revoke(attempt.rank_id, attempt.seq)
-
-    def _next_seq(self) -> int:
-        with self._tracker_lock:
-            return self._tracker.next_seq()
+        """Mark ``attempt`` revoked: its answer is never integrated."""
+        attempt.revoked = True
+        with self._lock:
+            self.revoked += 1
 
     def _note_failover(self, job: Job) -> None:
-        self.failovers += 1
         job.failovers += 1
-        with self._tracker_lock:
-            self._tracker.retransmissions += 1
+        with self._lock:
+            self.failovers += 1
 
     # ------------------------------------------------------------------
     # Routing: one loop for whole and split queries
@@ -966,11 +982,10 @@ class ClusterService(FrontDoor):
         :meth:`_start`) and settle its result.
 
         The query goes out as ``num_parts`` strided part-requests (one
-        for an unsplit query), accounted in a :class:`StrideLedger`
-        keyed ``(0, part, part + 1)``.  Parts are collected in order; a
-        failed attempt is revoked, and its replica's uncommitted parts
-        are re-dispatched to the next replica (``begin_recovery`` →
-        ``adopt``) while committed part counts survive, so a split
+        for an unsplit query), collected in order into ``results``.  A
+        failed attempt is revoked, and every part its replica holds in
+        ``pending`` and not yet in ``results`` is re-dispatched to the
+        next replica, while collected part counts survive, so a split
         query resumes instead of restarting.  Every retry of a part
         carries that part's idempotency key, so at most one result per
         part is ever integrated.  A part the rank settled ``expired``
@@ -981,15 +996,11 @@ class ClusterService(FrontDoor):
         n = job.request.num_parts
         if n > 1:
             self.split_queries += 1
-        ledger = StrideLedger()
-        for part, attempt in enumerate(pending):
-            ledger.open((0, part, part + 1), attempt.rank_id)
         results: dict[int, MatchResult] = {}
         failures = 0
         while len(results) < n:
             part = min(p for p in range(n) if p not in results)
             attempt = pending[part]
-            stride = (0, part, part + 1)
             try:
                 rank_job = self._collect_attempt(job, attempt)
             except (RankUnavailable, JobFailed) as exc:
@@ -1001,26 +1012,22 @@ class ClusterService(FrontDoor):
                     raise JobFailed(
                         f"job {job.id}: every routed attempt failed: {exc}"
                     ) from exc
-                dirty = ledger.begin_recovery(attempt.rank_id)
-                if stride not in dirty:
-                    dirty.append(stride)
+                dirty = [
+                    p for p in range(n)
+                    if p not in results
+                    and pending[p].rank_id == attempt.rank_id
+                ]
                 if n > 1:
                     self.recovered_parts += len(dirty)
                     job.parts_recovered += len(dirty)
-                for key in dirty:
-                    redo = self._dispatch(job, key[1], tried[key[1]])
-                    ledger.adopt(key, redo.rank_id)
-                    pending[key[1]] = redo
+                for p in dirty:
+                    pending[p] = self._dispatch(job, p, tried[p])
                 continue
             if rank_job.state != DONE:
                 job.state, job.error = rank_job.state, rank_job.error
                 return
             result = rank_job.result
             assert result is not None  # a collected attempt has a result
-            ledger.finish_item(
-                stride, ledger.gen_of(stride), attempt.rank_id,
-                int(result.count),
-            )
             results[part] = result
         job.replica = attempt.rank_id
         job.state = DONE
@@ -1091,12 +1098,9 @@ class ClusterService(FrontDoor):
         """Submit one routed attempt to ``rank_id`` (asynchronously on
         the rank; the caller collects).  Raises :class:`RankUnavailable`
         when the replica cannot take it."""
-        seq = self._next_seq()
         attempt = _Attempt(
             rank_id=rank_id,
             generation=self.ranks[rank_id].generation,
-            seq=seq,
-            rank_job_id="",
         )
         self.routes += 1
         self._phase("pre-dispatch", rank_id, job.id)
@@ -1214,18 +1218,19 @@ class ClusterService(FrontDoor):
                 f"rank {attempt.rank_id} became unreachable before its "
                 f"reply was integrated",
             )
-        with self._tracker_lock:
-            if self._tracker.is_revoked(attempt.rank_id, attempt.seq):
-                raise RankUnavailable(
-                    attempt.rank_id,
-                    f"attempt seq {attempt.seq} was revoked",
-                )
-            if self._tracker.is_seen(attempt.rank_id, attempt.seq):
-                raise RankUnavailable(
-                    attempt.rank_id,
-                    f"attempt seq {attempt.seq} was already integrated",
-                )
-            self._tracker.mark_seen(attempt.rank_id, attempt.seq)
+        if attempt.revoked:
+            raise RankUnavailable(
+                attempt.rank_id,
+                f"attempt {attempt.rank_job_id} was revoked",
+            )
+        if attempt.integrated:
+            raise RankUnavailable(
+                attempt.rank_id,
+                f"attempt {attempt.rank_job_id} was already integrated",
+            )
+        attempt.integrated = True
+        with self._lock:
+            self.integrated += 1
         if rank_job.state == DONE and rank_job.result is not None:
             return rank_job
         if rank_job.state in (EXPIRED, CANCELLED):

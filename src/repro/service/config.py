@@ -23,7 +23,7 @@ class ServiceConfig:
         Scheduler queue bound; a submit past it is rejected with reason
         ``queue-full`` (admission control), never silently dropped.
     cache_bytes:
-        Byte budget of the LRU result+plan cache (charged against the
+        Byte budget of the LRU result cache (charged against the
         memory governor; ``0`` = no cache).
     max_query_vertices:
         Larger queries are rejected as ``oversized-query`` (``0`` = no

@@ -19,9 +19,7 @@ batch into the fewest possible matcher invocations:
    :meth:`~repro.parallel.ParallelMatcher.match_many` pass: every
    query's strided ``part=/num_parts=`` root intervals are leased onto
    the shared process pool together, so the pool load-balances across
-   the whole batch, not per query.  The **plan cache** supplies each
-   query's interval count when it has seen the triple before, skipping
-   the ordering + root-candidate planning pass.
+   the whole batch, not per query.
 
 Failure isolation is **per job, not per batch**:
 
@@ -30,8 +28,9 @@ Failure isolation is **per job, not per batch**:
   always worked this way; the pooled path gets it via fallback);
 * when the *pool itself* fails mid-batch (workers SIGKILLed beyond the
   lease machinery's patience, chaos injection), the dispatcher retries
-  the batch **once, serially** on the handle's fallback engine — a
-  degraded-but-exact answer beats a failed batch;
+  the batch **once, serially** on the handle's fallback engine, through
+  the same serial loop deadline groups run in — a degraded-but-exact
+  answer beats a failed batch;
 * a request whose cancellation or deadline landed after pop but before
   the engine pass is settled here without burning a matcher run, and
   the skip is attributed in its :class:`~repro.core.stats.SearchStats`
@@ -70,9 +69,10 @@ from ..core.result import (
 )
 from ..core.stats import SearchStats
 from ..parallel.matcher import ParallelMatcher
+from ..versioning.incremental import incremental_match
 from .cache import LRUBytesCache
 from .faults import InjectedEngineFault, ServiceFaultInjector
-from .registry import GraphHandle
+from .registry import GraphHandle, GraphRegistry
 from .scheduler import Request
 
 __all__ = ["DispatchOutcome", "Dispatcher", "payload_checksum",
@@ -97,7 +97,6 @@ class DispatchOutcome:
     error: str | None = None
     cached: bool = False
     coalesced: bool = False
-    plan_hit: bool = False
     cancelled: bool = False
     expired: bool = False
     fallback: bool = False
@@ -112,14 +111,14 @@ class Dispatcher:
         self,
         config: CuTSConfig,
         result_cache: LRUBytesCache,
-        plan_cache: LRUBytesCache,
+        registry: GraphRegistry,
         config_fp: str,
         *,
         faults: ServiceFaultInjector | None = None,
     ) -> None:
         self.config = config
         self.result_cache = result_cache
-        self.plan_cache = plan_cache
+        self.registry = registry
         self.config_fp = config_fp
         self.faults = faults
         # Counters are bumped by the dispatch thread and read by HTTP
@@ -273,25 +272,30 @@ class Dispatcher:
         full match — whenever the probe cannot run or cannot be trusted:
         the handle has no delta lineage (root or whole-graph
         replacement), the parent's entry is gone or fails checksum
-        verification, the query shape is unsupported (edgeless), or the
-        incremental arithmetic detects a mismatched base.  The probe
-        runs on the handle's serial engine: the dirty ball is small by
-        construction, and the serial matcher is the one that implements
-        ``delta=``.
+        verification, the parent version is no longer registered, the
+        query shape is unsupported (edgeless), or the incremental
+        arithmetic detects a mismatched base.  The probe runs on the
+        serial engines of the handle and of its parent, which the
+        registry keeps open until retention prunes it (and a pruned
+        parent's cache entries are gone with it): the dirty ball is
+        small by construction.
         """
         parent_fp, delta = handle.incremental_basis()
         if parent_fp is None or delta is None:
             return None
         base = self.result_cache.get((parent_fp, query_fp, self.config_fp))
-        if base is None or not verify_payload(base):
+        parent = self.registry.by_fingerprint(parent_fp)
+        if base is None or parent is None or not verify_payload(base):
             return None
         try:
             with self._stats_lock:
                 self.matcher_invocations += 1
-            result = handle.fallback_matcher().match(
+            result = incremental_match(
+                handle.fallback_matcher(),
                 query,  # type: ignore[arg-type]
                 base_result=int(base["count"]),  # type: ignore[arg-type]
                 delta=delta,
+                old_matcher=parent.fallback_matcher(),
             )
         except Exception:
             # The probe is an optimisation; any failure — unsupported
@@ -357,13 +361,19 @@ class Dispatcher:
         matcher: CuTSMatcher,
         to_run: list[_Group],
         outcomes: dict[int, DispatchOutcome],
+        cause: str | None = None,
     ) -> None:
+        """Run each group on the serial engine, isolating failures per
+        group.  ``cause`` names the failed pool pass this run retries:
+        a retry injects no second engine fault, marks its jobs
+        ``fallback`` and prefixes every error with the cause."""
         for key, members in to_run:
             query_fp, materialize, time_limit, part, num_parts = key
             wall_limit = self._group_wall_limit(members)
             try:
                 if (
-                    self.faults is not None
+                    cause is None
+                    and self.faults is not None
                     and self.faults.should_engine_fault()
                 ):
                     raise InjectedEngineFault(
@@ -379,33 +389,27 @@ class Dispatcher:
                     part=part,
                     num_parts=num_parts,
                 )
-            except SearchTimeout as exc:
-                self._settle_timeout(members, outcomes, exc, wall_limit)
-                continue
             except Exception as exc:
-                self._settle_error(members, outcomes, str(exc))
+                if isinstance(exc, SearchTimeout) and wall_limit is not None:
+                    # The group's deadline fired; a timeout without one
+                    # is the caller's own time_limit_ms, a failure.
+                    for req in members:
+                        outcomes[id(req)].expired = True
+                        outcomes[id(req)].error = (
+                            "deadline-expired during execution"
+                        )
+                    continue
+                self._settle_error(
+                    members, outcomes,
+                    str(exc) if cause is None
+                    else f"{cause}; serial retry failed: {exc}",
+                )
                 continue
+            for req in members:
+                outcomes[id(req)].fallback = cause is not None
             self._settle(
                 handle, key, members, result, outcomes,
             )
-
-    def _settle_timeout(
-        self,
-        members: list[Request],
-        outcomes: dict[int, DispatchOutcome],
-        exc: SearchTimeout,
-        wall_limit: float | None,
-    ) -> None:
-        """A SearchTimeout is a deadline expiry when the group was
-        running under one; otherwise it is the caller's own
-        ``time_limit_ms`` firing, i.e. an ordinary failure."""
-        if wall_limit is not None:
-            for req in members:
-                out = outcomes[id(req)]
-                out.expired = True
-                out.error = "deadline-expired during execution"
-            return
-        self._settle_error(members, outcomes, str(exc))
 
     def _execute_parallel(
         self,
@@ -439,16 +443,6 @@ class Dispatcher:
         for materialize, items in by_flavour.items():
             queries = [members[0].query for _, members in items]
             limits = [key[2] for key, _ in items]
-            hints: list[int | None] = []
-            plan_hits: list[bool] = []
-            for key, _ in items:
-                plan = self.plan_cache.get(
-                    (handle.fingerprint, key[0], self.config_fp)
-                )
-                hints.append(
-                    int(plan["num_parts"]) if plan is not None else None
-                )
-                plan_hits.append(plan is not None)
             try:
                 with self._stats_lock:
                     self.matcher_invocations += len(queries)
@@ -456,7 +450,6 @@ class Dispatcher:
                     queries,
                     materialize=materialize,
                     time_limit_ms=limits,
-                    num_parts=hints,
                 )
             except Exception as exc:
                 # The pool pass itself died (workers killed past the
@@ -465,23 +458,21 @@ class Dispatcher:
                 # answers.
                 with self._stats_lock:
                     self.pool_failures += 1
-                self._retry_serial(handle, items, outcomes, str(exc))
-                continue
-            for (key, members), result, hint, plan_hit in zip(
-                items, results, hints, plan_hits
-            ):
-                for req in members:
-                    outcomes[id(req)].plan_hit = plan_hit
-                if hint is None:
-                    plan_payload = {
-                        "num_parts": matcher.num_intervals(members[0].query),
-                        "order": [int(q) for q in result.order],
-                    }
-                    self.plan_cache.put(
-                        (handle.fingerprint, key[0], self.config_fp),
-                        plan_payload,
-                        _payload_bytes(plan_payload),
+                try:
+                    fallback = handle.fallback_matcher()
+                except Exception as unavailable:
+                    self._fail_all(
+                        items, outcomes,
+                        f"{exc}; serial fallback unavailable: {unavailable}",
                     )
+                    continue
+                with self._stats_lock:
+                    self.serial_fallbacks += 1
+                self._execute_serial(
+                    handle, fallback, items, outcomes, str(exc)
+                )
+                continue
+            for (key, members), result in zip(items, results):
                 self._settle(
                     handle, key, members, result, outcomes,
                 )
@@ -499,47 +490,6 @@ class Dispatcher:
             return
         self.faults.note_kill()
         os.kill(pids[0], signal.SIGKILL)
-
-    def _retry_serial(
-        self,
-        handle: GraphHandle,
-        items: list[_Group],
-        outcomes: dict[int, DispatchOutcome],
-        cause: str,
-    ) -> None:
-        """One serial retry for a failed pool pass, isolating failures
-        per group from here on."""
-        try:
-            matcher = handle.fallback_matcher()
-        except Exception as exc:
-            self._fail_all(
-                items, outcomes, f"{cause}; serial fallback unavailable: {exc}"
-            )
-            return
-        with self._stats_lock:
-            self.serial_fallbacks += 1
-        for key, members in items:
-            query_fp, materialize, time_limit, part, num_parts = key
-            try:
-                with self._stats_lock:
-                    self.matcher_invocations += 1
-                result = matcher.match(
-                    members[0].query,
-                    materialize=materialize,
-                    time_limit_ms=time_limit,
-                    part=part,
-                    num_parts=num_parts,
-                )
-            except Exception as exc:
-                self._settle_error(
-                    members, outcomes, f"{cause}; serial retry failed: {exc}"
-                )
-                continue
-            for req in members:
-                outcomes[id(req)].fallback = True
-            self._settle(
-                handle, key, members, result, outcomes,
-            )
 
     # ------------------------------------------------------------------
     def _settle(

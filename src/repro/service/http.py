@@ -79,7 +79,6 @@ from typing import Any
 
 import numpy as np
 
-from ..graph.build import from_edges
 from ..graph.csr import CSRGraph, GraphFormatError
 from ..graph.generators import (
     chain_graph,
@@ -90,6 +89,7 @@ from ..graph.generators import (
     social_graph,
     star_graph,
 )
+from ..graph.io import graph_from_spec, pattern_graph
 from ..versioning.delta import DeltaError
 from .cluster import ClusterService
 from .config import ServiceConfig
@@ -124,13 +124,6 @@ _MATCH_FIELDS = frozenset({
     "time_limit_ms", "idempotency_key", "num_parts", "as_of", "timeout_s",
 })
 
-_PATTERNS = {
-    "K": clique_graph,
-    "C": cycle_graph,
-    "P": chain_graph,
-    "S": star_graph,
-}
-
 
 class BadRequest(ValueError):
     """A request body that cannot be turned into work."""
@@ -141,8 +134,9 @@ class PayloadTooLarge(ValueError):
 
 
 def _pattern_graph(spec: str) -> CSRGraph:
-    if len(spec) >= 2 and spec[0] in _PATTERNS and spec[1:].isdigit():
-        return _PATTERNS[spec[0]](int(spec[1:]))
+    graph = pattern_graph(spec)
+    if graph is not None:
+        return graph
     raise BadRequest(
         f"unknown pattern {spec!r}: expected K<n>/C<n>/P<n>/S<n>"
     )
@@ -157,26 +151,12 @@ def parse_graph_spec(spec: Any) -> CSRGraph:
     if "pattern" in spec:
         return _pattern_graph(str(spec["pattern"]))
     if "edges" in spec:
-        edges = spec["edges"]
-        if not isinstance(edges, list):
+        if not isinstance(spec["edges"], list):
             raise BadRequest("'edges' must be a list of [u, v] pairs")
         try:
-            graph = from_edges(
-                np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-                if edges
-                else [],
-                num_vertices=spec.get("num_vertices"),
-                name=str(spec.get("name", "graph")),
-            )
-        except (ValueError, GraphFormatError) as exc:
-            raise BadRequest(f"bad edge list: {exc}")
-        labels = spec.get("labels")
-        if labels is not None:
-            try:
-                graph = graph.with_labels(np.asarray(labels, dtype=np.int64))
-            except (TypeError, ValueError) as exc:
-                raise BadRequest(f"bad labels: {exc}")
-        return graph
+            return graph_from_spec(spec)
+        except ValueError as exc:
+            raise BadRequest(str(exc))
     if "generator" in spec:
         kind = str(spec["generator"])
         maker = _GENERATORS.get(kind)
@@ -561,7 +541,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--cache-bytes", type=int, default=ServiceConfig.cache_bytes, metavar="B",
-        help="result/plan cache budget in bytes",
+        help="result cache budget in bytes",
     )
     parser.add_argument(
         "--max-query-vertices", type=int, default=ServiceConfig.max_query_vertices,

@@ -66,6 +66,7 @@ from ..core.result import (
 from ..core.stats import SearchStats
 from ..fingerprint import config_fingerprint, graph_fingerprint
 from ..graph.csr import CSRGraph
+from ..graph.io import graph_from_spec, graph_to_spec
 from ..parallel.matcher import resolve_workers
 from ..versioning.incremental import dirty_region_for, promotion_safe
 from ..versioning.lineage import (
@@ -80,14 +81,7 @@ from .dispatcher import Dispatcher
 from .faults import ServiceFaultInjector, ServiceFaultPlan
 from .registry import GraphRegistry, VersionCommit
 from .scheduler import AdmissionError, Request, Scheduler
-from .state import (
-    DROPPED,
-    RETAINED_JOBS,
-    LogState,
-    ServiceState,
-    graph_from_record,
-    graph_record,
-)
+from .state import DROPPED, RETAINED_JOBS, LogState, ServiceState
 
 __all__ = [
     "DeadlineExpired",
@@ -150,7 +144,6 @@ class Job:
     error: str | None = None
     cached: bool = False
     coalesced: bool = False
-    plan_hit: bool = False
     fallback: bool = False
     incremental: bool = False
     idempotency_key: str | None = None
@@ -312,10 +305,19 @@ class FrontDoor(ABC):
     def _recharge(self) -> None:
         """Re-point memory accounting after the catalog changed."""
 
+    def _refuse_if_killed(self) -> None:
+        """A killed incarnation writes nothing: a write is refused with
+        ``shutdown`` before the catalog changes."""
+        if self._killed:
+            raise AdmissionError(
+                "shutdown", "this service incarnation was killed"
+            )
+
     # ------------------------------------------------------------------
     # The catalog
     # ------------------------------------------------------------------
     def _register(self, graph: CSRGraph, name: str | None = None) -> str:
+        self._refuse_if_killed()
         handle = self.registry.register(graph, name)
         if self.state is not None:
             # The new bytes and the name move land before the bytes a
@@ -337,6 +339,7 @@ class FrontDoor(ABC):
             self.state.forget_graph(fp)
 
     def unregister_graph(self, key: str) -> bool:
+        self._refuse_if_killed()
         removed = self.registry.unregister(key)
         if removed and self.state is not None:
             self.state.save_names(self.registry.names())
@@ -367,6 +370,7 @@ class FrontDoor(ABC):
         """Make ``graph``, a commit another service spliced, the head of
         its name as ``version`` records it, durably; returns the
         fingerprints retention pruned."""
+        self._refuse_if_killed()
         _, pruned = self.registry.adopt_version(
             graph, version.name, parent_fp=version.parent,
             lineage_depth=version.depth, delta=version.delta,
@@ -448,7 +452,7 @@ class FrontDoor(ABC):
     def _recover_job(self, record: dict[str, Any]) -> None:
         try:
             request = Request(
-                query=graph_from_record(record["query"]),
+                query=graph_from_spec(record["query"]),
                 **{k: record[k] for k in _RECORD_FIELDS if k in record},
             )
         except (KeyError, TypeError, ValueError):
@@ -513,7 +517,7 @@ class FrontDoor(ABC):
         record = {k: getattr(request, k) for k in _RECORD_FIELDS}
         record.update(
             state=state,
-            query=graph_record(request.query),
+            query=graph_to_spec(request.query),
             idempotency_key=job.idempotency_key,
             error=job.error,
             submitted_at=job.submitted_at,
@@ -948,18 +952,13 @@ class MatchingService(FrontDoor):
         self.result_cache = LRUBytesCache(
             sc.cache_bytes, on_bytes=lambda _total: self._recharge()
         )
-        # Plans are tiny; an eighth of the budget is already generous.
-        self.plan_cache = LRUBytesCache(
-            max(4096, sc.cache_bytes // 8),
-            on_bytes=lambda _total: self._recharge(),
-        )
         self.scheduler = Scheduler(
             max_depth=sc.queue_depth,
             max_query_vertices=sc.max_query_vertices,
             governor=self.governor,
         )
         self.dispatcher = Dispatcher(
-            self.config, self.result_cache, self.plan_cache, self.config_fp,
+            self.config, self.result_cache, self.registry, self.config_fp,
             faults=self.faults,
         )
         self._degraded = False
@@ -1070,10 +1069,7 @@ class MatchingService(FrontDoor):
         A request that reduces to a no-op (all inserts present, all
         deletes absent) changes nothing and says so.
         """
-        if self._killed:
-            raise self.scheduler.reject(
-                "shutdown", "this service incarnation was killed"
-            )
+        self._refuse_if_killed()
         if self._degraded:
             raise self.scheduler.reject(
                 "degraded",
@@ -1132,10 +1128,7 @@ class MatchingService(FrontDoor):
         inside the query's dirty ball).  Rejected entries stay behind
         under the parent fingerprint — still exact for ``as_of`` time
         travel and still the dispatcher's incremental base — and die
-        when retention prunes that version.  Plan entries promote
-        unconditionally: a plan is a performance hint (interval count,
-        ordering), not an answer — a stale hint can cost balance, never
-        a count.
+        when retention prunes that version.
         """
         delta = commit.delta
         assert delta is not None
@@ -1158,15 +1151,10 @@ class MatchingService(FrontDoor):
                 query, parent_graph, child_graph, region, self.config
             )
 
-        promoted, retained = self.result_cache.promote(
+        return self.result_cache.promote(
             commit.parent.fingerprint, commit.child.fingerprint,
             should_promote,
         )
-        self.plan_cache.promote(
-            commit.parent.fingerprint, commit.child.fingerprint,
-            lambda _key: True,
-        )
-        return promoted, retained
 
     def _query_for(self, query_fp: str) -> CSRGraph | None:
         with self._jobs_lock:
@@ -1177,15 +1165,18 @@ class MatchingService(FrontDoor):
     # Submission / results
     # ------------------------------------------------------------------
     def _graph_key(self, graph: CSRGraph | str) -> str:
-        if self._killed:
-            raise self.scheduler.reject(
-                "shutdown", "this service incarnation was killed"
-            )
+        self._refuse_if_killed()
         if isinstance(graph, CSRGraph):
             # Inline content registers even in degraded mode, so a
             # cached count for it can still be served.
             return self._register(graph)
         return self.resolve_key(graph)
+
+    def _refuse_if_killed(self) -> None:
+        if self._killed:  # counted with the other admission refusals
+            raise self.scheduler.reject(
+                "shutdown", "this service incarnation was killed"
+            )
 
     def _start(self, job: Job) -> None:
         if self._degraded:
@@ -1252,7 +1243,6 @@ class MatchingService(FrontDoor):
             "scheduler": self.scheduler.snapshot(),
             "dispatcher": self.dispatcher.snapshot(),
             "result_cache": self.result_cache.snapshot(),
-            "plan_cache": self.plan_cache.snapshot(),
             "versioning": {
                 "commits": self.version_commits,
                 "registry_commits": self.registry.commits,
@@ -1279,14 +1269,12 @@ class MatchingService(FrontDoor):
     # ------------------------------------------------------------------
     def _invalidate_graph(self, graph_fp: str) -> None:
         self.result_cache.invalidate_graph(graph_fp)
-        self.plan_cache.invalidate_graph(graph_fp)
 
     def _recharge(self) -> None:
         """Re-point the governor at the service's live footprint."""
         total = (
             self.registry.resident_bytes
             + self.result_cache.current_bytes
-            + self.plan_cache.current_bytes
         )
         self.governor.observe_words(total // 8)
 
@@ -1334,7 +1322,6 @@ class MatchingService(FrontDoor):
                 continue
             job.cached = outcome.cached  # type: ignore[attr-defined]
             job.coalesced = outcome.coalesced  # type: ignore[attr-defined]
-            job.plan_hit = outcome.plan_hit  # type: ignore[attr-defined]
             job.fallback = outcome.fallback  # type: ignore[attr-defined]
             job.incremental = outcome.incremental  # type: ignore[attr-defined]
             job.stats = outcome.stats  # type: ignore[attr-defined]

@@ -51,11 +51,10 @@ import numpy as np
 from ..analysis.sanitizer import make_lock
 from ..checkpoint.atomic import atomic_write_bytes
 from ..fingerprint import CheckpointMismatchError, check_fingerprints
-from ..graph.build import from_edges
 from ..graph.csr import CSRGraph, INDEX_DTYPE
 from ..versioning.lineage import recover_chains, version_record
 
-__all__ = ["RETAINED_JOBS", "ServiceState", "graph_from_record", "graph_record"]
+__all__ = ["RETAINED_JOBS", "ServiceState"]
 
 FORMAT_VERSION = 3
 LOG_NAME = "state.jsonl"
@@ -65,37 +64,6 @@ oldest-settled job goes first.  About 8 MB of job state at ~7.7 KB per
 job."""
 DROPPED = "dropped"
 _LIVE = frozenset({"pending", "running"})
-
-
-def graph_record(graph: CSRGraph) -> dict[str, object]:
-    """JSON-safe description of a (small) graph for the job journal.
-
-    Queries are tiny — a handful of vertices — so an explicit edge list
-    is the right durability format: human-readable in the journal and
-    rebuildable without touching the content-addressed graph store.
-    """
-    record: dict[str, object] = {
-        "edges": [[int(u), int(v)] for u, v in graph.edge_list()],
-        "num_vertices": int(graph.num_vertices),
-        "name": graph.name,
-    }
-    if graph.labels is not None:
-        record["labels"] = [int(x) for x in graph.labels]
-    return record
-
-
-def graph_from_record(record: dict[str, object]) -> CSRGraph:
-    """Inverse of :func:`graph_record`."""
-    edges = np.asarray(record["edges"], dtype=INDEX_DTYPE).reshape(-1, 2)
-    graph = from_edges(
-        edges,
-        num_vertices=int(record["num_vertices"]),  # type: ignore[arg-type]
-        name=str(record.get("name", "graph")),
-    )
-    labels = record.get("labels")
-    if labels is not None:
-        graph = graph.with_labels(labels)
-    return graph
 
 
 def _frame(kind: str, body: dict[str, Any]) -> bytes:

@@ -2,8 +2,8 @@
 
 Covers the consistent-hash ring (determinism, minimal disruption), the
 router's count parity with the serial oracle, failover on rank crashes
-and partitions, exactly-once integration under the envelope tracker,
-StrideLedger-resumed split queries, quorum shedding with machine-
+and partitions, exactly-once integration of revoked attempts, split
+queries that resume on the survivors, quorum shedding with machine-
 readable 503s, catch-up-then-readmit healing, and the HTTP face
 serving a cluster through the same endpoints.
 """
@@ -159,7 +159,7 @@ class TestRouting:
             metrics = cluster.metrics()["router"]
             assert metrics["failovers"] >= 1
             # The crashed attempt was revoked before the failover was
-            # dispatched: its sequence number can never be integrated.
+            # dispatched: its answer can never be integrated.
             assert cluster.metrics()["tracker"]["revoked"] >= 1
 
     def test_partitioned_primary_is_skipped_then_heals(
@@ -220,8 +220,38 @@ class TestRouting:
                 cluster.submit(fp, query, materialize=True, num_parts=2)
 
 
+def test_register_and_release_skip_a_replica_that_dies_mid_call(
+    mesh_and_query,
+):
+    data, query = mesh_and_query
+    with make_cluster() as cluster:
+        victim = cluster._shard(graph_fingerprint(data))[0]
+        service = cluster.ranks[victim].service
+
+        def dies_first(write):
+            def call(*args):
+                cluster.crash_rank(victim)
+                return write(*args)  # a killed service refuses
+            return call
+
+        service.register_graph = dies_first(service.register_graph)
+        fp = cluster.register_graph(data, "g")
+        assert cluster.match("g", query, timeout=60).count == (
+            oracle_count(data, query)
+        )
+        cluster.restart_rank(victim)
+        held = cluster.ranks[victim].service.registry
+        assert held.names().get("g") == fp
+        service = cluster.ranks[victim].service
+        service.unregister_graph = dies_first(service.unregister_graph)
+        assert cluster.unregister_graph("g")
+        cluster.restart_rank(victim)
+        held = cluster.ranks[victim].service.registry
+        assert held.by_fingerprint(fp) is None
+
+
 # ---------------------------------------------------------------------------
-# Split queries: striding + ledger-tracked resume.
+# Split queries: striding + resume of a failed replica's parts.
 # ---------------------------------------------------------------------------
 
 
@@ -254,9 +284,33 @@ class TestSplitQueries:
             result = cluster.match(fp, query, num_parts=4, timeout=60)
             assert result.count == expected
             assert killed
-            # Only the dead rank's uncommitted parts were redone; the
-            # ledger accounted the recovery instead of restarting.
+            # Only the dead rank's uncollected parts were redone,
+            # instead of the whole query.
             assert cluster.metrics()["router"]["recovered_parts"] >= 1
+
+    def test_a_failed_replicas_parts_are_redispatched_together(
+        self, mesh_and_query
+    ):
+        data, query = mesh_and_query
+        with make_cluster(ranks=3, replication=3) as cluster:
+            fp = cluster.register_graph(data)
+            dispatched: list[int] = []
+
+            def hook(phase: str, rank_id: int, job_id: str) -> None:
+                if phase == "mid-shard":
+                    dispatched.append(rank_id)
+                    if len(dispatched) == 4:
+                        # Parts 0 and 3 went to this replica.
+                        assert dispatched[0] == rank_id
+                        cluster.crash_rank(rank_id)
+
+            cluster.phase_hook = hook
+            result = cluster.match(fp, query, num_parts=4, timeout=60)
+            assert result.count == oracle_count(data, query)
+            router = cluster.metrics()["router"]
+            # One failure moves both uncollected parts at once.
+            assert router["failovers"] == 1
+            assert router["recovered_parts"] == 2
 
     def test_split_result_is_the_merge_of_its_parts(self):
         """Parts reduce as a multi-core match does: counts and hardware

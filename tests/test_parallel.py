@@ -387,16 +387,6 @@ def test_match_many_per_query_time_limits():
             pm.match_many(queries, time_limit_ms=[None])
 
 
-def test_match_many_accepts_num_parts_hints():
-    data = random_graph(40, 0.15, seed=23)
-    queries = [chain_graph(3), clique_graph(3)]
-    with ParallelMatcher(data, workers=2) as pm:
-        hints = [pm.num_intervals(q) for q in queries]
-        hinted = pm.match_many(queries, num_parts=hints)
-        unhinted = pm.match_many(queries)
-    assert [r.count for r in hinted] == [r.count for r in unhinted]
-
-
 def test_match_many_stats_are_per_query():
     data = random_graph(40, 0.15, seed=29)
     queries = [chain_graph(3), chain_graph(4)]

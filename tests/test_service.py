@@ -283,17 +283,6 @@ class TestMatchingService:
             assert got == expected_counts
             assert svc.dispatcher.batches_dispatched == 1
 
-    def test_plan_cache_hits_on_second_parallel_batch(self, data_graph):
-        with MatchingService(CuTSConfig(), workers=2) as svc:
-            fp = svc.register_graph(data_graph)
-            svc.match(fp, chain_graph(4), time_limit_ms=1e9)
-            # A timed request is never result-cached, so the second one
-            # exercises the plan cache instead.
-            job_id = svc.submit(fp, chain_graph(4), time_limit_ms=1e9)
-            svc.result(job_id, timeout=30)
-            assert svc.job(job_id).plan_hit
-            assert svc.plan_cache.hits >= 1
-
     def test_deadline_expiry_fails_typed(self, data_graph):
         with MatchingService(CuTSConfig(), start=False) as svc:
             fp = svc.register_graph(data_graph)

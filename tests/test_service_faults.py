@@ -16,6 +16,7 @@ import repro.service.service as service_module
 from repro.core.config import CuTSConfig
 from repro.core.matcher import CuTSMatcher
 from repro.graph import clique_graph, cycle_graph, mesh_graph
+from repro.parallel import ParallelMatcher
 from repro.service import JobFailed, MatchingService, ServiceConfig
 from repro.service.faults import (
     FAULTS_ENV_VAR,
@@ -266,3 +267,51 @@ def test_worker_kill_recovers_with_exact_counts(data_graph):
         )
         assert results[0].count == oracle.count
         assert svc.faults is not None and svc.faults.worker_kills >= 1
+
+
+def _pool_dies_once(monkeypatch) -> None:
+    """The next pool pass raises; later ones run as usual."""
+    real = ParallelMatcher.match_many
+    calls = []
+
+    def match_many(self, queries, **kwargs):
+        calls.append(len(queries))
+        if len(calls) == 1:
+            raise RuntimeError("pool died mid-batch")
+        return real(self, queries, **kwargs)
+
+    monkeypatch.setattr(ParallelMatcher, "match_many", match_many)
+
+
+def test_pool_failure_retries_the_batch_serially(data_graph, monkeypatch):
+    queries = [clique_graph(3), cycle_graph(4)]
+    oracle = [
+        CuTSMatcher(data_graph, CuTSConfig()).match(q).count for q in queries
+    ]
+    _pool_dies_once(monkeypatch)
+    with MatchingService(CuTSConfig(), workers=2, start=False) as svc:
+        fp = svc.register_graph(data_graph)
+        ids = [svc.submit(fp, q) for q in queries]
+        svc.start()  # everything queued -> one batch, one pool pass
+        assert [svc.result(j, timeout=60.0).count for j in ids] == oracle
+        assert all(svc.job(j).state == "done" for j in ids)
+        assert all(svc.job(j).fallback for j in ids)
+        snap = svc.dispatcher.snapshot()
+        assert snap["pool_failures"] == 1
+        assert snap["serial_fallbacks"] == 1
+
+
+def test_failed_serial_retry_reports_the_pool_cause(data_graph, monkeypatch):
+    _pool_dies_once(monkeypatch)
+
+    def serial_dies(self, query, **kwargs):
+        raise RuntimeError("serial engine down")
+
+    monkeypatch.setattr(CuTSMatcher, "match", serial_dies)
+    with MatchingService(CuTSConfig(), workers=2) as svc:
+        fp = svc.register_graph(data_graph)
+        job_id = svc.submit(fp, clique_graph(3))
+        with pytest.raises(JobFailed, match="pool died mid-batch"):
+            svc.result(job_id, timeout=60.0)
+        assert "serial engine down" in str(svc.job(job_id).error)
+        assert svc.dispatcher.snapshot()["serial_fallbacks"] == 1

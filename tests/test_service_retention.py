@@ -11,8 +11,10 @@ retained one still dedupes, and a restart loads at most
 
 from __future__ import annotations
 
+import gc
 import os
 import threading
+import tracemalloc
 
 import pytest
 
@@ -29,6 +31,11 @@ from repro.service.http import serve
 from repro.service.state import RETAINED_JOBS
 
 REQUESTS = 10_000
+# Cached matches a one-rank router serves once its job table is full,
+# and the traced growth they may leave behind: a record kept per request
+# for the life of the router costs ~84 bytes each, 250 KB at this count.
+MORE_REQUESTS = 3_000
+ROUTER_GROWTH_BOUND = 32 * 1024
 # Live records after a compaction, plus what may be appended before the
 # next one (twice the live records plus RETAINED_JOBS), plus one batch.
 LOG_BOUND = 4 * RETAINED_JOBS + 64
@@ -149,3 +156,29 @@ def test_cluster_retention_is_bounded_on_the_router_and_every_rank(
         assert _seq(busiest.service.submit(fp, query)) > issued
     finally:
         cluster.close()
+
+
+def test_router_memory_stays_flat_once_the_job_table_is_full():
+    data, query = mesh_graph(4, 4), clique_graph(3)
+    with ClusterService(CuTSConfig(), ranks=1, auto_heal=False) as router:
+        fp = router.register_graph(data)
+        # Traced from the start, so evicting the jobs the fill retains
+        # shows as freed; filling twice over lets the job tables' dicts
+        # reach the size their churn keeps them at.
+        tracemalloc.start()
+        try:
+            for _ in range(2 * RETAINED_JOBS):
+                router.match(fp, query, timeout=60.0)
+            gc.collect()
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(MORE_REQUESTS):
+                router.match(fp, query, timeout=60.0)
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert _tables(router) <= RETAINED_JOBS
+        assert grown < ROUTER_GROWTH_BOUND, (
+            f"{MORE_REQUESTS} cached matches grew traced memory by "
+            f"{grown} bytes"
+        )

@@ -26,13 +26,16 @@ from repro.fingerprint import (
     graph_fingerprint,
 )
 from repro.graph import clique_graph, cycle_graph, mesh_graph
+from repro.graph.io import graph_from_spec, graph_to_spec
 from repro.service import (
+    AdmissionError,
     JobFailed,
     MatchingService,
     ServiceConfig,
     ServiceState,
 )
-from repro.service.state import DROPPED, graph_from_record, graph_record
+from repro.service.state import DROPPED
+from repro.versioning.lineage import KIND_REPLACE, GraphVersion
 
 
 @pytest.fixture()
@@ -53,14 +56,14 @@ def opened_state(directory) -> ServiceState:
 
 
 def test_graph_record_roundtrip_preserves_fingerprint(data_graph):
-    back = graph_from_record(graph_record(data_graph))
+    back = graph_from_spec(graph_to_spec(data_graph))
     assert graph_fingerprint(back) == graph_fingerprint(data_graph)
     assert back.name == data_graph.name
 
 
 def test_graph_record_roundtrip_keeps_labels():
     g = clique_graph(3).with_labels([5, 6, 7])
-    back = graph_from_record(graph_record(g))
+    back = graph_from_spec(graph_to_spec(g))
     assert back.labels is not None
     assert list(back.labels) == [5, 6, 7]
     assert graph_fingerprint(back) == graph_fingerprint(g)
@@ -258,7 +261,7 @@ def test_running_jobs_resurface_as_retryable(tmp_path, data_graph):
             "state": "running",
             "graph_fp": graph_fingerprint(data_graph),
             "query_fp": graph_fingerprint(query),
-            "query": graph_record(query),
+            "query": graph_to_spec(query),
             "materialize": False,
             "time_limit_ms": None,
             "priority": 0,
@@ -296,7 +299,7 @@ def test_failed_jobs_restore_terminal(tmp_path, data_graph):
             "state": "failed",
             "graph_fp": graph_fingerprint(data_graph),
             "query_fp": graph_fingerprint(query),
-            "query": graph_record(query),
+            "query": graph_to_spec(query),
             "materialize": False,
             "time_limit_ms": None,
             "priority": 0,
@@ -360,6 +363,44 @@ def test_state_dir_holds_graphs_and_one_log(tmp_path, data_graph):
         svc.mutate_graph("mesh", inserts=[[0, 7]])
     MatchingService(CuTSConfig(), state_dir=str(tmp_path)).close()
     assert sorted(os.listdir(tmp_path)) == ["graphs", "state.jsonl"]
+
+
+def _dir_bytes(directory) -> dict[str, bytes]:
+    """Every file under ``directory``: relative path -> content."""
+    out = {}
+    for root, _dirs, names in os.walk(directory):
+        for name in names:
+            path = os.path.join(root, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, directory)] = fh.read()
+    return out
+
+
+def test_a_killed_service_writes_nothing(tmp_path, data_graph):
+    svc = MatchingService(CuTSConfig(), state_dir=str(tmp_path))
+    head = svc.register_graph(data_graph, "mesh")
+    svc.register_graph(cycle_graph(5), "ring")
+    svc.flush_journal()
+    svc.kill()
+    before, names = _dir_bytes(tmp_path), svc.registry.names()
+    other = mesh_graph(3, 4)
+    writes = {
+        "register": lambda: svc.register_graph(other, "other"),
+        "unregister": lambda: svc.unregister_graph("ring"),
+        "adopt": lambda: svc._adopt(
+            GraphVersion(
+                "mesh", graph_fingerprint(other), head, 1, KIND_REPLACE
+            ),
+            other,
+        ),
+    }
+    for what, write in writes.items():
+        with pytest.raises(AdmissionError) as refused:
+            write()
+        assert refused.value.reason == "shutdown", what
+    assert _dir_bytes(tmp_path) == before
+    assert svc.registry.names() == names
+    svc.close()
 
 
 def test_format_one_state_dir_is_refused(tmp_path):

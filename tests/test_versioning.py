@@ -434,6 +434,30 @@ def test_cache_entry_outside_dirty_ball_survives_commit(service):
     assert after.count == before.count
 
 
+def test_incremental_probe_runs_on_the_parent_engine(service, monkeypatch):
+    service.register_graph(mesh_graph(5, 5), "g")
+    query = chain_graph(3)
+    service.match("g", query, timeout=30)  # the parent's cached base
+    summary = service.mutate_graph("g", inserts=[[0, 6]], directed=False)
+    assert summary["changed"] and summary["promoted"] == 0
+    child = service.registry.resolve("g")
+    child.fallback_matcher()  # the child's own engine, built once
+    built = []
+    real_init = CuTSMatcher.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(CuTSMatcher, "__init__", counting_init)
+    job_id = service.submit("g", query)
+    got = service.result(job_id, timeout=30)
+    monkeypatch.undo()
+    assert service.job(job_id).incremental
+    assert not built, "the probe rebuilt a matcher"
+    assert got.count == CuTSMatcher(child.graph).match(query).count
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_service_incremental_matches_full_oracle(backend, seed):
     rng = np.random.default_rng(200 + seed)
