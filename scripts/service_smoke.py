@@ -11,7 +11,11 @@ port, then drives 50 mixed requests through
 * one ``deadline_ms=0`` request, which must settle as **expired**
   (deadline enforcement, not a hang);
 * a warm re-submission of every counting request, which must return
-  identical counts and report ``cached`` (the result cache survived).
+  identical counts and report ``cached`` (the result cache survived);
+* a keep-alive phase that replays every oracle read twice on one
+  ``http.client`` connection: each count must match, and the median
+  round trip must stay under 20 ms (a reply that waits for the
+  client's delayed ACK takes about 40 ms).
 
 Every count is checked against a serial in-process oracle
 (:class:`CuTSMatcher` on the same graphs); any mismatch, unexpected
@@ -45,13 +49,17 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
+import json
 import os
 import re
 import signal
+import statistics
 import subprocess
 import sys
 import tempfile
 import time
+import urllib.parse
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -73,6 +81,8 @@ from repro.service import (  # noqa: E402
 
 BOOT_TIMEOUT_S = 30.0
 TOTAL_REQUESTS = 50
+KEEPALIVE_ROUNDS = 2
+KEEPALIVE_MEDIAN_S = 0.020
 
 DATA_GRAPHS = {
     "mesh55": mesh_graph(5, 5),
@@ -122,6 +132,54 @@ def boot_server(*extra_args: str) -> tuple[subprocess.Popen, str]:
         proc.kill()
         raise SystemExit(f"could not parse server banner: {line!r}")
     return proc, f"http://{match.group(1)}:{match.group(2)}"
+
+
+def keep_alive_reads(
+    base_url: str,
+    fps: dict[str, str],
+    oracle: dict[tuple[str, str], int],
+    failures: list[str],
+) -> None:
+    """Replay every oracle read on one keep-alive connection; counts
+    must match and the median round trip must stay under
+    ``KEEPALIVE_MEDIAN_S``."""
+    url = urllib.parse.urlsplit(base_url)
+    conn = http.client.HTTPConnection(url.hostname, url.port, timeout=60.0)
+    rtts: list[float] = []
+    try:
+        for _ in range(KEEPALIVE_ROUNDS):
+            for (gname, qname), expected in oracle.items():
+                body = json.dumps({"graph": fps[gname], "query": qname})
+                start = time.perf_counter()
+                conn.request(
+                    "POST", "/match", body=body,
+                    headers={"Content-Type": "application/json"},
+                )
+                reply = conn.getresponse()
+                job = json.loads(reply.read())
+                rtts.append(time.perf_counter() - start)
+                if reply.status != 200 or job.get("state") != "done":
+                    failures.append(
+                        f"keep-alive {gname}/{qname}: HTTP {reply.status} "
+                        f"{job.get('state') or job.get('error')}"
+                    )
+                elif job["result"]["count"] != expected:
+                    failures.append(
+                        f"keep-alive {gname}/{qname}: count "
+                        f"{job['result']['count']} != oracle {expected}"
+                    )
+    finally:
+        conn.close()
+    median = statistics.median(rtts)
+    if median >= KEEPALIVE_MEDIAN_S:
+        failures.append(
+            f"keep-alive median round trip {median * 1000:.1f} ms >= "
+            f"{KEEPALIVE_MEDIAN_S * 1000:.0f} ms (replies stall?)"
+        )
+    print(
+        f"keep-alive: {len(rtts)} reads on one connection, median round "
+        f"trip {median * 1000:.1f} ms"
+    )
 
 
 def main(topology: list[str]) -> int:
@@ -212,6 +270,7 @@ def main(topology: list[str]) -> int:
             f"{metrics['result_cache']['hits']} cache hits, "
             f"{sched['rejected']} rejected, {sched['expired']} expired"
         )
+        keep_alive_reads(base_url, fps, oracle, failures)
     finally:
         proc.send_signal(signal.SIGINT)
         try:

@@ -124,7 +124,7 @@ def slice_fanouts(
     Chunk peels re-use the parent's gathered starts/counts (only the
     per-chunk totals are re-reduced) instead of re-gathering the CSR
     pointer table per chunk.  Safe while the step-keyed buffers are not
-    re-taken — see :attr:`ColumnarEngine.fan_epochs`.
+    re-taken — see :attr:`ExpansionArena.fan_epochs`.
     """
     return tuple(
         (kind, j, starts[start:stop], counts[start:stop],
@@ -145,18 +145,40 @@ class ExpansionArena:
     are keyed by query step: strict DFS guarantees the same name is
     re-taken only after its previous view's readers have finished.
     Trie levels (``ca`` survivor arrays) stay freshly allocated.
+
+    An arena belongs to the thread that runs its engines, one call at a
+    time; several engines may share it (a service rank's registry
+    gives every serial engine it builds the rank's one arena, DESIGN.md
+    §13).  Names mean the same in every engine, so the step-keyed
+    fanout epochs live here, beside the buffers they date, and so does
+    the graph-independent :meth:`iota` table.
     """
 
-    __slots__ = ("_buffers", "grow_events")
+    __slots__ = ("_buffers", "_iota", "fan_epochs", "grow_events")
 
     def __init__(self) -> None:
         self._buffers: dict[str, np.ndarray] = {}
+        self._iota = np.arange(1024, dtype=np.int64)
+        # fan_epochs[step]: fanout tables built at ``step`` so far, by
+        # any engine on this arena; a held fanout view is current only
+        # while this is unchanged.
+        self.fan_epochs: dict[int, int] = {}
         self.grow_events = 0
 
     @property
     def capacity_bytes(self) -> int:
         """Total bytes currently held by the arena's backing buffers."""
         return sum(buf.nbytes for buf in self._buffers.values())
+
+    def iota(self, size: int) -> np.ndarray:
+        """Read-only ``arange(size)`` view from a grown cache.  Growth
+        replaces the cache, so views handed out earlier stay valid."""
+        if self._iota.size < size:
+            capacity = self._iota.size
+            while capacity < size:
+                capacity <<= 1
+            self._iota = np.arange(capacity, dtype=np.int64)
+        return self._iota[:size]
 
     def take(
         self, name: str, size: int, dtype: np.dtype = _DTYPES["i8"]
@@ -269,40 +291,29 @@ columns (row ``1 + lv`` the vertex matched at trie level ``lv``)."""
 class ColumnarEngine:
     """Fused columnar expansion bound to one matcher / data graph.
 
-    Holds the workspace arena and the lazily-built per-graph tables
-    (degree vectors, packed adjacency bitset, worker-ownership vector,
-    symmetry flag).  The engine is pure host-side mechanism: every
-    modeled charge it issues is identical to the reference expansion
-    path's.
+    Runs on a workspace arena (a private one unless ``arena`` is given)
+    and holds the lazily-built per-graph tables (degree vectors, packed
+    adjacency bitset, worker-ownership vector, symmetry flag).  The
+    engine is pure host-side mechanism: every modeled charge it issues
+    is identical to the reference expansion path's.
     """
 
-    def __init__(self, matcher: "CuTSMatcher") -> None:
+    def __init__(
+        self, matcher: "CuTSMatcher", arena: ExpansionArena | None = None
+    ) -> None:
         self.matcher = matcher
         self.data = matcher.data
-        self.arena = ExpansionArena()
-        self._iota = np.arange(1024, dtype=np.int64)
+        self.arena = ExpansionArena() if arena is None else arena
         self._owners: np.ndarray | None = None
         self._vbits: np.ndarray | None = None
         self._bits: np.ndarray | None = None
         self._bits_built = False
         self._self_loop_free: bool | None = None
         self._symmetric: bool | None = None
-        # fan_epochs[step]: fanout tables built at ``step`` so far; a
-        # held fanout view is current only while this is unchanged.
-        self.fan_epochs: dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Cached per-graph tables
     # ------------------------------------------------------------------
-    def iota(self, size: int) -> np.ndarray:
-        """Read-only ``arange(size)`` view from a grown cache."""
-        if self._iota.size < size:
-            capacity = self._iota.size
-            while capacity < size:
-                capacity <<= 1
-            self._iota = np.arange(capacity, dtype=np.int64)
-        return self._iota[:size]
-
     def owners(self, size: int) -> np.ndarray:
         """Worker-ownership prefix ``arange(size) % num_workers``."""
         owners = self._owners
@@ -419,10 +430,11 @@ class ColumnarEngine:
         twin's arrays (same pointer table, same column).  Buffers are
         keyed by step so chunk peels can hold :func:`slice_fanouts`
         views across the peeled chunks' (strictly deeper) recursion;
-        each call advances the step's :attr:`fan_epochs` entry."""
-        self.fan_epochs[step] = self.fan_epochs.get(step, 0) + 1
-        data = self.data
+        each call advances the step's :attr:`ExpansionArena.fan_epochs`
+        entry."""
         arena = self.arena
+        arena.fan_epochs[step] = arena.fan_epochs.get(step, 0) + 1
+        data = self.data
         sym = self.symmetric
         out: list[Fanout] = []
         done: dict[int, Fanout] = {}
@@ -498,11 +510,11 @@ class ColumnarEngine:
             anchor_kind, anchor_j = "none", -1
             total = num_frontier * n
             path_ids = arena.take("path_ids", total)
-            path_ids.reshape(num_frontier, n)[:] = self.iota(num_frontier)[
+            path_ids.reshape(num_frontier, n)[:] = arena.iota(num_frontier)[
                 :, None
             ]
             cands = arena.take("cands", total)
-            cands.reshape(num_frontier, n)[:] = self.iota(n)[None, :]
+            cands.reshape(num_frontier, n)[:] = arena.iota(n)[None, :]
             pool_counts = arena.take("pool_counts", num_frontier)
             pool_counts[:] = n
             cum = None
@@ -521,10 +533,10 @@ class ColumnarEngine:
             # offsets[k] = starts[path] - cum[path] + k, flat-gathered.
             roff = arena.take("roff", num_frontier)
             np.subtract(starts, cum[:num_frontier], out=roff)
-            path_ids = self.iota(num_frontier).repeat(pool_counts)
+            path_ids = arena.iota(num_frontier).repeat(pool_counts)
             offsets = arena.take("offsets", total)
             roff.take(path_ids, out=offsets, mode="clip")
-            np.add(offsets, self.iota(total), out=offsets)
+            np.add(offsets, arena.iota(total), out=offsets)
             cands = arena.take("cands", total)
             indices.take(offsets, out=cands, mode="clip")
             if total:

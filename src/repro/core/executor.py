@@ -182,7 +182,7 @@ class FrontierExecutor:
 
     def _step(self) -> None:
         state = self.state
-        epochs = self.matcher.engine.fan_epochs
+        epochs = self.matcher.engine.arena.fan_epochs
         item = self.stack.pop()
         while True:
             if item.step == self.num_steps:
@@ -248,11 +248,12 @@ class FrontierExecutor:
     def _carry_in(self, item: FrontierItem) -> None:
         """Rebuild whatever carried state ``item`` lacks, or holds stale.
         A fanout view is current only while its step's entry in
-        :attr:`~repro.core.columnar.ColumnarEngine.fan_epochs` is
+        :attr:`~repro.core.columnar.ExpansionArena.fan_epochs` is
         unchanged: an item that entered out of last-in-first-out order
-        (shipped, adopted, reloaded) and built a table at the same step
-        has overwritten it.  A missing carry table is rebuilt from the
-        trie once: the ancestor columns with their Bloom row above."""
+        (shipped, adopted, reloaded), or another engine on the same
+        arena, built a table at the same step and overwrote it.  A
+        missing carry table is rebuilt from the trie once: the ancestor
+        columns with their Bloom row above."""
         engine = self.matcher.engine
         t0 = _time.perf_counter() if self.state.profile else 0.0
         if item.table is None:
@@ -262,7 +263,7 @@ class FrontierExecutor:
         item.fanouts = engine.constraint_fanouts(
             self.state.plan, item.table, item.step
         )
-        item.fan_epoch = engine.fan_epochs[item.step]
+        item.fan_epoch = engine.arena.fan_epochs[item.step]
         if self.state.profile:
             self.state.stats.record_stage("carry", _time.perf_counter() - t0)
 
@@ -400,11 +401,11 @@ class FrontierExecutor:
         trie = PathTrie(
             levels=[*item.trie.levels, TrieLevel(pa=frontier[pa_local], ca=ca)]
         )
-        # Child frontier ids 0..results-1: the columnar engine's shared
-        # read-only iota (every consumer slices or gathers, never writes).
+        # Child frontier ids 0..results-1: the arena's shared read-only
+        # iota (every consumer slices or gathers, never writes).
         child = FrontierItem(
             trie, step + 1,
-            matcher.engine.iota(results) if ref is None
+            matcher.engine.arena.iota(results) if ref is None
             else np.arange(results, dtype=np.int64),
             tag=item.tag, words=words,
         )

@@ -40,7 +40,7 @@ from ..gpusim.warp import (
 from ..graph.csr import CSRGraph
 from ..storage.trie import PathTrie
 from .candidates import root_candidates
-from .columnar import ColumnarEngine, Fanout, QueryPlan
+from .columnar import ColumnarEngine, ExpansionArena, Fanout, QueryPlan
 from .config import CuTSConfig
 from .executor import FrontierExecutor, FrontierItem, SearchTimeout
 from .governor import MemoryGovernor
@@ -84,6 +84,14 @@ class CuTSMatcher:
         Record per-stage wall-clock timings of every fused expansion
         into ``SearchStats.stage_wall_s`` (diagnostic only; they never
         influence control flow).
+    arena:
+        The expansion workspace to run on; ``None`` (default) gives the
+        matcher a private one.  Engines that share an arena must all
+        run on one thread.  A run suspended (a stream, a stepped
+        executor) while another engine on the arena runs stays exact
+        but rebuilds the fanout views it held.  A service rank's
+        registry shares one arena across the serial engines its
+        dispatcher thread runs, one call at a time.
 
     Raises
     ------
@@ -101,6 +109,7 @@ class CuTSMatcher:
         memory_budget_mb: int = 0,
         trace_kernels: bool = False,
         profile_expansion: bool = False,
+        arena: ExpansionArena | None = None,
     ) -> None:
         if memory_budget_mb < 0:
             raise ValueError("memory_budget_mb must be >= 0 (0 = unlimited)")
@@ -133,7 +142,7 @@ class CuTSMatcher:
         # Columnar frontier engine: workspace arena + per-graph tables.
         # Construction is cheap (all caches lazy); runs dispatch to it
         # only when ``config.engine == "columnar"`` set a plan on state.
-        self.engine = ColumnarEngine(self)
+        self.engine = ColumnarEngine(self, arena)
 
     # ------------------------------------------------------------------
     # Public API

@@ -20,6 +20,13 @@ closes their engines, and fires ``on_replace(old_fingerprint)`` for
 each so the service can invalidate their cache entries and stored
 bytes — the one channel through which a stale answer could otherwise
 alias a live name.
+
+The registry also owns its rank's one expansion workspace
+(:class:`~repro.core.columnar.ExpansionArena`): every serial engine a
+handle builds runs on it, so a rank's engine memory follows its
+largest frontier, not the number of graph versions it has served.
+That is safe because every engine call on a rank runs on the rank's
+one dispatcher thread, one call at a time (DESIGN.md §11).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from itertools import takewhile
 from typing import Callable
 
 from ..analysis.sanitizer import make_rlock
+from ..core.columnar import ExpansionArena
 from ..core.config import CuTSConfig
 from ..core.matcher import CuTSMatcher
 from ..fingerprint import graph_fingerprint
@@ -98,6 +106,8 @@ class GraphHandle:
         config: CuTSConfig,
         workers: int,
         generation: int,
+        *,
+        arena: ExpansionArena,
         parent_fp: str | None = None,
         lineage_depth: int = 0,
         memory_budget_mb: int = 0,
@@ -107,6 +117,7 @@ class GraphHandle:
         self.fingerprint = fingerprint
         self.config = config
         self.workers = workers
+        self.arena = arena
         self.memory_budget_mb = memory_budget_mb
         self.generation = generation
         # Version lineage: fingerprint of the version this one was
@@ -143,10 +154,10 @@ class GraphHandle:
 
     def fallback_matcher(self) -> CuTSMatcher:
         """A persistent in-process serial engine for this graph,
-        independent of the worker pool.  The dispatcher retries a
-        failed pool pass on it: a broken pool (or a chaos-injected
-        pool fault) degrades one batch to serial execution instead of
-        failing every job in it."""
+        independent of the worker pool, on the registry's shared arena.
+        The dispatcher retries a failed pool pass on it: a broken pool
+        (or a chaos-injected pool fault) degrades one batch to serial
+        execution instead of failing every job in it."""
         with self._lock:
             if self._closed:
                 raise ValueError(f"graph handle {self.name!r} is closed")
@@ -154,6 +165,7 @@ class GraphHandle:
                 self._serial = CuTSMatcher(
                     self.graph, self.config,
                     memory_budget_mb=self.memory_budget_mb,
+                    arena=self.arena,
                 )
             return self._serial
 
@@ -244,7 +256,8 @@ class GraphHandle:
 
 
 class GraphRegistry:
-    """Fingerprint- and name-keyed store of :class:`GraphHandle`."""
+    """Fingerprint- and name-keyed store of :class:`GraphHandle`, and
+    the owner of the one :attr:`arena` their serial engines share."""
 
     def __init__(
         self,
@@ -260,6 +273,7 @@ class GraphRegistry:
         self.max_versions = sc.max_versions
         self.memory_budget_mb = sc.memory_budget_mb
         self._on_replace = on_replace
+        self.arena = ExpansionArena()
         self._lock = make_rlock("GraphRegistry._lock")
         self._by_name: dict[str, GraphHandle] = {}
         self._by_fp: dict[str, GraphHandle] = {}
@@ -326,6 +340,7 @@ class GraphRegistry:
         self._generation += 1
         handle = GraphHandle(
             graph, name, fp, self.config, self.workers, self._generation,
+            arena=self.arena,
             parent_fp=parent_fp,
             lineage_depth=lineage_depth,
             memory_budget_mb=self.memory_budget_mb,

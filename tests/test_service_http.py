@@ -9,9 +9,12 @@ as an external caller sees them.
 from __future__ import annotations
 
 import contextlib
+import http.client
 import json
 import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -26,6 +29,7 @@ from repro.service import (
     ServiceConfig,
     ServiceError,
 )
+from repro.service.cluster import ClusterService
 from repro.service.http import BadRequest, parse_graph_spec, serve
 
 
@@ -345,3 +349,165 @@ def test_bad_deadline_header_is_400(live_service):
     with pytest.raises(urllib.error.HTTPError) as exc_info:
         urllib.request.urlopen(req, timeout=30.0)
     assert exc_info.value.code == 400
+
+
+# ---------------------------------------------------------------------------
+# The reply path: keep-alive connections, one send per reply.
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(params=["single", "cluster"])
+def backend_server(request):
+    """A live server on either backend: ``(host, port, service)``."""
+    service = (
+        MatchingService() if request.param == "single"
+        else ClusterService(ranks=1)
+    )
+    server = serve(service, port=0)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    host, port = server.server_address[:2]
+    try:
+        yield host, port, service
+    finally:
+        server.shutdown()
+        server.server_close()
+        service.close()
+        thread.join(timeout=5.0)
+
+
+def _call(conn, method, path, body=None):
+    conn.request(
+        method, path,
+        body=None if body is None else json.dumps(body),
+        headers={"Content-Type": "application/json"},
+    )
+    reply = conn.getresponse()
+    return reply.status, json.loads(reply.read())
+
+
+def test_keep_alive_round_trips_are_not_stalled(backend_server):
+    """Sequential requests on one keep-alive connection: a reply
+    written as two sends with Nagle on waits for the client's delayed
+    ACK, about 40 ms a round trip; a stall-free reply takes a few."""
+    host, port, service = backend_server
+    fp = service.register_graph(mesh_graph(10, 10))
+    match = {"graph": fp, "query": "C4"}
+    conn = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        assert _call(conn, "POST", "/match", match)[0] == 200  # warm
+        for method, path, body in (
+            ("GET", "/healthz", None), ("POST", "/match", match),
+        ):
+            rtts = []
+            for _ in range(30):
+                start = time.perf_counter()
+                status, reply = _call(conn, method, path, body)
+                rtts.append(time.perf_counter() - start)
+                assert status == 200
+            assert statistics.median(rtts) < 0.020, (path, rtts)
+        assert reply["cached"]
+    finally:
+        conn.close()
+
+
+def test_a_small_reply_is_one_send(backend_server, monkeypatch):
+    """Timing-free: the status line, headers and body of a small reply
+    leave the accepted socket in a single send."""
+    host, port, service = backend_server
+    fp = service.register_graph(mesh_graph(4, 4))
+    sends: list[int] = []
+    real_send, real_sendall = socket.socket.send, socket.socket.sendall
+
+    def on_server_side(sock):
+        try:
+            return sock.getsockname()[1] == port
+        except OSError:
+            return False
+
+    def send(self, data, *args):
+        if on_server_side(self):
+            sends.append(len(data))
+        return real_send(self, data, *args)
+
+    def sendall(self, data, *args):
+        if on_server_side(self):
+            sends.append(len(data))
+        return real_sendall(self, data, *args)
+
+    monkeypatch.setattr(socket.socket, "send", send)
+    monkeypatch.setattr(socket.socket, "sendall", sendall)
+    conn = http.client.HTTPConnection(host, port, timeout=30.0)
+    try:
+        for method, path, body in (
+            ("GET", "/healthz", None),
+            ("POST", "/match", {"graph": fp, "query": "P3"}),
+            ("GET", "/jobs/none", None),
+        ):
+            sends.clear()
+            _call(conn, method, path, body)
+            assert len(sends) == 1, (path, sends)
+    finally:
+        conn.close()
+
+
+def _raw_exchange(host, port, request: bytes) -> bytes:
+    """Send ``request`` raw and read until the server closes."""
+    chunks = []
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(request)
+        with contextlib.suppress(ConnectionResetError):
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+    return b"".join(chunks)
+
+
+@pytest.mark.parametrize(
+    "declared, status",
+    [
+        ("abc", 400), ("-5", 400), ("1e3", 400), ("", 400),
+        (str(10**12), 413),
+    ],
+)
+def test_an_unread_body_gets_one_reply_and_the_connection_closes(
+    backend_server, declared, status
+):
+    """A malformed Content-Length is a 400, not a 500; an oversized one
+    a 413.  Either way the body stays unread, so the reply closes the
+    connection instead of parsing the body as the next request."""
+    host, port, _ = backend_server
+    reply = _raw_exchange(
+        host, port,
+        b"POST /match HTTP/1.1\r\nHost: x\r\n"
+        b"Content-Type: application/json\r\n"
+        b"Content-Length: " + declared.encode() + b"\r\n\r\n{}",
+    )
+    head, _, body = reply.partition(b"\r\n\r\n")
+    assert head.split(b"\r\n", 1)[0].split(b" ")[:2] == [
+        b"HTTP/1.1", str(status).encode()
+    ]
+    assert b"Connection: close" in head
+    assert b"HTTP/1.1" not in body
+    error = json.loads(body)["error"]
+    assert ("Content-Length" if status == 400 else "max_body_bytes") in error
+
+
+def test_expect_100_continue_is_answered_before_the_body(backend_server):
+    """The interim 100 is flushed at once: a client that waits for it
+    before sending the body is not left waiting on the reply buffer."""
+    host, port, _ = backend_server
+    body = json.dumps({"graph": "K4", "query": "K3"}).encode()
+    with socket.create_connection((host, port), timeout=10.0) as sock:
+        sock.sendall(
+            b"POST /match HTTP/1.1\r\nHost: x\r\nExpect: 100-continue\r\n"
+            b"Content-Type: application/json\r\n"
+            b"Content-Length: " + str(len(body)).encode() + b"\r\n\r\n"
+        )
+        sock.settimeout(2.0)
+        assert sock.recv(4096).startswith(b"HTTP/1.1 100 Continue")
+        sock.sendall(body)
+        sock.settimeout(10.0)
+        reply = b""
+        while b"\r\n\r\n" not in reply:
+            reply += sock.recv(4096)
+    assert reply.startswith(b"HTTP/1.1 200")
